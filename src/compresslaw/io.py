@@ -25,23 +25,12 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import DataFormatError, DomainError
-from .laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate
+from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate
 from .planner import CandidateModel
-from .regression import (
-    FITTED_SIGN_EXPONENTS,
-    DesignForm,
-    ExperimentRecord,
-    FeasibilityWarning,
-    FitStatistics,
-    build_design,
-    fit_law,
-)
+from .regression import DesignForm, ExperimentRecord, FitStatistics, _fit
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -335,32 +324,23 @@ class FitReport:
             raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
 
 
-def _law_coefficients(law: CompressionLaw | RuntimeLaw, form: DesignForm) -> np.ndarray:
-    if form is DesignForm.RUNTIME:
-        return np.array([math.log(law.c), law.beta])
-    if form is DesignForm.FULL:
-        return np.array([law.alpha, law.beta, law.gamma])
-    if form is DesignForm.RATIO_ONLY:
-        return np.array([law.alpha, law.beta])
-    return np.array([law.alpha, law.gamma])
-
-
 def build_fit_report(
     records: Sequence[ExperimentRecord],
     epsilon: float = 1.0,
     form: DesignForm = DesignForm.FULL,
 ) -> FitReport:
-    """Fit a law and package it with statistics, warnings and residuals."""
-    x, y = build_design(records, epsilon=epsilon, form=form)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FeasibilityWarning)
-        law = fit_law(records, epsilon=epsilon, form=form)
-    residuals = y - x @ _law_coefficients(law, form)
-    notes = []
-    if isinstance(law, CompressionLaw):
-        fitted = FITTED_SIGN_EXPONENTS[form]
-        notes = [str(v) for v in check_feasibility(law) if v.exponent in fitted]
-    return FitReport(law=law, stats=law.stats, warnings=tuple(notes), residuals=tuple(float(v) for v in residuals))
+    """Fit a law and package it with statistics, feasibility notes and log-residuals.
+
+    The notes are the sign violations :func:`~compresslaw.regression.fit_law`
+    would warn about; this function emits no warnings.
+    """
+    law, violations, residuals = _fit(records, epsilon, form)
+    return FitReport(
+        law=law,
+        stats=law.stats,
+        warnings=tuple(str(v) for v in violations),
+        residuals=tuple(residuals.tolist()),
+    )
 
 
 def report_to_json(report: FitReport) -> str:

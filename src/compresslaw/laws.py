@@ -9,9 +9,12 @@ linking a compressed model's performance to the base model's performance
 fine-tuning (RFT) dataset size ``d``.  :class:`RuntimeLaw` is the
 two-parameter analogue ``c * (1 + r)**beta`` for inference runtime.
 
-All evaluation goes through ``exp`` of the log-linear form so predictions
-stay numerically consistent with the log-space regression in
-:mod:`compresslaw.regression`.
+All evaluation goes through ``exp`` of the log-linear form built by
+:func:`log_features`, the one transform that :mod:`compresslaw.regression`,
+:mod:`compresslaw.synth` and :mod:`compresslaw.recovery` also use, so
+predictions and the regression agree bit for bit in their transforms.  The
+``require_*`` validators are the one place each domain condition and its
+message are written.
 
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means
@@ -38,9 +41,12 @@ __all__ = [
     "CompressionLaw",
     "RuntimeLaw",
     "SignViolation",
+    "log_features",
+    "require_finite",
+    "require_positive",
+    "require_nonnegative",
+    "require_ratio",
     "evaluate",
-    "evaluate_ablation_r",
-    "evaluate_ablation_d",
     "evaluate_runtime",
     "check_feasibility",
 ]
@@ -59,11 +65,52 @@ class MetricKind(enum.Enum):
 _FEASIBLE_SIGN = {MetricKind.LOSS: 1.0, MetricKind.ACCURACY: -1.0}
 
 
-def _require_finite(name: str, value: float) -> float:
+def require_finite(name: str, value: float) -> float:
+    """``float(value)``, or :class:`DomainError` if it is nan or infinite.
+
+    The other validators call it only once their own check fails, so a
+    non-finite input always gets this message and a valid one pays for one call.
+    """
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def require_positive(name: str, value: float) -> float:
+    """A finite ``value > 0`` (``l0``, ``epsilon``, observations, counts) as a float."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        require_finite(name, value)
+        raise DomainError(f"{name} must be > 0, got {value}")
+    return value
+
+
+def require_nonnegative(name: str, value: float) -> float:
+    """A finite ``value >= 0`` (RFT sizes, noise levels) as a float."""
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        require_finite(name, value)
+        raise DomainError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def require_ratio(r: float) -> float:
+    """A compression ratio in ``[0, 1)`` as a float."""
+    r = float(r)
+    if not 0.0 <= r < 1.0:
+        require_finite("r", r)
+        raise DomainError(f"r must lie in [0, 1), got {r}")
+    return r
+
+
+def log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, float, float]:
+    """The law's log-space regressors ``(log l0, log(1 + r), log(1 + 1/(d + epsilon)))``.
+
+    Inputs are assumed validated.  Every prediction and every design row is
+    built from this one function, so both see the same floating-point values.
+    """
+    return math.log(l0), math.log1p(r), math.log1p(1.0 / (d + epsilon))
 
 
 @dataclass(frozen=True)
@@ -90,10 +137,8 @@ class CompressionLaw:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            _require_finite(name, getattr(self, name))
-        eps = _require_finite("epsilon", self.epsilon)
-        if eps <= 0.0:
-            raise DomainError(f"epsilon must be > 0, got {eps}")
+            require_finite(name, getattr(self, name))
+        require_positive("epsilon", self.epsilon)
         if not isinstance(self.metric, MetricKind):
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
 
@@ -111,10 +156,8 @@ class RuntimeLaw:
     stats: "FitStatistics | None" = None
 
     def __post_init__(self) -> None:
-        c = _require_finite("c", self.c)
-        if c <= 0.0:
-            raise DomainError(f"c must be > 0, got {c}")
-        _require_finite("beta", self.beta)
+        require_positive("c", self.c)
+        require_finite("beta", self.beta)
 
 
 @dataclass(frozen=True)
@@ -127,19 +170,6 @@ class SignViolation:
 
     def __str__(self) -> str:
         return f"{self.exponent} = {self.value:.6g} violates the feasible sign ({self.expected})"
-
-
-def _validate_point(l0: float, r: float, d: float) -> tuple[float, float, float]:
-    l0 = _require_finite("l0", l0)
-    r = _require_finite("r", r)
-    d = _require_finite("d", d)
-    if l0 <= 0.0:
-        raise DomainError(f"l0 must be > 0, got {l0}")
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    if d < 0.0:
-        raise DomainError(f"d must be >= 0, got {d}")
-    return l0, r, d
 
 
 def _checked_exp(log_value: float) -> float:
@@ -169,40 +199,15 @@ def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     Raises:
         DomainError: On out-of-domain or non-finite inputs.
     """
-    l0, r, d = _validate_point(l0, r, d)
-    log_pred = (
-        law.alpha * math.log(l0)
-        + law.beta * math.log1p(r)
-        + law.gamma * math.log1p(1.0 / (d + law.epsilon))
+    x0, x1, x2 = log_features(
+        require_positive("l0", l0), require_ratio(r), require_nonnegative("d", d), law.epsilon
     )
-    return _checked_exp(log_pred)
-
-
-def evaluate_ablation_r(alpha: float, beta: float, l0: float, r: float) -> float:
-    """Ratio-only ablation ``l0**alpha * (1 + r)**beta`` (RFT factor removed)."""
-    _require_finite("alpha", alpha)
-    _require_finite("beta", beta)
-    l0, r, _ = _validate_point(l0, r, 0.0)
-    return _checked_exp(alpha * math.log(l0) + beta * math.log1p(r))
-
-
-def evaluate_ablation_d(alpha: float, gamma: float, epsilon: float, l0: float, d: float) -> float:
-    """Data-only ablation ``l0**alpha * (1 + 1/(d + epsilon))**gamma`` (ratio factor removed)."""
-    _require_finite("alpha", alpha)
-    _require_finite("gamma", gamma)
-    epsilon = _require_finite("epsilon", epsilon)
-    if epsilon <= 0.0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon}")
-    l0, _, d = _validate_point(l0, 0.0, d)
-    return _checked_exp(alpha * math.log(l0) + gamma * math.log1p(1.0 / (d + epsilon)))
+    return _checked_exp(law.alpha * x0 + law.beta * x1 + law.gamma * x2)
 
 
 def evaluate_runtime(law: RuntimeLaw, r: float) -> float:
     """Predicted inference runtime ``c * (1 + r)**beta`` at compression ratio ``r``."""
-    r = _require_finite("r", r)
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    return _checked_exp(math.log(law.c) + law.beta * math.log1p(r))
+    return _checked_exp(math.log(law.c) + law.beta * math.log1p(require_ratio(r)))
 
 
 def check_feasibility(law: CompressionLaw) -> list[SignViolation]:

@@ -18,7 +18,15 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudgetError
-from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate
+from .laws import (
+    CompressionLaw,
+    MetricKind,
+    RuntimeLaw,
+    evaluate,
+    require_nonnegative,
+    require_positive,
+    require_ratio,
+)
 
 __all__ = [
     "CandidateModel",
@@ -45,10 +53,8 @@ class CandidateModel:
     runtime_law: RuntimeLaw | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.param_count) and self.param_count > 0.0):
-            raise DomainError(f"param_count must be > 0, got {self.param_count}")
-        if not (math.isfinite(self.l0) and self.l0 > 0.0):
-            raise DomainError(f"l0 must be > 0, got {self.l0}")
+        require_positive("param_count", self.param_count)
+        require_positive("l0", self.l0)
         if self.law.metric not in (MetricKind.LOSS, MetricKind.ACCURACY):
             raise DomainError("candidate laws must target loss or accuracy")
 
@@ -63,10 +69,8 @@ class PlanRequest:
     max_ratio: float = 0.9
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.budget) and self.budget > 0.0):
-            raise DomainError(f"budget must be > 0, got {self.budget}")
-        if not (math.isfinite(self.rft_size) and self.rft_size >= 0.0):
-            raise DomainError(f"rft_size must be >= 0, got {self.rft_size}")
+        require_positive("budget", self.budget)
+        require_nonnegative("rft_size", self.rft_size)
         if not 0.0 < self.max_ratio <= 1.0:
             raise DomainError(f"max_ratio must lie in (0, 1], got {self.max_ratio}")
 
@@ -103,10 +107,8 @@ def required_ratio(param_count: float, budget: float, max_ratio: float = 0.9) ->
         InfeasibleBudgetError: When the required ratio reaches ``max_ratio``.
         DomainError: On nonpositive inputs.
     """
-    if not (math.isfinite(param_count) and param_count > 0.0):
-        raise DomainError(f"param_count must be > 0, got {param_count}")
-    if not (math.isfinite(budget) and budget > 0.0):
-        raise DomainError(f"budget must be > 0, got {budget}")
+    require_positive("param_count", param_count)
+    require_positive("budget", budget)
     if budget >= param_count:
         return 0.0
     ratio = 1.0 - budget / param_count
@@ -177,9 +179,7 @@ def predict_speedup(runtime_law: RuntimeLaw, r: float) -> float:
     Assumes ``beta < 0`` (compression speeds inference up); for ``beta >= 0``
     a warning is emitted and 0.0 returned.
     """
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 <= r < 1.0):
-        raise DomainError(f"r must lie in [0, 1), got {r!r}")
+    r = require_ratio(r)
     if runtime_law.beta >= 0.0:
         warnings.warn(
             f"runtime exponent beta = {runtime_law.beta:.6g} is nonnegative; no speedup predicted",

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .laws import CompressionLaw, MetricKind, check_feasibility
+from .laws import CompressionLaw, MetricKind, check_feasibility, log_features, require_nonnegative, require_ratio
 
 __all__ = [
     "Regime",
@@ -98,9 +98,7 @@ class RecoveryQuery:
                 "recovery analysis needs a feasible law; " + "; ".join(str(v) for v in violations)
             )
         _validate_sigma(self.sigma, self.law.metric)
-        r = float(self.r)
-        if not (math.isfinite(r) and 0.0 <= r < 1.0):
-            raise DomainError(f"r must lie in [0, 1), got {r!r}")
+        require_ratio(self.r)
 
 
 @dataclass(frozen=True)
@@ -156,6 +154,10 @@ def critical_ratio(beta: float, sigma: float, metric: MetricKind) -> float:
             f"sigma = {sigma} is in the always-recoverable band (boundary 2**beta = {boundary:.6g}); "
             "no critical ratio exists"
         )
+    return _critical_ratio(beta, sigma)
+
+
+def _critical_ratio(beta: float, sigma: float) -> float:
     return math.expm1(math.log(sigma) / beta)
 
 
@@ -175,13 +177,8 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     against ``sigma``: ``>=`` for accuracy, ``<=`` for loss.
     """
     sigma = _validate_sigma(sigma, law.metric)
-    r = float(r)
-    d = float(d)
-    if not (math.isfinite(r) and 0.0 <= r < 1.0):
-        raise DomainError(f"r must lie in [0, 1), got {r!r}")
-    if not (math.isfinite(d) and d >= 0.0):
-        raise DomainError(f"d must be a finite nonnegative real, got {d!r}")
-    ratio = math.exp(law.beta * math.log1p(r) + law.gamma * math.log1p(1.0 / (d + law.epsilon)))
+    _, x1, x2 = log_features(1.0, require_ratio(r), require_nonnegative("d", d), law.epsilon)
+    ratio = math.exp(law.beta * x1 + law.gamma * x2)
     if law.metric is MetricKind.ACCURACY:
         return ratio >= sigma
     return ratio <= sigma
@@ -217,7 +214,7 @@ def analyze(query: RecoveryQuery) -> RecoveryAnalysis:
     """Full recovery report: regime, boundary, critical ratio and minimum size."""
     regime, boundary = classify_regime(query.law.beta, query.sigma, query.law.metric)
     if regime is Regime.CONDITIONALLY_RECOVERABLE:
-        r_critical = math.expm1(math.log(query.sigma) / query.law.beta)
+        r_critical = _critical_ratio(query.law.beta, query.sigma)
     else:
         r_critical = None
     return RecoveryAnalysis(

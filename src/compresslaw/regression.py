@@ -9,9 +9,12 @@ runtime law does carry a constant, so its design gets an intercept column
 and the fitted intercept becomes ``log c``.
 
 Solving uses a QR decomposition rather than the normal equations, with a
-condition-number guard at 1e8.  R-squared follows the convention of
-standard statistics packages: uncentered (``1 - SSR/sum(y**2)``) for the
-intercept-free forms, centered for the runtime form.
+condition-number guard at 1e8 on ``cond(R) == cond(X)``.  R-squared follows
+the convention of standard statistics packages and is decided by the design
+form, never by the data values: uncentered (``1 - SSR/sum(y**2)``, ``p``
+model degrees of freedom) for the intercept-free forms, centered (``p - 1``)
+for the runtime form.  A bare :func:`ols_fit` call without a form has no
+intercept.
 """
 
 from __future__ import annotations
@@ -19,13 +22,23 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility
+from .laws import (
+    CompressionLaw,
+    MetricKind,
+    RuntimeLaw,
+    SignViolation,
+    check_feasibility,
+    log_features,
+    require_nonnegative,
+    require_positive,
+    require_ratio,
+)
 
 __all__ = [
     "ExperimentRecord",
@@ -61,6 +74,9 @@ _COLUMN_NAMES: dict[DesignForm, tuple[str, ...]] = {
     DesignForm.RUNTIME: ("intercept", "log_ratio"),
 }
 
+# Position of each named column in a :func:`log_features` triple.
+_FEATURE_INDEX = {"log_l0": 0, "log_ratio": 1, "log_data": 2}
+
 # Exponents a given form actually estimates, for sign-feasibility warnings.
 # Pinned-to-zero exponents of the ablation forms are exempt.
 FITTED_SIGN_EXPONENTS: dict[DesignForm, tuple[str, ...]] = {
@@ -89,18 +105,10 @@ class ExperimentRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.metric, MetricKind):
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
-        for name in ("l0", "r", "d", "l"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
-        if self.l0 <= 0.0:
-            raise DomainError(f"l0 must be > 0, got {self.l0}")
-        if self.l <= 0.0:
-            raise DomainError(f"l must be > 0, got {self.l}")
-        if not 0.0 <= self.r < 1.0:
-            raise DomainError(f"r must lie in [0, 1), got {self.r}")
-        if self.d < 0.0:
-            raise DomainError(f"d must be >= 0, got {self.d}")
+        require_positive("l0", self.l0)
+        require_ratio(self.r)
+        require_nonnegative("d", self.d)
+        require_positive("l", self.l)
 
 
 @dataclass(frozen=True)
@@ -147,15 +155,15 @@ def build_design(
 
     Returns:
         ``X`` of shape (n, p) and ``y = log(l)`` of shape (n,).  Columns in
-        the order given by the form: FULL is ``[log l0, log(1+r),
-        log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
+        the order given by the form, taken from
+        :func:`~compresslaw.laws.log_features`: FULL is ``[log l0,
+        log(1+r), log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
 
     Raises:
         DomainError: Mixed metric kinds, too few records (need at least
             p + 1), or a non-finite transform.
     """
-    if epsilon <= 0.0 or not math.isfinite(epsilon):
-        raise DomainError(f"epsilon must be a positive finite real, got {epsilon}")
+    epsilon = require_positive("epsilon", epsilon)
     names = _COLUMN_NAMES[form]
     p = len(names)
     if len(records) < p + 1:
@@ -164,18 +172,11 @@ def build_design(
     if len(metrics) != 1:
         raise DomainError(f"records mix metric kinds: {sorted(m.value for m in metrics)}")
 
-    n = len(records)
-    x = np.empty((n, p))
-    y = np.empty(n)
-    for i, record in enumerate(records):
-        cols = {
-            "intercept": 1.0,
-            "log_l0": math.log(record.l0),
-            "log_ratio": math.log1p(record.r),
-            "log_data": math.log1p(1.0 / (record.d + epsilon)),
-        }
-        x[i] = [cols[name] for name in names]
-        y[i] = math.log(record.l)
+    features = np.array([log_features(rec.l0, rec.r, rec.d, epsilon) for rec in records])
+    x = np.column_stack(
+        [np.ones(len(records)) if name == "intercept" else features[:, _FEATURE_INDEX[name]] for name in names]
+    )
+    y = np.array([math.log(rec.l) for rec in records])
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("log transform produced non-finite design entries")
     return x, y
@@ -193,26 +194,10 @@ def _name_collinear_columns(x: np.ndarray, names: Sequence[str]) -> str:
     return f"columns '{names[i]}' and '{names[j]}' are nearly collinear (|cos| = {cos[i, j]:.6f})"
 
 
-def ols_fit(
-    x: np.ndarray,
-    y: np.ndarray,
-    column_names: Sequence[str] | None = None,
-) -> tuple[np.ndarray, FitStatistics]:
-    """Solve ``min ||X b - y||^2`` by QR and compute fit statistics.
-
-    Args:
-        x: Design matrix, shape (n, p) with n > p and full column rank.
-        y: Response vector, shape (n,).
-        column_names: Optional labels used in singular-design diagnostics.
-
-    Returns:
-        The coefficient vector and a :class:`FitStatistics`.
-
-    Raises:
-        SingularDesignError: Rank deficiency, i.e. condition number above
-            ``CONDITION_NUMBER_LIMIT``; the message names the offending
-            columns.
-    """
+def _solve(
+    x: np.ndarray, y: np.ndarray, form: DesignForm | None
+) -> tuple[np.ndarray, FitStatistics, np.ndarray]:
+    """:func:`ols_fit`, also returning the residuals ``y - X b``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
@@ -220,36 +205,32 @@ def ols_fit(
     n, p = x.shape
     if n <= p:
         raise DomainError(f"need more rows than columns, got {n} x {p}")
-    names = list(column_names) if column_names is not None else [f"x{j}" for j in range(p)]
+    names = _COLUMN_NAMES[form] if form is not None else [f"x{j}" for j in range(p)]
+    if len(names) != p:
+        raise DomainError(f"the {form.value} form has {len(names)} columns, X has {p}")
 
-    condition = float(np.linalg.cond(x))
+    q, r = np.linalg.qr(x)
+    # X = QR with orthonormal Q, so X and the p x p factor R share singular values.
+    condition = float(np.linalg.cond(r))
     if not math.isfinite(condition) or condition > CONDITION_NUMBER_LIMIT:
         raise SingularDesignError(
             f"design is rank deficient or ill conditioned (cond = {condition:.3g}); "
             + _name_collinear_columns(x, names)
         )
-
-    q, r = np.linalg.qr(x)
     coef = np.linalg.solve(r, q.T @ y)
 
     residuals = y - x @ coef
     ssr = float(residuals @ residuals)
-    has_intercept = bool(np.any(np.all(x == 1.0, axis=0)))
-    if has_intercept:
-        centered = y - y.mean()
-        tss = float(centered @ centered)
-        dof_model = p - 1
-    else:
-        tss = float(y @ y)
-        dof_model = p
+    # Only the runtime form has an intercept; it centers R^2 and is not a model degree of freedom.
+    intercepts = int(form is DesignForm.RUNTIME)
+    centered = y - y.mean() if intercepts else y
+    tss = float(centered @ centered)
     if tss > 0.0:
         r_squared = min(max(1.0 - ssr / tss, 0.0), 1.0)
     else:
         r_squared = 1.0 if ssr <= 1e-30 else 0.0
-    if has_intercept:
-        adj = 1.0 - (1.0 - r_squared) * (n - 1) / (n - p)
-    else:
-        adj = 1.0 - (1.0 - r_squared) * n / (n - p)
+    adj = 1.0 - (1.0 - r_squared) * (n - intercepts) / (n - p)
+    dof_model = p - intercepts
     if r_squared < 1.0 and dof_model > 0:
         f_stat = (r_squared / dof_model) / ((1.0 - r_squared) / (n - p))
     else:
@@ -263,7 +244,57 @@ def ols_fit(
         residual_std=math.sqrt(ssr / (n - p)),
         condition_number=condition,
     )
+    return coef, stats, residuals
+
+
+def ols_fit(
+    x: np.ndarray,
+    y: np.ndarray,
+    form: DesignForm | None = None,
+) -> tuple[np.ndarray, FitStatistics]:
+    """Solve ``min ||X b - y||^2`` by QR and compute fit statistics.
+
+    Args:
+        x: Design matrix, shape (n, p) with n > p and full column rank.
+        y: Response vector, shape (n,).
+        form: The design form ``x`` was built for.  It names the columns in
+            singular-design diagnostics and decides the R-squared convention:
+            centered only for ``DesignForm.RUNTIME``.  ``None`` means
+            generic ``x0, x1, ...`` names and no intercept.
+
+    Returns:
+        The coefficient vector and a :class:`FitStatistics`.
+
+    Raises:
+        SingularDesignError: Rank deficiency, i.e. condition number above
+            ``CONDITION_NUMBER_LIMIT``; the message names the offending
+            columns.
+    """
+    coef, stats, _ = _solve(x, y, form)
     return coef, stats
+
+
+def _fit(
+    records: Sequence[ExperimentRecord], epsilon: float, form: DesignForm
+) -> tuple[CompressionLaw | RuntimeLaw, list[SignViolation], np.ndarray]:
+    """Build the design once, solve it and return the law, its sign violations and log-residuals.
+
+    Violations are limited to the exponents the form estimates; the pinned
+    zeros of the ablation forms are exempt.
+    """
+    x, y = build_design(records, epsilon=epsilon, form=form)
+    coef, stats, residuals = _solve(x, y, form)
+    if form is DesignForm.RUNTIME:
+        return RuntimeLaw(c=math.exp(coef[0]), beta=float(coef[1]), stats=stats), [], residuals
+    metric = records[0].metric
+    if form is DesignForm.FULL:
+        law = CompressionLaw(float(coef[0]), float(coef[1]), float(coef[2]), metric, epsilon, stats)
+    elif form is DesignForm.RATIO_ONLY:
+        law = CompressionLaw(float(coef[0]), float(coef[1]), 0.0, metric, epsilon, stats)
+    else:
+        law = CompressionLaw(float(coef[0]), 0.0, float(coef[1]), metric, epsilon, stats)
+    fitted = FITTED_SIGN_EXPONENTS[form]
+    return law, [v for v in check_feasibility(law) if v.exponent in fitted], residuals
 
 
 def fit_law(
@@ -271,37 +302,19 @@ def fit_law(
     epsilon: float = 1.0,
     form: DesignForm = DesignForm.FULL,
 ) -> CompressionLaw | RuntimeLaw:
-    """Fit a law to experiment records; thin wrapper over the two steps above.
+    """Fit a law to experiment records by log-space OLS.
 
     For the ablation forms the missing exponent is pinned to 0 in the
-    returned :class:`CompressionLaw`, so ``evaluate`` on the result equals
-    the corresponding ablation formula exactly.  ``DesignForm.RUNTIME``
-    returns a :class:`RuntimeLaw` with ``c = exp(intercept)``.
+    returned :class:`CompressionLaw`, so the ratio-only ablation
+    ``l0**alpha * (1 + r)**beta`` is ``evaluate`` on a ``ratio`` fit and the
+    data-only ablation ``l0**alpha * (1 + 1/(d + epsilon))**gamma`` is
+    ``evaluate`` on a ``data`` fit.  ``DesignForm.RUNTIME`` returns a
+    :class:`RuntimeLaw` with ``c = exp(intercept)``.
 
     Emits a :class:`FeasibilityWarning` per fitted exponent whose sign
     contradicts the records' metric kind.
     """
-    x, y = build_design(records, epsilon=epsilon, form=form)
-    coef, stats = ols_fit(x, y, column_names=_COLUMN_NAMES[form])
-    metric = records[0].metric
-
-    if form is DesignForm.RUNTIME:
-        return RuntimeLaw(c=math.exp(coef[0]), beta=float(coef[1]), stats=stats)
-
-    if form is DesignForm.FULL:
-        law = CompressionLaw(float(coef[0]), float(coef[1]), float(coef[2]), metric, epsilon, stats)
-    elif form is DesignForm.RATIO_ONLY:
-        law = CompressionLaw(float(coef[0]), float(coef[1]), 0.0, metric, epsilon, stats)
-    else:
-        law = CompressionLaw(float(coef[0]), 0.0, float(coef[1]), metric, epsilon, stats)
-
-    fitted = FITTED_SIGN_EXPONENTS[form]
-    for violation in check_feasibility(law):
-        if violation.exponent in fitted:
-            warnings.warn(str(violation), FeasibilityWarning, stacklevel=2)
+    law, violations, _ = _fit(records, epsilon, form)
+    for violation in violations:
+        warnings.warn(str(violation), FeasibilityWarning, stacklevel=2)
     return law
-
-
-def strip_stats(law: CompressionLaw | RuntimeLaw) -> CompressionLaw | RuntimeLaw:
-    """Copy of a law without its fit statistics (handy for value comparisons)."""
-    return replace(law, stats=None)

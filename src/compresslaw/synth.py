@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import CompressionLaw
+from .laws import CompressionLaw, log_features, require_nonnegative, require_positive, require_ratio
+from .regression import CONDITION_NUMBER_LIMIT, ExperimentRecord
 
 __all__ = ["SyntheticConfig", "generate"]
 
@@ -48,21 +49,17 @@ class SyntheticConfig:
         if not (self.l0_values and self.r_values and self.d_values):
             raise DomainError("all three grid axes must be nonempty")
         for l0 in self.l0_values:
-            if not (math.isfinite(l0) and l0 > 0.0):
-                raise DomainError(f"l0 grid values must be > 0, got {l0}")
+            require_positive("l0", l0)
         for r in self.r_values:
-            if not (math.isfinite(r) and 0.0 <= r < 1.0):
-                raise DomainError(f"r grid values must lie in [0, 1), got {r}")
+            require_ratio(r)
         for d in self.d_values:
-            if not (math.isfinite(d) and d >= 0.0):
-                raise DomainError(f"d grid values must be >= 0, got {d}")
+            require_nonnegative("d", d)
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise DomainError(f"noise_std must be >= 0, got {self.noise_std}")
+        require_nonnegative("noise_std", self.noise_std)
 
 
-def generate(config: SyntheticConfig) -> "list[ExperimentRecord]":
+def generate(config: SyntheticConfig) -> list[ExperimentRecord]:
     """Draw one record per grid point from the truth law.
 
     The observed value is ``exp(alpha*log l0 + beta*log(1+r) +
@@ -73,18 +70,11 @@ def generate(config: SyntheticConfig) -> "list[ExperimentRecord]":
             three-column design (e.g. constant ``l0 = 1`` with a constant
             ``d`` axis).
     """
-    from .regression import ExperimentRecord  # local import avoids a cycle at module load
-
     law = config.truth
     points = list(itertools.product(config.l0_values, config.r_values, config.d_values))
-    design = np.array(
-        [
-            [math.log(l0), math.log1p(r), math.log1p(1.0 / (d + law.epsilon))]
-            for l0, r, d in points
-        ]
-    )
-    full_rank = design.shape[0] >= 3 and np.linalg.matrix_rank(design) == 3
-    if not full_rank or np.linalg.cond(design) > 1e8:
+    design = np.array([log_features(l0, r, d, law.epsilon) for l0, r, d in points])
+    # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
+    if len(points) < 3 or not np.linalg.cond(design) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
 
     rng = np.random.default_rng(config.seed)

@@ -12,10 +12,9 @@ from compresslaw.laws import (
     RuntimeLaw,
     check_feasibility,
     evaluate,
-    evaluate_ablation_d,
-    evaluate_ablation_r,
     evaluate_runtime,
 )
+from compresslaw.regression import ExperimentRecord, build_design
 
 # aggregate fixture coefficients (intrinsic/extrinsic full-form fits)
 INTRINSIC = CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS)
@@ -65,41 +64,39 @@ class TestEvaluate:
 
 
 class TestAblations:
+    """The single-factor ablations are ``evaluate`` with the other exponent pinned to zero."""
+
     def test_ratio_only_fixture(self):
         # 2^0.74 * 1.3^2.02 per the scalar oracle
-        assert evaluate_ablation_r(0.74, 2.02, 2.0, 0.3) == pytest.approx(2.8374470670, abs=1e-3)
+        law = CompressionLaw(0.74, 2.02, 0.0, MetricKind.LOSS)
+        assert evaluate(law, 2.0, 0.3, 0.0) == pytest.approx(2.8374470670, abs=1e-3)
 
     def test_ratio_only_identity(self):
-        assert evaluate_ablation_r(1.0, 0.0, 5.0, 0.9) == pytest.approx(5.0, rel=1e-12)
+        law = CompressionLaw(1.0, 0.0, 0.0, MetricKind.LOSS)
+        assert evaluate(law, 5.0, 0.9, 0.0) == pytest.approx(5.0, rel=1e-12)
 
     def test_ratio_only_extrinsic(self):
         # 0.55^1.01 * 1.5^-1.05 per the scalar oracle
-        assert evaluate_ablation_r(1.01, -1.05, 0.55, 0.5) == pytest.approx(0.3571663161, abs=1e-3)
+        law = CompressionLaw(1.01, -1.05, 0.0, MetricKind.ACCURACY)
+        assert evaluate(law, 0.55, 0.5, 0.0) == pytest.approx(0.3571663161, abs=1e-3)
 
     def test_data_only_fixture(self):
         # 2^1.30 * 2^1.46 = 2^2.76
-        assert evaluate_ablation_d(1.30, 1.46, 1.0, 2.0, 0.0) == pytest.approx(6.7739624989, abs=1e-3)
+        law = CompressionLaw(1.30, 0.0, 1.46, MetricKind.LOSS, 1.0)
+        assert evaluate(law, 2.0, 0.0, 0.0) == pytest.approx(6.7739624989, abs=1e-3)
 
     def test_data_only_identity(self):
-        assert evaluate_ablation_d(1.0, 0.0, 1.0, 7.0, 42.0) == pytest.approx(7.0, rel=1e-12)
+        law = CompressionLaw(1.0, 0.0, 0.0, MetricKind.LOSS, 1.0)
+        assert evaluate(law, 7.0, 0.0, 42.0) == pytest.approx(7.0, rel=1e-12)
 
     def test_data_only_extrinsic(self):
         # 0.6^1.73 * 1.25^-0.22 per the scalar oracle
-        assert evaluate_ablation_d(1.73, -0.22, 1.0, 0.6, 3.0) == pytest.approx(0.3934426715, abs=1e-3)
-
-    @given(
-        alpha=st.floats(-2, 2),
-        beta=st.floats(-3, 3),
-        l0=st.floats(0.1, 50),
-        r=st.floats(0, 0.99),
-    )
-    def test_ratio_ablation_equals_law_with_gamma_zero(self, alpha, beta, l0, r):
-        law = CompressionLaw(alpha, beta, 0.0, MetricKind.LOSS)
-        assert evaluate_ablation_r(alpha, beta, l0, r) == evaluate(law, l0, r, 0.0)
+        law = CompressionLaw(1.73, 0.0, -0.22, MetricKind.ACCURACY, 1.0)
+        assert evaluate(law, 0.6, 0.0, 3.0) == pytest.approx(0.3934426715, abs=1e-3)
 
     def test_bad_epsilon(self):
         with pytest.raises(DomainError):
-            evaluate_ablation_d(1.0, 1.0, 0.0, 2.0, 1.0)
+            CompressionLaw(1.0, 0.0, 1.0, MetricKind.LOSS, epsilon=0.0)
 
 
 class TestRuntime:
@@ -166,6 +163,23 @@ class TestInvariants:
         along_d = [evaluate(INTRINSIC, 2.0, 0.5, d) for d in ds]
         assert all(a < b for a, b in zip(along_r, along_r[1:]))
         assert all(a > b for a, b in zip(along_d, along_d[1:]))
+
+    @given(
+        l0=st.floats(1e-3, 1e3),
+        r=st.floats(0, 1, exclude_max=True),
+        d=st.floats(0, 1e9),
+        epsilon=st.floats(1e-6, 1e3),
+        alpha=st.floats(-3, 3),
+        beta=st.floats(-3, 3),
+        gamma=st.floats(-3, 3),
+    )
+    def test_prediction_uses_the_design_row_exactly(self, l0, r, d, epsilon, alpha, beta, gamma):
+        # prediction and regression share one transform, so the match is exact
+        record = ExperimentRecord("m", MetricKind.LOSS, l0, r, d, 1.0)
+        x, _ = build_design([record] * 4, epsilon=epsilon)
+        x0, x1, x2 = x[0].tolist()
+        law = CompressionLaw(alpha, beta, gamma, MetricKind.LOSS, epsilon)
+        assert evaluate(law, l0, r, d) == math.exp(alpha * x0 + beta * x1 + gamma * x2)
 
     @given(l0=st.floats(0.05, 100), r=st.floats(0, 0.99), d=st.floats(0, 1e9))
     def test_matches_scalar_oracle(self, l0, r, d):

@@ -133,6 +133,11 @@ class TestOlsFit:
         with pytest.raises(SingularDesignError, match="x0.*x1|collinear"):
             ols_fit(x, x[:, 0])
 
+    def test_form_must_match_columns(self):
+        x = np.column_stack([np.ones(6), np.arange(1.0, 7.0), np.arange(1.0, 7.0) ** 2])
+        with pytest.raises(DomainError, match="runtime form has 2 columns"):
+            ols_fit(x, x[:, 1], form=DesignForm.RUNTIME)
+
     def test_rows_must_exceed_columns(self):
         with pytest.raises(DomainError):
             ols_fit(np.eye(3), np.ones(3))
@@ -226,6 +231,25 @@ class TestProperties:
         assert law2.beta == pytest.approx(law.beta, abs=1e-9)
         assert law2.gamma == pytest.approx(law.gamma, abs=1e-9)
         assert law2.alpha != pytest.approx(law.alpha, abs=1e-3)
+
+    def test_constant_l0_e_keeps_uncentered_convention(self):
+        # log(e) == 1.0 exactly, so the FULL design's log_l0 column is all ones;
+        # it is still a regressor, not an intercept, and R^2/F stay uncentered.
+        rng = np.random.default_rng(3)
+        records = make_records(0.63, 1.72, 1.16, MetricKind.LOSS, l0s=(math.e,), noise=rng.normal(0, 0.1, 40))
+        stats = fit_law(records).stats
+
+        r = np.array([rec.r for rec in records])
+        d = np.array([rec.d for rec in records])
+        x = np.column_stack([np.ones(len(records)), np.log1p(r), np.log1p(1.0 / (d + 1.0))])
+        y = np.log([rec.l for rec in records])
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+        ssr = float(np.sum((y - x @ coef) ** 2))
+        n, p = x.shape
+        r_squared = 1.0 - ssr / float(y @ y)
+        assert stats.r_squared == pytest.approx(r_squared, rel=1e-9)
+        assert stats.adj_r_squared == pytest.approx(1.0 - (1.0 - r_squared) * n / (n - p), rel=1e-9)
+        assert stats.f_statistic == pytest.approx((r_squared / p) / ((1.0 - r_squared) / (n - p)), rel=1e-9)
 
     def test_refit_idempotence_on_small_grids(self):
         for alpha, beta, gamma, metric in [
