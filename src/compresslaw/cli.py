@@ -14,7 +14,7 @@ import sys
 from typing import Sequence
 
 from . import io as lawio
-from .errors import CompressLawError, DataFormatError, DomainError
+from .errors import CompressLawError, DomainError
 from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
 from .planner import PlanRequest, plan
 from .recovery import Regime, RecoveryQuery, analyze, classify_regime, critical_ratio
@@ -42,8 +42,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise DomainError(f"{flag} must be a comma-separated list of numbers, got {text!r}") from None
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload))
+def _print_json(kind: str, fields: dict) -> None:
+    print(json.dumps({"schema_version": lawio.SCHEMA_VERSION, "kind": kind, **fields}))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -58,22 +58,13 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if isinstance(law, RuntimeLaw):
         if args.l0 is not None or args.d is not None:
             raise DomainError("runtime laws take only --r; drop --l0/--d")
-        value = evaluate_runtime(law, args.r)
-        payload = {"schema_version": lawio.SCHEMA_VERSION, "kind": "prediction", "r": args.r, "prediction": value}
+        fields = {"r": args.r, "prediction": evaluate_runtime(law, args.r)}
     else:
         if args.l0 is None:
             raise DomainError("--l0 is required for compression laws")
         d = 0.0 if args.d is None else args.d
-        value = evaluate(law, args.l0, args.r, d)
-        payload = {
-            "schema_version": lawio.SCHEMA_VERSION,
-            "kind": "prediction",
-            "l0": args.l0,
-            "r": args.r,
-            "d": d,
-            "prediction": value,
-        }
-    _print_json(payload)
+        fields = {"l0": args.l0, "r": args.r, "d": d, "prediction": evaluate(law, args.l0, args.r, d)}
+    _print_json("prediction", fields)
     return 0
 
 
@@ -84,9 +75,8 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     if regime is Regime.CONDITIONALLY_RECOVERABLE:
         r_critical = critical_ratio(args.beta, args.sigma, metric)
     _print_json(
+        "critical_ratio",
         {
-            "schema_version": lawio.SCHEMA_VERSION,
-            "kind": "critical_ratio",
             "metric": metric.value,
             "beta": args.beta,
             "sigma": args.sigma,
@@ -104,9 +94,8 @@ def _cmd_min_rft(args: argparse.Namespace) -> int:
         raise DomainError("min-rft needs a compression law, not a runtime law")
     result = analyze(RecoveryQuery(law=law, sigma=args.sigma, r=args.r))
     _print_json(
+        "min_rft",
         {
-            "schema_version": lawio.SCHEMA_VERSION,
-            "kind": "min_rft",
             "metric": law.metric.value,
             "sigma": args.sigma,
             "r": args.r,
@@ -126,9 +115,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     request = PlanRequest(budget=args.budget, metric=metric, rft_size=args.d, max_ratio=args.max_ratio)
     result = plan(candidates, request)
     _print_json(
+        "plan_result",
         {
-            "schema_version": lawio.SCHEMA_VERSION,
-            "kind": "plan_result",
             "metric": metric.value,
             "budget": args.budget,
             "rft_size": args.d,
@@ -153,31 +141,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     truth = lawio.load_law(_input(args.truth))
     if not isinstance(truth, CompressionLaw):
         raise DomainError("synth needs a compression law as the truth")
-    grid = lawio._read_json(_input(args.grid))
-    lawio._check_fields(grid, ("l0_values", "r_values", "d_values"), ("model_id",), "grid", strict=True)
-    for axis in ("l0_values", "r_values", "d_values"):
-        if not isinstance(grid[axis], list):
-            raise DataFormatError(f"grid: {axis} must be a list of numbers")
-    config = SyntheticConfig(
-        truth=truth,
-        l0_values=grid["l0_values"],
-        r_values=grid["r_values"],
-        d_values=grid["d_values"],
-        noise_std=args.noise_std,
-        seed=args.seed,
-        model_id=str(grid.get("model_id", "synthetic")),
-    )
-    records = generate(config)
+    grid = lawio.load_grid(_input(args.grid))
+    records = generate(SyntheticConfig(truth=truth, noise_std=args.noise_std, seed=args.seed, **grid))
     lawio.write_records(records, _output(args.out))
     if args.out != "-":
-        _print_json(
-            {
-                "schema_version": lawio.SCHEMA_VERSION,
-                "kind": "synth_result",
-                "records_written": len(records),
-                "out": args.out,
-            }
-        )
+        _print_json("synth_result", {"records_written": len(records), "out": args.out})
     return 0
 
 
@@ -194,13 +162,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lawio.write_frontier(points, sys.stdout)
     else:
-        _print_json(
-            {
-                "schema_version": lawio.SCHEMA_VERSION,
-                "kind": "frontier",
-                "rows": [{"l0": p.l0, "r": p.r, "d": p.d, "predicted": p.predicted} for p in points],
-            }
-        )
+        _print_json("frontier", {"rows": [{"l0": p.l0, "r": p.r, "d": p.d, "predicted": p.predicted} for p in points]})
     return 0
 
 

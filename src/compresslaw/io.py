@@ -1,19 +1,25 @@
-"""CSV ingestion, law and registry persistence, fit reports, frontier tables.
+"""CSV ingestion, law, registry and grid reading, fit reports, frontier tables.
 
-File formats (all versioned with ``compresslaw/v1``):
+File formats (all JSON but the grid versioned with ``compresslaw/v1``):
 
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
   no unit suffixes).
-* law JSON: a single compression or runtime law, optionally with fit stats.
+* law JSON: a single compression or runtime law, optionally with fit stats
+  (``n`` and ``p`` are JSON integers).
 * fit-report JSON: law + stats + feasibility warnings + per-record
   log-residuals; serialization is byte-stable for identical inputs.
 * law-registry JSON: laws keyed by (model_id, metric, method_tag) with a
   free-text provenance note each.
+* grid JSON (``synth`` input): lists of numbers ``l0_values``, ``r_values``,
+  ``d_values`` and an optional string ``model_id``.
 
 Floats are written with ``repr`` (shortest exact form), so round trips are
 lossless; non-finite statistics (an exact fit has an infinite F-statistic)
 are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.
+
+Every reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
+else, on any malformed document.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import reprlib
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -55,6 +62,7 @@ __all__ = [
     "save_registry",
     "load_registry",
     "builtin_registry",
+    "load_grid",
     "FrontierPoint",
     "emit_frontier_grid",
     "write_frontier",
@@ -124,27 +132,39 @@ def read_records(source, *, strict: bool = True) -> list[ExperimentRecord]:
 
     Strict mode aborts on the first invalid row with a row-numbered error;
     lenient mode skips invalid rows, emitting a :class:`SkippedRowWarning`
-    per skipped row.
+    per skipped row.  A row the csv module cannot split is invalid too.
     """
     with _open_for_read(source) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        try:
+            fieldnames = reader.fieldnames
+        except csv.Error as exc:
+            raise DataFormatError(f"row 1: {exc}") from None
+        if fieldnames is None:
             raise DataFormatError("empty input: expected a header row")
-        missing = [c for c in RECORD_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in RECORD_COLUMNS if c not in fieldnames]
         if missing:
             raise DataFormatError(f"missing required column(s): {missing}")
-        extra = [c for c in reader.fieldnames if c not in RECORD_COLUMNS]
+        extra = [c for c in fieldnames if c not in RECORD_COLUMNS]
         if extra and strict:
             raise DataFormatError(f"unknown column(s): {extra}")
         records = []
-        for row_number, row in enumerate(reader, start=2):
+        row_number = 1
+        # csv.Error comes from the reader itself, so the handlers wrap the whole
+        # row loop, which restarts after each skipped row.
+        while True:
             try:
-                records.append(_parse_record(row, row_number))
+                for row_number, row in enumerate(reader, start=row_number + 1):
+                    records.append(_parse_record(row, row_number))
+                return records
+            except csv.Error as exc:
+                row_number += 1
+                error = DataFormatError(f"row {row_number}: {exc}")
             except DataFormatError as exc:
-                if strict:
-                    raise
-                warnings.warn(str(exc), SkippedRowWarning, stacklevel=2)
-    return records
+                error = exc
+            if strict:
+                raise error
+            warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
@@ -170,22 +190,76 @@ def write_records(records: Iterable[ExperimentRecord], dest) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_text(source) -> str:
+    with _open_for_read(source) as fh:
+        return fh.read()
+
+
+def _write_text(dest, text: str) -> None:
+    with _open_for_write(dest) as fh:
+        fh.write(text)
+
+
+def _parse_document(text: str, context: str, kind: str | None = None, *, versioned: bool = True) -> dict:
+    """The top-level object of a JSON document, minus its checked ``schema_version`` (if
+    ``versioned``) and ``kind`` (if given); every failure is a :class:`DataFormatError`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise DataFormatError(f"{context}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DataFormatError(f"{context}: expected a JSON object, got {type(doc).__name__}")
+    if versioned:
+        version = doc.pop("schema_version", None)
+        if version != SCHEMA_VERSION:
+            raise DataFormatError(f"{context}: schema_version must be {SCHEMA_VERSION!r}, got {reprlib.repr(version)}")
+    if kind is not None:
+        found = doc.pop("kind", None)
+        if found != kind:
+            raise DataFormatError(f"{context}: kind must be {kind!r}, got {reprlib.repr(found)}")
+    return doc
+
+
+def _dump_document(doc: dict) -> str:
+    return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
+
+
 def _encode_num(value: float):
     value = float(value)
     return value if math.isfinite(value) else repr(value)
 
 
+# Decoders quote a bad value with reprlib.repr: short, and bounded however deeply it nests.
 def _decode_num(value, context: str) -> float:
-    if isinstance(value, bool):
-        raise DataFormatError(f"{context}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
         try:
             return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise DataFormatError(f"{context}: expected a number, got {reprlib.repr(value)}")
+
+
+def _decode_int(obj: dict, field: str, context: str) -> int:
+    value = obj[field]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise DataFormatError(f"{context}.{field}: expected an integer, got {reprlib.repr(value)}")
+
+
+def _decode_str(value, context: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise DataFormatError(f"{context}: expected a string, got {reprlib.repr(value)}")
+
+
+def _decode_enum(enum_type, obj: dict, field: str, context: str):
+    value = obj[field]
+    if isinstance(value, str):
+        try:
+            return enum_type(value)
         except ValueError:
             pass
-    raise DataFormatError(f"{context}: expected a number, got {value!r}")
+    raise DataFormatError(f"{context}: unknown {field} {reprlib.repr(value)}")
 
 
 def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], context: str, strict: bool) -> None:
@@ -198,26 +272,6 @@ def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], c
         unknown = sorted(set(obj) - set(required) - set(optional))
         if unknown:
             raise DataFormatError(f"{context}: unknown field(s) {unknown}")
-
-
-def _read_json(source) -> dict:
-    with _open_for_read(source) as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError(f"expected a JSON object at top level, got {type(doc).__name__}")
-    return doc
-
-
-def _check_schema(doc: dict, context: str) -> dict:
-    doc = dict(doc)
-    version = doc.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
-        raise DataFormatError(f"{context}: schema_version must be {SCHEMA_VERSION!r}, got {version!r}")
-    return doc
 
 
 _STATS_FLOAT_FIELDS = ("r_squared", "adj_r_squared", "f_statistic", "residual_std", "condition_number")
@@ -234,8 +288,8 @@ def _stats_from_dict(obj: dict, context: str, strict: bool) -> FitStatistics:
     _check_fields(obj, ("n", "p", *_STATS_FLOAT_FIELDS), (), context, strict)
     try:
         return FitStatistics(
-            n=int(obj["n"]),
-            p=int(obj["p"]),
+            n=_decode_int(obj, "n", context),
+            p=_decode_int(obj, "p", context),
             **{name: _decode_num(obj[name], f"{context}.{name}") for name in _STATS_FLOAT_FIELDS},
         )
     except DomainError as exc:
@@ -263,22 +317,18 @@ def law_to_dict(law: CompressionLaw | RuntimeLaw) -> dict:
 def law_from_dict(obj: dict, context: str = "law", strict: bool = True) -> CompressionLaw | RuntimeLaw:
     """Parse a law dict, enforcing type invariants; strict mode rejects unknown fields."""
     if not isinstance(obj, dict):
-        raise DataFormatError(f"{context}: expected an object")
+        raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     stats_obj = obj.get("stats")
     stats = _stats_from_dict(stats_obj, f"{context}.stats", strict) if stats_obj is not None else None
     try:
         if kind == "compression":
             _check_fields(obj, ("kind", "metric", "alpha", "beta", "gamma"), ("epsilon", "stats"), context, strict)
-            try:
-                metric = MetricKind(str(obj["metric"]))
-            except ValueError:
-                raise DataFormatError(f"{context}: unknown metric {obj['metric']!r}") from None
             return CompressionLaw(
                 alpha=_decode_num(obj["alpha"], f"{context}.alpha"),
                 beta=_decode_num(obj["beta"], f"{context}.beta"),
                 gamma=_decode_num(obj["gamma"], f"{context}.gamma"),
-                metric=metric,
+                metric=_decode_enum(MetricKind, obj, "metric", context),
                 epsilon=_decode_num(obj.get("epsilon", 1.0), f"{context}.epsilon"),
                 stats=stats,
             )
@@ -291,18 +341,15 @@ def law_from_dict(obj: dict, context: str = "law", strict: bool = True) -> Compr
             )
     except DomainError as exc:
         raise DataFormatError(f"{context}: {exc}") from exc
-    raise DataFormatError(f"{context}: kind must be 'compression' or 'runtime', got {kind!r}")
+    raise DataFormatError(f"{context}: kind must be 'compression' or 'runtime', got {reprlib.repr(kind)}")
 
 
 def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
-    doc = {"schema_version": SCHEMA_VERSION, **law_to_dict(law)}
-    with _open_for_write(dest) as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    _write_text(dest, _dump_document(law_to_dict(law)))
 
 
 def load_law(source, strict: bool = True) -> CompressionLaw | RuntimeLaw:
-    doc = _check_schema(_read_json(source), "law document")
-    return law_from_dict(doc, strict=strict)
+    return law_from_dict(_parse_document(_read_text(source), "law document"), strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -345,28 +392,20 @@ def build_fit_report(
 
 def report_to_json(report: FitReport) -> str:
     """Serialize a report; output is byte-stable for identical inputs."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fit_report",
-        "law": law_to_dict(report.law),
-        "stats": _stats_to_dict(report.stats),
-        "warnings": list(report.warnings),
-        "residuals": [_encode_num(v) for v in report.residuals],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump_document(
+        {
+            "kind": "fit_report",
+            "law": law_to_dict(report.law),
+            "stats": _stats_to_dict(report.stats),
+            "warnings": list(report.warnings),
+            "residuals": [_encode_num(v) for v in report.residuals],
+        }
+    )
 
 
 def report_from_json(text: str, strict: bool = True) -> FitReport:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError("expected a JSON object")
-    doc = _check_schema(doc, "fit report")
-    _check_fields(doc, ("kind", "law", "stats", "warnings", "residuals"), (), "fit report", strict)
-    if doc["kind"] != "fit_report":
-        raise DataFormatError(f"fit report: kind must be 'fit_report', got {doc['kind']!r}")
+    doc = _parse_document(text, "fit report", "fit_report")
+    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report", strict)
     law = law_from_dict(doc["law"], "fit report.law", strict)
     stats = _stats_from_dict(doc["stats"], "fit report.stats", strict)
     if not isinstance(doc["warnings"], list) or not all(isinstance(w, str) for w in doc["warnings"]):
@@ -381,13 +420,11 @@ def report_from_json(text: str, strict: bool = True) -> FitReport:
 
 
 def write_report(report: FitReport, dest) -> None:
-    with _open_for_write(dest) as fh:
-        fh.write(report_to_json(report))
+    _write_text(dest, report_to_json(report))
 
 
 def read_report(source, strict: bool = True) -> FitReport:
-    with _open_for_read(source) as fh:
-        return report_from_json(fh.read(), strict=strict)
+    return report_from_json(_read_text(source), strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -492,24 +529,16 @@ def _entry_to_dict(entry: RegistryEntry) -> dict:
 
 def _entry_from_dict(obj: dict, context: str, strict: bool) -> RegistryEntry:
     _check_fields(obj, _ENTRY_REQUIRED, _ENTRY_OPTIONAL, context, strict)
-    try:
-        metric = MetricKind(str(obj["metric"]))
-    except ValueError:
-        raise DataFormatError(f"{context}: unknown metric {obj['metric']!r}") from None
-    try:
-        form = DesignForm(str(obj["form"]))
-    except ValueError:
-        raise DataFormatError(f"{context}: unknown form {obj['form']!r}") from None
-    reported = obj.get("reported") or {}
+    reported = obj.get("reported", {})
     _check_fields(reported, (), ("adj_r_squared", "f_statistic"), f"{context}.reported", strict)
     try:
         return RegistryEntry(
-            model_id=str(obj["model_id"]),
-            metric=metric,
-            method_tag=str(obj["method_tag"]),
+            model_id=_decode_str(obj["model_id"], f"{context}.model_id"),
+            metric=_decode_enum(MetricKind, obj, "metric", context),
+            method_tag=_decode_str(obj["method_tag"], f"{context}.method_tag"),
             law=law_from_dict(obj["law"], f"{context}.law", strict),
-            form=form,
-            provenance=str(obj.get("provenance", "")),
+            form=_decode_enum(DesignForm, obj, "form", context),
+            provenance=_decode_str(obj.get("provenance", ""), f"{context}.provenance"),
             param_count=_decode_num(obj["param_count"], f"{context}.param_count") if "param_count" in obj else None,
             l0=_decode_num(obj["l0"], f"{context}.l0") if "l0" in obj else None,
             reported_adj_r_squared=(
@@ -524,25 +553,12 @@ def _entry_from_dict(obj: dict, context: str, strict: bool) -> RegistryEntry:
 
 
 def registry_to_json(registry: LawRegistry) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "law_registry",
-        "entries": [_entry_to_dict(entry) for entry in registry],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _dump_document({"kind": "law_registry", "entries": [_entry_to_dict(entry) for entry in registry]})
 
 
 def registry_from_json(text: str, strict: bool = True) -> LawRegistry:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataFormatError("expected a JSON object")
-    doc = _check_schema(doc, "law registry")
-    _check_fields(doc, ("kind", "entries"), (), "law registry", strict)
-    if doc["kind"] != "law_registry":
-        raise DataFormatError(f"law registry: kind must be 'law_registry', got {doc['kind']!r}")
+    doc = _parse_document(text, "law registry", "law_registry")
+    _check_fields(doc, ("entries",), (), "law registry", strict)
     if not isinstance(doc["entries"], list):
         raise DataFormatError("law registry: entries must be a list")
     registry = LawRegistry()
@@ -552,19 +568,42 @@ def registry_from_json(text: str, strict: bool = True) -> LawRegistry:
 
 
 def save_registry(registry: LawRegistry, dest) -> None:
-    with _open_for_write(dest) as fh:
-        fh.write(registry_to_json(registry))
+    _write_text(dest, registry_to_json(registry))
 
 
 def load_registry(source, strict: bool = True) -> LawRegistry:
-    with _open_for_read(source) as fh:
-        return registry_from_json(fh.read(), strict=strict)
+    return registry_from_json(_read_text(source), strict=strict)
 
 
 def builtin_registry() -> LawRegistry:
     """The bundled fixture registry of published coefficient tables."""
     text = resources.files("compresslaw").joinpath("data/fixtures.json").read_text("utf-8")
     return registry_from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# synthesis grids
+# ---------------------------------------------------------------------------
+
+_GRID_AXES = ("l0_values", "r_values", "d_values")
+
+
+def load_grid(source) -> dict:
+    """Read a ``synth`` grid: ``{l0_values, r_values, d_values, model_id?}``.
+
+    Returns the :class:`~compresslaw.synth.SyntheticConfig` keyword arguments
+    it names: a tuple of floats per axis, and ``model_id`` when present.
+    """
+    doc = _parse_document(_read_text(source), "grid", versioned=False)
+    _check_fields(doc, _GRID_AXES, ("model_id",), "grid", strict=True)
+    grid: dict = {}
+    for axis in _GRID_AXES:
+        if not isinstance(doc[axis], list):
+            raise DataFormatError(f"grid: {axis} must be a list of numbers")
+        grid[axis] = tuple(_decode_num(v, f"grid.{axis}") for v in doc[axis])
+    if "model_id" in doc:
+        grid["model_id"] = _decode_str(doc["model_id"], "grid.model_id")
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
-from .laws import CompressionLaw, MetricKind, check_feasibility, log_features, require_nonnegative, require_ratio
+from .laws import (
+    CompressionLaw, MetricKind, check_feasibility, log_features, require_finite, require_nonnegative, require_ratio
+)
 
 __all__ = [
     "Regime",
@@ -54,9 +56,7 @@ class Regime(enum.Enum):
 
 
 def _validate_sigma(sigma: float, metric: MetricKind) -> float:
-    sigma = float(sigma)
-    if not math.isfinite(sigma):
-        raise DomainError(f"sigma must be finite, got {sigma!r}")
+    sigma = require_finite("sigma", sigma)
     if metric is MetricKind.ACCURACY:
         if not 0.0 < sigma < 1.0:
             raise DomainError(f"accuracy thresholds live in (0, 1), got {sigma}")
@@ -69,9 +69,7 @@ def _validate_sigma(sigma: float, metric: MetricKind) -> float:
 
 
 def _validate_beta(beta: float, metric: MetricKind) -> float:
-    beta = float(beta)
-    if not math.isfinite(beta):
-        raise DomainError(f"beta must be finite, got {beta!r}")
+    beta = require_finite("beta", beta)
     if metric is MetricKind.ACCURACY and beta >= 0.0:
         raise DomainError(f"accuracy analysis needs beta < 0, got {beta}")
     if metric is MetricKind.LOSS and beta <= 0.0:

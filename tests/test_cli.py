@@ -1,13 +1,19 @@
 """End-to-end CLI behavior: outputs, pipelines, exit codes, help."""
 
+import contextlib
+import csv
+import io
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compresslaw.cli import build_parser, run
-from compresslaw.io import builtin_registry, load_registry, registry_to_json, save_law
+from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw
 from compresslaw.io import LawRegistry, RegistryEntry
 
@@ -278,3 +284,172 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert run(argv) == 0
         assert capsys.readouterr().out == first
+
+
+# ---------------------------------------------------------------------------
+# malformed input documents: every run ends with exit 0, 1 or 2 and one stdout document
+# ---------------------------------------------------------------------------
+
+STATS = {"n": 10, "p": 3, "r_squared": 0.9, "adj_r_squared": 0.8, "f_statistic": 5.0,
+         "residual_std": 0.1, "condition_number": 2.0}
+LAW = {"schema_version": "compresslaw/v1", "kind": "compression", "metric": "accuracy",
+       "alpha": 0.98, "beta": -1.18, "gamma": -0.14, "epsilon": 1.0, "stats": STATS}
+REGISTRY = {"schema_version": "compresslaw/v1", "kind": "law_registry", "entries": [
+    {"model_id": "a", "metric": "accuracy", "method_tag": "t", "form": "full", "provenance": "",
+     "param_count": 3e9, "l0": 0.6, "reported": {"adj_r_squared": 0.9},
+     "law": {"kind": "compression", "metric": "accuracy", "alpha": 0.91, "beta": -1.19, "gamma": -0.11}},
+    {"model_id": "b", "metric": "accuracy", "method_tag": "t", "form": "full", "provenance": "",
+     "param_count": 7e9, "l0": 0.6,
+     "law": {"kind": "compression", "metric": "accuracy", "alpha": 0.64, "beta": -1.34, "gamma": -0.11}},
+]}
+GRID = {"l0_values": [0.4, 0.7], "r_values": [0.1, 0.5], "d_values": [0, 10], "model_id": "m"}
+CSV_ROWS = [["model_id", "metric", "l0", "r", "d", "l"]] + [
+    ["m", "loss", str(l0), str(r), str(d), str(l0 * (1 + r) * (1 + 1 / (d + 1)))]
+    for l0 in (1.5, 2.0, 4.0) for r in (0.1, 0.5) for d in (0, 10)
+]
+# Deeper than any JSON parser recursion limit.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _changed(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _with_raw(doc, path, raw):
+    """``doc`` as JSON text with the value at ``path`` spelled as ``raw``, however deep it nests."""
+    return json.dumps(_changed(doc, path, "@RAW@")).replace('"@RAW@"', raw)
+
+
+def _csv_text(rows):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    for row in rows:
+        writer.writerow(row if isinstance(row, list) else [row])
+    return out.getvalue()
+
+
+def _argv(command, path, directory):
+    """The CLI call that reads ``path`` as its main input document."""
+    directory = Path(directory)
+    if command == "predict":
+        return ["predict", "--law", str(path), "--l0", "0.6", "--r", "0.19"]
+    if command == "min-rft":
+        return ["min-rft", "--law", str(path), "--sigma", "0.8", "--r", "0.19"]
+    if command == "plan":
+        return ["plan", "--registry", str(path), "--budget", "1.5e9", "--metric", "accuracy"]
+    if command == "synth":
+        truth = directory / "truth.json"
+        if not truth.exists():
+            truth.write_text(json.dumps(LAW))
+        return ["synth", "--truth", str(truth), "--grid", str(path), "--seed", "0", "--out",
+                str(directory / "out.csv")]
+    return ["fit", "--input", str(path)] + (["--lenient"] if command == "fit-lenient" else [])
+
+
+def _run_captured(argv):
+    """``run(argv)`` with stdout captured; returns the exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue()
+
+
+HUGE_FIELD_CSV = _csv_text(CSV_ROWS[:4] + [["x" * 200_000, "loss", "2", "0.1", "0", "2"]] + CSV_ROWS[4:])
+
+MALFORMED = {
+    "400-digit exponent": ("predict", json.dumps(_changed(LAW, ["alpha"], 10**400))),
+    "n null": ("predict", json.dumps(_changed(LAW, ["stats", "n"], None))),
+    "n list": ("predict", json.dumps(_changed(LAW, ["stats", "n"], [1]))),
+    "n fractional": ("predict", json.dumps(_changed(LAW, ["stats", "n"], 16.7))),
+    "deep law": ("predict", _with_raw(LAW, ["alpha"], DEEP)),
+    "deep registry": ("plan", _with_raw(REGISTRY, ["entries"], DEEP)),
+    "registry reported 0": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "reported"], 0))),
+    "grid null value": ("synth", json.dumps(_changed(GRID, ["l0_values"], [None]))),
+    "grid nested value": ("synth", json.dumps(_changed(GRID, ["l0_values"], [[1]]))),
+    "grid model_id null": ("synth", json.dumps(_changed(GRID, ["model_id"], None))),
+    "csv field over the size limit": ("fit", HUGE_FIELD_CSV),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_one_data_format_error(case, tmp_path):
+    command, text = MALFORMED[case]
+    path = tmp_path / "input"
+    path.write_text(text)
+    code, out = _run_captured(_argv(command, path, tmp_path))
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    doc = json.loads(out)
+    assert list(doc) == ["error"]
+    assert doc["error"]["type"] == "DataFormatError"
+
+
+def test_lenient_fit_skips_a_row_over_the_csv_field_limit(tmp_path):
+    path = tmp_path / "input.csv"
+    path.write_text(HUGE_FIELD_CSV)
+    with pytest.warns(SkippedRowWarning, match="row 5: field larger than field limit"):
+        code, out = _run_captured(_argv("fit-lenient", path, tmp_path))
+    assert code == 0
+    assert json.loads(out)["stats"]["n"] == len(CSV_ROWS) - 1
+
+
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**400), 2**64, 0, -1, 16.7, math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "inf", "nan", "loss", "runtime", "1e999", "x" * 200_000]),
+    st.text(max_size=4),
+    st.recursive(st.integers(-2, 2), lambda children: st.lists(children, max_size=2), max_leaves=3),
+)
+FUZZ_TARGETS = {"predict": LAW, "min-rft": LAW, "plan": REGISTRY, "synth": GRID, "fit": CSV_ROWS,
+                "fit-lenient": CSV_ROWS}
+
+
+def _mutate(data, doc):
+    """Replace, delete or insert one value at a drawn place in the JSON-like tree ``doc``."""
+    node = json.loads(json.dumps(doc))
+    root = node
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys)) if keys else None
+        child = node[key] if keys else None
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        break
+    action = data.draw(st.sampled_from(["replace", "delete", "insert"]))
+    if key is None or action == "insert":
+        value = data.draw(FUZZ_VALUES)
+        if isinstance(node, dict):
+            node[data.draw(st.sampled_from(["kind", "stats", "reported", "model_id", "epsilon", "extra"]))] = value
+        else:
+            node.insert(data.draw(st.integers(0, len(node))), value)
+    elif action == "delete":
+        del node[key]
+    else:
+        node[key] = data.draw(FUZZ_VALUES)
+    return root
+
+
+@pytest.mark.filterwarnings("ignore::compresslaw.io.SkippedRowWarning")
+@pytest.mark.parametrize("command", sorted(FUZZ_TARGETS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_cli_contract_holds_for_mutated_documents(command, data):
+    doc = _mutate(data, FUZZ_TARGETS[command])
+    text = _csv_text(doc) if command.startswith("fit") else json.dumps(doc)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "input"
+        path.write_text(text)
+        code, out = _run_captured(_argv(command, path, directory))
+    assert code in (0, 1, 2)
+    result = json.loads(out)
+    assert isinstance(result, dict)
+    if code:
+        assert len(out.splitlines()) == 1 and "error" in result
