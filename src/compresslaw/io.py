@@ -4,7 +4,8 @@ File formats (all JSON but the grid versioned with ``compresslaw/v1``):
 
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
-  no unit suffixes).
+  no unit suffixes).  It is read into, and written from, a
+  :class:`~compresslaw.regression.RecordBatch`.
 * law JSON: a single compression or runtime law, optionally with fit stats
   (``n`` and ``p`` are JSON integers).
 * fit-report JSON: law + stats + feasibility warnings + per-record
@@ -25,8 +26,10 @@ else, on any malformed document.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
+import operator
 import reprlib
 import warnings
 from contextlib import contextmanager
@@ -34,10 +37,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DataFormatError, DomainError
 from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate
 from .planner import CandidateModel
-from .regression import DesignForm, ExperimentRecord, FitStatistics, _fit
+from .regression import DesignForm, ExperimentRecord, FitStatistics, RecordBatch, _fit
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -105,14 +110,15 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
     try:
         metric = MetricKind(str(raw_metric).strip().lower())
     except ValueError:
-        raise DataFormatError(f"row {row_number}: field 'metric' has unknown value {raw_metric!r}") from None
+        message = f"row {row_number}: field 'metric' has unknown value {reprlib.repr(raw_metric)}"
+        raise DataFormatError(message) from None
 
     def number(field: str) -> float:
         raw = row.get(field)
         try:
             return float(raw)
         except (TypeError, ValueError):
-            raise DataFormatError(f"row {row_number}: field '{field}' is not a number: {raw!r}") from None
+            raise DataFormatError(f"row {row_number}: field '{field}' is not a number: {reprlib.repr(raw)}") from None
 
     try:
         return ExperimentRecord(
@@ -127,62 +133,121 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
         raise DataFormatError(f"row {row_number}: {exc}") from exc
 
 
-def read_records(source, *, strict: bool = True) -> list[ExperimentRecord]:
-    """Read experiment records from CSV (path or open stream).
+# Rows parsed per chunk: memory holds at most this many raw CSV rows at once.
+_CHUNK_ROWS = 8192
+_METRICS = {kind.value: kind for kind in MetricKind}
+
+
+def _float_or_nan(text) -> float:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _float_column(texts: tuple) -> np.ndarray:
+    try:
+        return np.array(list(map(float, texts)))
+    except (TypeError, ValueError):
+        return np.array(list(map(_float_or_nan, texts)))
+
+
+def _parse_chunk(rows: list[tuple], short: list[int], first_row: int) -> tuple[RecordBatch, list[DataFormatError]]:
+    """A batch of the valid ``rows`` (tuples of ``RECORD_COLUMNS`` fields, numbered from ``first_row``)
+    and the errors of the others.  A vectorized mask picks the suspects (``short``, an unknown metric, a value
+    not a number or out of domain); :func:`_parse_record` decides on them and words the error."""
+    model_id, raw_metric, *texts = zip(*rows) if rows else [()] * len(RECORD_COLUMNS)
+    metric = [_METRICS.get(text) for text in raw_metric]
+    l0, r, d, l = map(_float_column, texts)
+    valid = (0.0 < l0) & (l0 < math.inf) & (0.0 <= r) & (r < 1.0) & (0.0 <= d) & (d < math.inf)
+    valid &= (0.0 < l) & (l < math.inf) & np.not_equal(metric, None)
+    valid[short] = False
+    errors, model_id = [], list(model_id)
+    for i in np.flatnonzero(~valid).tolist():
+        try:
+            record = _parse_record(dict(zip(RECORD_COLUMNS, rows[i])), first_row + i)
+        except DataFormatError as exc:
+            errors.append(exc)
+            continue
+        valid[i] = True
+        model_id[i], metric[i], l0[i], r[i], d[i], l[i] = (getattr(record, c) for c in RECORD_COLUMNS)
+    model_id, metric = itertools.compress(model_id, valid), itertools.compress(metric, valid)
+    l0, r, d, l = l0[valid], r[valid], d[valid], l[valid]
+    return RecordBatch(model_id, metric, l0, r, d, l), errors
+
+
+def read_records(source, *, strict: bool = True) -> RecordBatch:
+    """Read a :class:`~compresslaw.regression.RecordBatch` from CSV (path or open stream).
 
     Strict mode aborts on the first invalid row with a row-numbered error;
     lenient mode skips invalid rows, emitting a :class:`SkippedRowWarning`
     per skipped row.  A row the csv module cannot split is invalid too.
+    Blank lines are skipped and not numbered; the header is row 1.  Rows are
+    parsed ``_CHUNK_ROWS`` at a time.
     """
     with _open_for_read(source) as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            fieldnames = reader.fieldnames
+            header = next(reader, None)
         except csv.Error as exc:
             raise DataFormatError(f"row 1: {exc}") from None
-        if fieldnames is None:
+        if header is None:
             raise DataFormatError("empty input: expected a header row")
-        missing = [c for c in RECORD_COLUMNS if c not in fieldnames]
+        missing = [c for c in RECORD_COLUMNS if c not in header]
         if missing:
             raise DataFormatError(f"missing required column(s): {missing}")
-        extra = [c for c in fieldnames if c not in RECORD_COLUMNS]
+        extra = [c for c in header if c not in RECORD_COLUMNS]
         if extra and strict:
             raise DataFormatError(f"unknown column(s): {extra}")
-        records = []
-        row_number = 1
-        # csv.Error comes from the reader itself, so the handlers wrap the whole
-        # row loop, which restarts after each skipped row.
+        # As in csv.DictReader, the last column of a repeated name wins and a
+        # short row has None for the fields it lacks.
+        index = {name: j for j, name in enumerate(header)}
+        positions = [index[name] for name in RECORD_COLUMNS]
+        fields_of, last = operator.itemgetter(*positions), max(positions)
+        parts, row_number = [], 1
         while True:
+            # Rows become tuples of their fields at once: holding the csv
+            # module's row lists would keep the garbage collector busy.
+            rows, short, split_errors = [], [], []
             try:
-                for row_number, row in enumerate(reader, start=row_number + 1):
-                    records.append(_parse_record(row, row_number))
-                return records
+                for row in reader:
+                    if len(row) > last:
+                        rows.append(fields_of(row))
+                    elif row:
+                        short.append(len(rows))
+                        rows.append(tuple(row[j] if j < len(row) else None for j in positions))
+                    if len(rows) == _CHUNK_ROWS:
+                        break
             except csv.Error as exc:
-                row_number += 1
-                error = DataFormatError(f"row {row_number}: {exc}")
-            except DataFormatError as exc:
-                error = exc
-            if strict:
-                raise error
-            warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
+                # The reader resumes at the next line, so a bad line costs one row.
+                split_errors.append(DataFormatError(f"row {row_number + len(rows) + 1}: {exc}"))
+            batch, errors = _parse_chunk(rows, short, row_number + 1)
+            parts.append(batch)
+            row_number += len(rows) + len(split_errors)
+            for error in errors + split_errors:
+                if strict:
+                    raise error
+                warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
+            if len(rows) < _CHUNK_ROWS and not split_errors:
+                break
+    columns = [[getattr(part, name) for part in parts] for name in RecordBatch.__slots__]
+    return RecordBatch(*map(itertools.chain.from_iterable, columns[:2]), *map(np.concatenate, columns[2:]))
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
     """Write records as CSV with lossless (repr) float formatting."""
+    records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
     with _open_for_write(dest) as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_COLUMNS)
-        for record in records:
-            writer.writerow(
-                [
-                    record.model_id,
-                    record.metric.value,
-                    repr(float(record.l0)),
-                    repr(float(record.r)),
-                    repr(float(record.d)),
-                    repr(float(record.l)),
-                ]
+        writer.writerows(
+            zip(
+                records.model_id,
+                # _value_ is .value without its descriptor call
+                [kind._value_ for kind in records.metric],
+                *(map(repr, getattr(records, name).tolist()) for name in ("l0", "r", "d", "l")),
             )
+        )
 
 
 # ---------------------------------------------------------------------------

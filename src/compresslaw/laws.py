@@ -10,11 +10,12 @@ fine-tuning (RFT) dataset size ``d``.  :class:`RuntimeLaw` is the
 two-parameter analogue ``c * (1 + r)**beta`` for inference runtime.
 
 All evaluation goes through ``exp`` of the log-linear form built by
-:func:`log_features`, the one transform that :mod:`compresslaw.regression`,
-:mod:`compresslaw.synth` and :mod:`compresslaw.recovery` also use, so
-predictions and the regression agree bit for bit in their transforms.  The
-``require_*`` validators are the one place each domain condition and its
-message are written.
+:func:`log_features`, the one transform that :mod:`compresslaw.recovery`
+also uses.  :func:`log_feature_columns` maps the same scalar functions over
+whole columns for the designs of :mod:`compresslaw.regression` and
+:mod:`compresslaw.synth`, so predictions and the regression agree bit for
+bit in their transforms.  The ``require_*`` validators are the one place
+each domain condition and its message are written.
 
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means
@@ -29,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError
 
@@ -104,13 +105,25 @@ def require_ratio(r: float) -> float:
     return r
 
 
+def _rft(d: float, epsilon: float) -> float:
+    return math.log1p(1.0 / (d + epsilon))
+
+
 def log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, float, float]:
     """The law's log-space regressors ``(log l0, log(1 + r), log(1 + 1/(d + epsilon)))``.
 
-    Inputs are assumed validated.  Every prediction and every design row is
-    built from this one function, so both see the same floating-point values.
+    Inputs are assumed validated.  Every prediction is built from this one
+    function and every design from :func:`log_feature_columns`, which maps
+    the same scalar functions over columns, so both see the same
+    floating-point values.
     """
-    return math.log(l0), math.log1p(r), math.log1p(1.0 / (d + epsilon))
+    return math.log(l0), math.log1p(r), _rft(d, epsilon)
+
+
+def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[float], epsilon: float) -> tuple:
+    """:func:`log_features` over lists of floats: row ``i`` of the three returned lists is
+    ``log_features(l0[i], r[i], d[i], epsilon)`` bit for bit (``np.log`` could differ by an ulp)."""
+    return list(map(math.log, l0)), list(map(math.log1p, r)), [_rft(v, epsilon) for v in d]
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,9 @@ form, never by the data values: uncentered (``1 - SSR/sum(y**2)``, ``p``
 model degrees of freedom) for the intercept-free forms, centered (``p - 1``)
 for the runtime form.  A bare :func:`ols_fit` call without a form has no
 intercept.
+
+Bulk paths pass records as a :class:`RecordBatch` of columns; :func:`build_design`
+turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over it.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from __future__ import annotations
 import enum
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +37,7 @@ from .laws import (
     RuntimeLaw,
     SignViolation,
     check_feasibility,
-    log_features,
+    log_feature_columns,
     require_nonnegative,
     require_positive,
     require_ratio,
@@ -74,7 +77,7 @@ _COLUMN_NAMES: dict[DesignForm, tuple[str, ...]] = {
     DesignForm.RUNTIME: ("intercept", "log_ratio"),
 }
 
-# Position of each named column in a :func:`log_features` triple.
+# Position of each named column in a :func:`log_feature_columns` triple.
 _FEATURE_INDEX = {"log_l0": 0, "log_ratio": 1, "log_data": 2}
 
 # Exponents a given form actually estimates, for sign-feasibility warnings.
@@ -109,6 +112,47 @@ class ExperimentRecord:
         require_ratio(self.r)
         require_nonnegative("d", self.d)
         require_positive("l", self.l)
+
+
+class RecordBatch(Sequence):
+    """Records as columns (read-only float64 arrays ``l0, r, d, l``; tuples ``model_id, metric``) that only
+    code which validated them builds.  A read-only sequence of :class:`ExperimentRecord`: indexing and
+    iteration build records on demand, and it equals any sequence of the same records in the same order."""
+
+    __slots__ = ("model_id", "metric", "l0", "r", "d", "l")
+
+    def __init__(self, model_id, metric, l0, r, d, l) -> None:
+        self.model_id, self.metric = tuple(model_id), tuple(metric)
+        for name, values in zip(self.__slots__[2:], (l0, r, d, l)):
+            column = np.array(values, dtype=float)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    @classmethod
+    def from_records(cls, records: Sequence[ExperimentRecord]) -> RecordBatch:
+        """``records`` itself if it is a batch, else its fields as columns, read without validating again."""
+        if isinstance(records, RecordBatch):
+            return records
+        return cls(*([getattr(rec, name) for rec in records] for name in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.model_id)
+
+    def __getitem__(self, index):
+        columns = (getattr(self, name)[index] for name in self.__slots__)
+        if isinstance(index, slice):
+            return RecordBatch(*columns)
+        model_id, metric, *numbers = columns
+        return ExperimentRecord(model_id, metric, *map(float, numbers))
+
+    def __iter__(self):
+        numbers = (getattr(self, name).tolist() for name in self.__slots__[2:])
+        return map(ExperimentRecord, self.model_id, self.metric, *numbers)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 @dataclass(frozen=True)
@@ -149,14 +193,15 @@ def build_design(
     """Build the (X, y) regression problem in log space.
 
     Args:
-        records: Observations sharing one metric kind.
+        records: Observations sharing one metric kind, as a
+            :class:`RecordBatch` or any sequence of records.
         epsilon: Smoothing constant for the RFT factor.
         form: Which columns to include; see :class:`DesignForm`.
 
     Returns:
         ``X`` of shape (n, p) and ``y = log(l)`` of shape (n,).  Columns in
         the order given by the form, taken from
-        :func:`~compresslaw.laws.log_features`: FULL is ``[log l0,
+        :func:`~compresslaw.laws.log_feature_columns`: FULL is ``[log l0,
         log(1+r), log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
 
     Raises:
@@ -168,15 +213,16 @@ def build_design(
     p = len(names)
     if len(records) < p + 1:
         raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {len(records)}")
-    metrics = {record.metric for record in records}
-    if len(metrics) != 1:
-        raise DomainError(f"records mix metric kinds: {sorted(m.value for m in metrics)}")
+    batch = RecordBatch.from_records(records)
+    # tuple.count compares by identity first; hashing an enum member runs Python code.
+    if batch.metric.count(batch.metric[0]) != len(batch):
+        raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(batch.metric))}")
 
-    features = np.array([log_features(rec.l0, rec.r, rec.d, epsilon) for rec in records])
+    features = log_feature_columns(batch.l0.tolist(), batch.r.tolist(), batch.d.tolist(), epsilon)
     x = np.column_stack(
-        [np.ones(len(records)) if name == "intercept" else features[:, _FEATURE_INDEX[name]] for name in names]
+        [np.ones(len(batch)) if name == "intercept" else features[_FEATURE_INDEX[name]] for name in names]
     )
-    y = np.array([math.log(rec.l) for rec in records])
+    y = np.array(list(map(math.log, batch.l.tolist())))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("log transform produced non-finite design entries")
     return x, y
@@ -282,11 +328,12 @@ def _fit(
     Violations are limited to the exponents the form estimates; the pinned
     zeros of the ablation forms are exempt.
     """
-    x, y = build_design(records, epsilon=epsilon, form=form)
+    batch = RecordBatch.from_records(records)
+    x, y = build_design(batch, epsilon=epsilon, form=form)
     coef, stats, residuals = _solve(x, y, form)
     if form is DesignForm.RUNTIME:
         return RuntimeLaw(c=math.exp(coef[0]), beta=float(coef[1]), stats=stats), [], residuals
-    metric = records[0].metric
+    metric = batch.metric[0]
     if form is DesignForm.FULL:
         law = CompressionLaw(float(coef[0]), float(coef[1]), float(coef[2]), metric, epsilon, stats)
     elif form is DesignForm.RATIO_ONLY:

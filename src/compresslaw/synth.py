@@ -13,15 +13,14 @@ produce bit-identical records.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import CompressionLaw, log_features, require_nonnegative, require_positive, require_ratio
-from .regression import CONDITION_NUMBER_LIMIT, ExperimentRecord
+from .laws import CompressionLaw, log_feature_columns, require_nonnegative, require_positive, require_ratio
+from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
 
 __all__ = ["SyntheticConfig", "generate"]
 
@@ -59,11 +58,12 @@ class SyntheticConfig:
         require_nonnegative("noise_std", self.noise_std)
 
 
-def generate(config: SyntheticConfig) -> list[ExperimentRecord]:
-    """Draw one record per grid point from the truth law.
+def generate(config: SyntheticConfig) -> RecordBatch:
+    """Draw one record per grid point from the truth law, as a :class:`~compresslaw.regression.RecordBatch`.
 
     The observed value is ``exp(alpha*log l0 + beta*log(1+r) +
-    gamma*log(1 + 1/(d+epsilon)) + z)`` with ``z ~ N(0, noise_std**2)``.
+    gamma*log(1 + 1/(d+epsilon)) + z)`` with ``z ~ N(0, noise_std**2)``;
+    the design comes from :func:`~compresslaw.laws.log_feature_columns`.
 
     Raises:
         SingularDesignError: When the grid cannot support a full-rank
@@ -71,26 +71,18 @@ def generate(config: SyntheticConfig) -> list[ExperimentRecord]:
             ``d`` axis).
     """
     law = config.truth
-    points = list(itertools.product(config.l0_values, config.r_values, config.d_values))
-    design = np.array([log_features(l0, r, d, law.epsilon) for l0, r, d in points])
+    l0, r, d = (axis.ravel() for axis in np.meshgrid(config.l0_values, config.r_values, config.d_values, indexing="ij"))
+    design = np.column_stack(log_feature_columns(l0.tolist(), r.tolist(), d.tolist(), law.epsilon))
+    n = len(design)
     # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
-    if len(points) < 3 or not np.linalg.cond(design) <= CONDITION_NUMBER_LIMIT:
+    if n < 3 or not np.linalg.cond(design) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
 
     rng = np.random.default_rng(config.seed)
-    noise = rng.normal(0.0, config.noise_std, size=len(points)) if config.noise_std > 0 else np.zeros(len(points))
+    noise = rng.normal(0.0, config.noise_std, size=n) if config.noise_std > 0 else np.zeros(n)
 
     log_mean = design @ np.array([law.alpha, law.beta, law.gamma])
-    records = []
-    for (l0, r, d), mu, z in zip(points, log_mean, noise):
-        records.append(
-            ExperimentRecord(
-                model_id=config.model_id,
-                metric=law.metric,
-                l0=l0,
-                r=r,
-                d=d,
-                l=math.exp(mu + z),
-            )
-        )
-    return records
+    l = np.array(list(map(math.exp, (log_mean + noise).tolist())))
+    if not (l > 0.0).all():
+        require_positive("l", l.min())
+    return RecordBatch([config.model_id] * n, [law.metric] * n, l0, r, d, l)

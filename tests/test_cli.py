@@ -399,6 +399,22 @@ def test_lenient_fit_skips_a_row_over_the_csv_field_limit(tmp_path):
     assert json.loads(out)["stats"]["n"] == len(CSV_ROWS) - 1
 
 
+@pytest.mark.parametrize("field", ["metric", "l0"])
+def test_an_overlong_bad_csv_field_is_quoted_short(field, tmp_path):
+    # 100k chars stays under the csv module's field limit, so the row reaches the record parser.
+    row = dict(zip(CSV_ROWS[0], CSV_ROWS[1]), **{field: "x" * 100_000})
+    path = tmp_path / "input.csv"
+    path.write_text(_csv_text([CSV_ROWS[0], list(row.values())]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(_argv("fit", path, tmp_path))
+    assert code == 1
+    assert len(out.getvalue().splitlines()) == 1 and len(out.getvalue()) < 1024
+    assert json.loads(out.getvalue())["error"]["type"] == "DataFormatError"
+    assert f"row 2: field '{field}'" in out.getvalue()
+    assert len(err.getvalue()) < 1024
+
+
 FUZZ_VALUES = st.one_of(
     st.none(),
     st.booleans(),

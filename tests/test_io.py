@@ -1,11 +1,16 @@
 """CSV and JSON round trips, registry fixtures, frontier tables."""
 
+import csv
 import io as stdio
 import json
 import math
+import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from compresslaw import io as lawio
 from compresslaw.errors import DataFormatError, DomainError
 from compresslaw.io import (
     LawRegistry,
@@ -27,6 +32,7 @@ from compresslaw.io import (
     write_frontier,
     write_records,
     write_report,
+    RECORD_COLUMNS,
     SkippedRowWarning,
 )
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility
@@ -91,6 +97,136 @@ class TestReadRecords:
         path = tmp_path / "records.csv"
         write_records(records, path)
         assert read_records(path) == records
+
+
+def oracle_read(text, strict):
+    """Per-row reference reader: csv.DictReader rows through io._parse_record.
+
+    Returns ``(records, messages)``: in strict mode the records, or ``None``
+    and the one error message; in lenient mode the records and the skip
+    messages in order.
+    """
+    reader = csv.DictReader(stdio.StringIO(text))
+    fieldnames = reader.fieldnames
+    missing = [c for c in RECORD_COLUMNS if c not in fieldnames]
+    extra = [c for c in fieldnames if c not in RECORD_COLUMNS]
+    if missing or (extra and strict):
+        return None, [f"missing required column(s): {missing}" if missing else f"unknown column(s): {extra}"]
+    records, messages = [], []
+    row_number = 1
+    while True:
+        try:
+            for row_number, row in enumerate(reader, start=row_number + 1):
+                try:
+                    records.append(lawio._parse_record(row, row_number))
+                except DataFormatError as exc:
+                    if strict:
+                        return None, [str(exc)]
+                    messages.append(str(exc))
+            return records, messages
+        except csv.Error as exc:
+            row_number += 1
+            if strict:
+                return None, [f"row {row_number}: {exc}"]
+            messages.append(f"row {row_number}: {exc}")
+
+
+def read_like_oracle(text, strict):
+    """``read_records`` in the oracle's ``(records, messages)`` shape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            records = read_records(stdio.StringIO(text), strict=strict)
+        except DataFormatError as exc:
+            return None, [str(exc)]
+    assert all(w.category is SkippedRowWarning for w in caught)
+    return records, [str(w.message) for w in caught]
+
+
+def assert_reads_like_oracle(text):
+    for strict in (True, False):
+        records, messages = read_like_oracle(text, strict)
+        expected_records, expected_messages = oracle_read(text, strict)
+        assert messages == expected_messages
+        assert (records is None) == (expected_records is None)
+        if records is not None:
+            assert records == expected_records
+
+
+OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
+NUMBER_CELLS = {
+    "l0": st.floats(0.01, 100).map(repr),
+    "r": st.floats(0, 1, exclude_max=True).map(repr),
+    "d": st.sampled_from(["0", "0.0", "10", "1e9"]),
+    "l": st.floats(0.01, 100).map(repr),
+}
+ODD_NUMBERS = st.sampled_from(["nan", "inf", "-inf", "1_000", " 2.5 ", "abc", "", "-1", "1.5", "0", "1e999"])
+CELLS = {
+    "model_id": st.sampled_from(["m", "a,b", "", " x ", 'q"t']),
+    "metric": st.one_of(st.sampled_from(["loss", "accuracy", "runtime"]), st.sampled_from([" LOSS ", "bogus", ""])),
+    **{name: st.one_of(valid, valid, ODD_NUMBERS) for name, valid in NUMBER_CELLS.items()},
+    "note": st.sampled_from(["", "x", OVER_LIMIT]),
+}
+
+
+@st.composite
+def record_csvs(draw):
+    header = list(draw(st.permutations(RECORD_COLUMNS)))
+    header += draw(st.lists(st.sampled_from(["l0", "metric", "note"]), max_size=2))
+    out = stdio.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(["row", "row", "row", "row", "short", "long", "blank"]))
+        if kind == "blank":
+            out.write("\r\n")
+            continue
+        row = [draw(CELLS[name]) for name in header]
+        if kind == "short":
+            row = row[: draw(st.integers(1, len(row) - 1))]
+        elif kind == "long":
+            row += ["extra", "1"]
+        writer.writerow(row)
+    return out.getvalue()
+
+
+class TestReadRecordsMatchesPerRowReader:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(text=record_csvs())
+    def test_generated_csvs_across_small_chunks(self, text):
+        # a 4-row chunk puts chunk boundaries among bad rows, blank lines and csv errors
+        with mock.patch.object(lawio, "_CHUNK_ROWS", 4):
+            assert_reads_like_oracle(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "metric,l0,r,d,l,model_id\nloss,1,0,0,1,m\nloss,1,0,0,1\n",
+            "model_id,metric,l0,r,d,l,l0\nm,loss,1,0,0,1,x\nm,loss,1,0,0,1\nm,loss,1,0,0,1,2\n",
+            "model_id,metric,l0,r,d,l\nm, LOSS ,1_000, 0.5 ,inf,1\n\nm, LOSS ,1_000, 0.5 ,0,1\n",
+        ],
+        ids=["short row lacking model_id", "repeated column", "spaced and underscored values"],
+    )
+    def test_edge_cases(self, text):
+        assert_reads_like_oracle(text)
+
+    def test_bad_rows_on_both_sides_of_a_chunk_boundary(self):
+        rows = ["m,loss,2.0,0.5,10,6.9\n"] * (2 * lawio._CHUNK_ROWS + 10)
+        for i in (0, lawio._CHUNK_ROWS - 1, lawio._CHUNK_ROWS, lawio._CHUNK_ROWS + 1, 2 * lawio._CHUNK_ROWS):
+            rows[i] = "m,loss,2.0,1.5,10,6.9\n"
+        rows[lawio._CHUNK_ROWS + 3] = "m, LOSS ,2.0,0.5,nan,6.9\n"
+        rows[5] = "\n"
+        assert_reads_like_oracle(CSV_HEADER + "".join(rows))
+
+    def test_lenient_skips_an_over_limit_field_halfway_through_a_chunk(self):
+        rows = [f"m{i},loss,2.0,0.5,{i},6.9\n" for i in range(lawio._CHUNK_ROWS + 10)]
+        half = lawio._CHUNK_ROWS // 2
+        rows[half] = f"{OVER_LIMIT},loss,2.0,0.5,0,6.9\n"
+        text = CSV_HEADER + "".join(rows)
+        records, messages = read_like_oracle(text, strict=False)
+        assert messages == [f"row {half + 2}: field larger than field limit ({csv.field_size_limit()})"]
+        assert [rec.model_id for rec in records] == [f"m{i}" for i in range(len(rows)) if i != half]
+        assert_reads_like_oracle(text)
 
 
 class TestLawJson:

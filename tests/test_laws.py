@@ -13,6 +13,8 @@ from compresslaw.laws import (
     check_feasibility,
     evaluate,
     evaluate_runtime,
+    log_feature_columns,
+    log_features,
 )
 from compresslaw.regression import ExperimentRecord, build_design
 
@@ -180,6 +182,25 @@ class TestInvariants:
         x0, x1, x2 = x[0].tolist()
         law = CompressionLaw(alpha, beta, gamma, MetricKind.LOSS, epsilon)
         assert evaluate(law, l0, r, d) == math.exp(alpha * x0 + beta * x1 + gamma * x2)
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+                st.one_of(st.just(-0.0), st.floats(0, 1, exclude_max=True)),
+                st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e300, 1.7e308]), st.floats(0, 1e308)),
+            ),
+            max_size=20,
+        ),
+        epsilon=st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+    )
+    def test_batch_kernel_is_the_scalar_kernel_bit_for_bit(self, rows, epsilon):
+        l0s, rs, ds = ([row[i] for row in rows] for i in range(3))
+        columns = log_feature_columns(l0s, rs, ds, epsilon)
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert [tuple(map(float.hex, row)) for row in zip(*columns)] == [
+            tuple(map(float.hex, log_features(l0, r, d, epsilon))) for l0, r, d in rows
+        ]
 
     @given(l0=st.floats(0.05, 100), r=st.floats(0, 0.99), d=st.floats(0, 1e9))
     def test_matches_scalar_oracle(self, l0, r, d):

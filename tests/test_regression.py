@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from compresslaw.errors import DomainError, SingularDesignError
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw
@@ -12,6 +13,7 @@ from compresslaw.regression import (
     ExperimentRecord,
     FeasibilityWarning,
     FitStatistics,
+    RecordBatch,
     build_design,
     fit_law,
     ols_fit,
@@ -97,6 +99,55 @@ class TestBuildDesign:
         records = make_records(1.0, 1.0, 1.0, MetricKind.LOSS)
         with pytest.raises(DomainError):
             build_design(records, epsilon=0.0)
+
+
+ANY_RECORD = st.builds(
+    ExperimentRecord,
+    model_id=st.text(max_size=3),
+    metric=st.just(MetricKind.LOSS),
+    l0=st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+    r=st.one_of(st.just(-0.0), st.floats(0, 1, exclude_max=True)),
+    d=st.one_of(st.sampled_from([0.0, 5e-324, 1e300]), st.floats(0, 1e308)),
+    l=st.floats(min_value=0.0, max_value=1e308, exclude_min=True),
+)
+
+
+class TestRecordBatch:
+    RECORDS = [
+        ExperimentRecord("a", MetricKind.LOSS, 2.0, 0.5, 0.0, 6.9),
+        ExperimentRecord("b", MetricKind.ACCURACY, 0.6, 0.1, 25.0, 0.55),
+        ExperimentRecord("c", MetricKind.RUNTIME, 100.0, 0.9, 0.0, 76.2),
+    ]
+
+    def test_is_a_read_only_sequence_of_records(self):
+        batch = RecordBatch.from_records(self.RECORDS)
+        assert len(batch) == 3
+        assert list(batch) == self.RECORDS
+        assert batch[1] == self.RECORDS[1] and batch[-1] == self.RECORDS[-1]
+        assert type(batch[0].l0) is float
+        assert batch[1:] == self.RECORDS[1:] and isinstance(batch[1:], RecordBatch)
+        assert batch.index(self.RECORDS[2]) == 2
+        with pytest.raises(IndexError):
+            batch[3]
+        with pytest.raises(ValueError):
+            batch.l0[0] = 1.0
+
+    def test_equality(self):
+        batch = RecordBatch.from_records(self.RECORDS)
+        assert batch == self.RECORDS and self.RECORDS == batch
+        assert batch == RecordBatch.from_records(list(batch))
+        assert batch != self.RECORDS[:2] and batch != self.RECORDS[::-1]
+        assert batch != RecordBatch.from_records(self.RECORDS[::-1])
+        assert batch != "abc" and batch != 3
+
+    @given(records=st.lists(ANY_RECORD, min_size=4, max_size=12), epsilon=st.floats(1e-300, 1e300))
+    def test_design_from_a_batch_equals_the_design_from_its_records(self, records, epsilon):
+        batch = RecordBatch.from_records(records)
+        for form in DesignForm:
+            x, y = build_design(batch, epsilon=epsilon, form=form)
+            x_list, y_list = build_design(list(batch), epsilon=epsilon, form=form)
+            assert x.tobytes() == x_list.tobytes() and y.tobytes() == y_list.tobytes()
+        assert y.tolist() == [math.log(rec.l) for rec in records]
 
 
 class TestOlsFit:
