@@ -17,7 +17,7 @@ from . import io as lawio
 from .errors import CompressLawError, DomainError
 from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
 from .planner import PlanRequest, plan
-from .recovery import Regime, RecoveryQuery, analyze, classify_regime, critical_ratio
+from .recovery import Regime, RecoveryQuery, _critical_ratio, analyze, classify_regime
 from .regression import DesignForm
 from .synth import SyntheticConfig, generate
 
@@ -71,9 +71,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_critical(args: argparse.Namespace) -> int:
     metric = MetricKind(args.metric)
     regime, boundary = classify_regime(args.beta, args.sigma, metric)
-    r_critical = None
-    if regime is Regime.CONDITIONALLY_RECOVERABLE:
-        r_critical = critical_ratio(args.beta, args.sigma, metric)
+    r_critical = _critical_ratio(args.beta, args.sigma) if regime is Regime.CONDITIONALLY_RECOVERABLE else None
     _print_json(
         "critical_ratio",
         {

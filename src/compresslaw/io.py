@@ -40,9 +40,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataFormatError, DomainError
-from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate
+from .laws import CompressionLaw, MetricKind, RuntimeLaw, _checked_exp
 from .planner import CandidateModel
 from .regression import DesignForm, ExperimentRecord, FitStatistics, RecordBatch, _fit
+from .synth import _grid_axes, _grid_log_prediction
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -234,20 +235,21 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     return RecordBatch(*map(itertools.chain.from_iterable, columns[:2]), *map(np.concatenate, columns[2:]))
 
 
+def _write_csv(dest, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """The one CSV writer: ``header``, then ``rows`` of strings (floats already ``repr``-formatted)."""
+    with _open_for_write(dest) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
     """Write records as CSV with lossless (repr) float formatting."""
     records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
-    with _open_for_write(dest) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_COLUMNS)
-        writer.writerows(
-            zip(
-                records.model_id,
-                # _value_ is .value without its descriptor call
-                [kind._value_ for kind in records.metric],
-                *(map(repr, getattr(records, name).tolist()) for name in ("l0", "r", "d", "l")),
-            )
-        )
+    # _value_ is .value without its descriptor call
+    metrics = [kind._value_ for kind in records.metric]
+    floats = (map(repr, getattr(records, name).tolist()) for name in ("l0", "r", "d", "l"))
+    _write_csv(dest, RECORD_COLUMNS, zip(records.model_id, metrics, *floats))
 
 
 # ---------------------------------------------------------------------------
@@ -689,25 +691,16 @@ def emit_frontier_grid(
     r_grid: Sequence[float],
     d_grid: Sequence[float],
 ) -> list[FrontierPoint]:
-    """Predictions over the full grid, one row per point in lexicographic order."""
+    """Predictions over the full grid, one row per point in lexicographic order, each equal to ``evaluate``'s."""
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier grids need a compression law")
-    if not (len(l0_list) and len(r_grid) and len(d_grid)):
-        raise DomainError("all three grids must be nonempty")
-    points = []
-    for l0 in l0_list:
-        for r in r_grid:
-            for d in d_grid:
-                points.append(FrontierPoint(float(l0), float(r), float(d), evaluate(law, l0, r, d)))
-    return points
+    l0, r, d, _, log_predicted = _grid_log_prediction(law, _grid_axes(l0_list, r_grid, d_grid))
+    predicted = map(_checked_exp, log_predicted.tolist())
+    return list(map(FrontierPoint, l0.tolist(), r.tolist(), d.tolist(), predicted))
 
 
 def write_frontier(points: Iterable[FrontierPoint], dest) -> None:
-    with _open_for_write(dest) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("l0", "r", "d", "predicted"))
-        for point in points:
-            writer.writerow([repr(point.l0), repr(point.r), repr(point.d), repr(point.predicted)])
+    _write_csv(dest, FrontierPoint._fields, (map(repr, point) for point in points))
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,7 @@ def log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, 
 
 
 def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[float], epsilon: float) -> tuple:
-    """:func:`log_features` over lists of floats: row ``i`` of the three returned lists is
+    """:func:`log_features` over lists of floats: element ``i`` of each returned list is that element of
     ``log_features(l0[i], r[i], d[i], epsilon)`` bit for bit (``np.log`` could differ by an ulp)."""
     return list(map(math.log, l0)), list(map(math.log1p, r)), [_rft(v, epsilon) for v in d]
 

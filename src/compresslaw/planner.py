@@ -23,6 +23,7 @@ from .laws import (
     MetricKind,
     RuntimeLaw,
     evaluate,
+    evaluate_runtime,
     require_nonnegative,
     require_positive,
     require_ratio,
@@ -155,7 +156,7 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
         predicted = evaluate(candidate.law, candidate.l0, ratio, request.rft_size)
         runtime_factor = None
         if candidate.runtime_law is not None:
-            runtime_factor = math.exp(candidate.runtime_law.beta * math.log1p(ratio))
+            runtime_factor = evaluate_runtime(RuntimeLaw(1.0, candidate.runtime_law.beta), ratio)
         notes: tuple[str, ...] = ()
         if ratio > OBSERVED_RATIO_MAX:
             notes = (f"ratio {ratio:.4f} exceeds the observed range (<= {OBSERVED_RATIO_MAX}); extrapolation",)

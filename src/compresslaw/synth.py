@@ -5,6 +5,11 @@ d_values`` (in that lexicographic order) from a known truth law, with
 optional Gaussian noise added in log space (multiplicative on the observed
 value), matching the regression's noise model.
 
+The grid kernel here, shared with the ``frontier`` tables, sums the exponent
+in :func:`~compresslaw.laws.evaluate`'s order and takes ``evaluate``'s checked
+``exp``: a noise-free ``l`` equals ``evaluate`` at its point bit for bit, and
+an overflow is a :class:`~compresslaw.errors.DomainError`.
+
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
 grid point in row order.  Identical ``SyntheticConfig`` values therefore
@@ -13,20 +18,36 @@ produce bit-identical records.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import CompressionLaw, log_feature_columns, require_nonnegative, require_positive, require_ratio
+from .laws import (
+    CompressionLaw, _checked_exp, log_feature_columns, require_nonnegative, require_positive, require_ratio
+)
 from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
 
 __all__ = ["SyntheticConfig", "generate"]
 
 
-def _as_tuple(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+def _grid_axes(l0_values, r_values, d_values) -> tuple[tuple[float, ...], ...]:
+    """The three grid axes as tuples of floats, each nonempty and every value in its domain."""
+    l0, r, d = axes = tuple(map(tuple, (l0_values, r_values, d_values)))
+    if not all(axes):
+        raise DomainError("all three grid axes must be nonempty")
+    l0 = tuple(require_positive("l0", v) for v in l0)
+    r = tuple(map(require_ratio, r))
+    return l0, r, tuple(require_nonnegative("d", v) for v in d)
+
+
+def _grid_log_prediction(law: CompressionLaw, axes: tuple) -> tuple:
+    """Columns ``l0, r, d`` of the grid of validated ``axes`` in lexicographic order, their three
+    :func:`~compresslaw.laws.log_feature_columns` (taken per axis value, then spread like the axes) and the log
+    prediction: row ``i`` is the value :func:`~compresslaw.laws.evaluate` passes to ``exp``, bit for bit."""
+    meshes = np.meshgrid(*axes, indexing="ij") + np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij")
+    l0, r, d, x0, x1, x2 = (mesh.ravel() for mesh in meshes)
+    return l0, r, d, (x0, x1, x2), law.alpha * x0 + law.beta * x1 + law.gamma * x2
 
 
 @dataclass(frozen=True)
@@ -42,17 +63,9 @@ class SyntheticConfig:
     model_id: str = "synthetic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "l0_values", _as_tuple(self.l0_values))
-        object.__setattr__(self, "r_values", _as_tuple(self.r_values))
-        object.__setattr__(self, "d_values", _as_tuple(self.d_values))
-        if not (self.l0_values and self.r_values and self.d_values):
-            raise DomainError("all three grid axes must be nonempty")
-        for l0 in self.l0_values:
-            require_positive("l0", l0)
-        for r in self.r_values:
-            require_ratio(r)
-        for d in self.d_values:
-            require_nonnegative("d", d)
+        axes = _grid_axes(self.l0_values, self.r_values, self.d_values)
+        for name, axis in zip(("l0_values", "r_values", "d_values"), axes):
+            object.__setattr__(self, name, axis)
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
         require_nonnegative("noise_std", self.noise_std)
@@ -62,27 +75,21 @@ def generate(config: SyntheticConfig) -> RecordBatch:
     """Draw one record per grid point from the truth law, as a :class:`~compresslaw.regression.RecordBatch`.
 
     The observed value is ``exp(alpha*log l0 + beta*log(1+r) +
-    gamma*log(1 + 1/(d+epsilon)) + z)`` with ``z ~ N(0, noise_std**2)``;
-    the design comes from :func:`~compresslaw.laws.log_feature_columns`.
+    gamma*log(1 + 1/(d+epsilon)) + z)`` with ``z ~ N(0, noise_std**2)``.
 
     Raises:
         SingularDesignError: When the grid cannot support a full-rank
             three-column design (e.g. constant ``l0 = 1`` with a constant
             ``d`` axis).
+        DomainError: When a value overflows or underflows the finite positive range.
     """
     law = config.truth
-    l0, r, d = (axis.ravel() for axis in np.meshgrid(config.l0_values, config.r_values, config.d_values, indexing="ij"))
-    design = np.column_stack(log_feature_columns(l0.tolist(), r.tolist(), d.tolist(), law.epsilon))
-    n = len(design)
+    l0, r, d, features, log_l = _grid_log_prediction(law, (config.l0_values, config.r_values, config.d_values))
+    n = len(l0)
     # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
-    if n < 3 or not np.linalg.cond(design) <= CONDITION_NUMBER_LIMIT:
+    if n < 3 or not np.linalg.cond(np.column_stack(features)) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
-
-    rng = np.random.default_rng(config.seed)
-    noise = rng.normal(0.0, config.noise_std, size=n) if config.noise_std > 0 else np.zeros(n)
-
-    log_mean = design @ np.array([law.alpha, law.beta, law.gamma])
-    l = np.array(list(map(math.exp, (log_mean + noise).tolist())))
-    if not (l > 0.0).all():
-        require_positive("l", l.min())
+    if config.noise_std > 0:
+        log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)
+    l = list(map(_checked_exp, log_l.tolist()))
     return RecordBatch([config.model_id] * n, [law.metric] * n, l0, r, d, l)

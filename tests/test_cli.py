@@ -390,6 +390,32 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
     assert doc["error"]["type"] == "DataFormatError"
 
 
+OVERFLOW_TRUTH = dict(LAW, alpha=900.0)  # 100**900 overflows a float
+OVERFLOW_REGISTRY = dict(REGISTRY, entries=REGISTRY["entries"] + [
+    {"model_id": "b", "metric": "runtime", "method_tag": "t", "form": "runtime",
+     "law": {"kind": "runtime", "c": 1.0, "beta": 5000.0}},
+])
+OVERFLOW = {
+    "synth": ["synth", "--truth", "{truth}", "--grid", "{grid}", "--seed", "0", "--out", "{out}"],
+    "plan": ["plan", "--registry", "{registry}", "--budget", "3e9", "--metric", "accuracy"],
+    "frontier": ["frontier", "--law", "{truth}", "--l0-list", "100", "--r-grid", "0.1,0.5", "--d-grid", "0,10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OVERFLOW))
+def test_an_overflowing_prediction_is_one_domain_error(command, tmp_path):
+    paths = {"truth": tmp_path / "truth.json", "grid": tmp_path / "grid.json",
+             "registry": tmp_path / "registry.json", "out": tmp_path / "out.csv"}
+    paths["truth"].write_text(json.dumps(OVERFLOW_TRUTH))
+    paths["grid"].write_text(json.dumps(dict(GRID, l0_values=[100.0])))
+    paths["registry"].write_text(json.dumps(OVERFLOW_REGISTRY))
+    code, out = _run_captured([arg.format(**paths) for arg in OVERFLOW[command]])
+    assert code == 1
+    assert len(out.splitlines()) == 1
+    assert list(json.loads(out)) == ["error"]
+    assert json.loads(out)["error"]["type"] == "DomainError"
+
+
 def test_lenient_fit_skips_a_row_over_the_csv_field_limit(tmp_path):
     path = tmp_path / "input.csv"
     path.write_text(HUGE_FIELD_CSV)
@@ -418,7 +444,7 @@ def test_an_overlong_bad_csv_field_is_quoted_short(field, tmp_path):
 FUZZ_VALUES = st.one_of(
     st.none(),
     st.booleans(),
-    st.sampled_from([10**400, -(10**400), 2**64, 0, -1, 16.7, math.inf, -math.inf, math.nan]),
+    st.sampled_from([10**400, -(10**400), 2**64, 0, -1, 16.7, 1e4, -1e4, math.inf, -math.inf, math.nan]),
     st.sampled_from(["", "inf", "nan", "loss", "runtime", "1e999", "x" * 200_000]),
     st.text(max_size=4),
     st.recursive(st.integers(-2, 2), lambda children: st.lists(children, max_size=2), max_leaves=3),

@@ -2,6 +2,7 @@
 
 import csv
 import io as stdio
+import itertools
 import json
 import math
 import warnings
@@ -387,12 +388,31 @@ class TestRegistry:
             candidates_from_registry(builtin_registry(), MetricKind.ACCURACY)
 
 
+GRID_LAWS = st.builds(
+    CompressionLaw,
+    alpha=st.floats(-3.0, 3.0),
+    beta=st.floats(-3.0, 3.0),
+    gamma=st.floats(-3.0, 3.0),
+    metric=st.sampled_from([MetricKind.LOSS, MetricKind.ACCURACY]),
+    epsilon=st.floats(0.01, 10.0),
+)
+
+
 class TestFrontier:
-    def test_single_point_equals_evaluate(self):
+    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @given(
+        law=GRID_LAWS,
+        l0_list=st.lists(st.floats(0.01, 100.0), min_size=1, max_size=4),
+        r_grid=st.lists(st.floats(0.0, 0.999), min_size=1, max_size=4),
+        d_grid=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4),
+    )
+    def test_every_point_equals_evaluate(self, law, l0_list, r_grid, d_grid):
         from compresslaw.laws import evaluate
 
-        (point,) = emit_frontier_grid(EXTRINSIC, [0.6], [0.3], [100.0])
-        assert point.predicted == evaluate(EXTRINSIC, 0.6, 0.3, 100.0)
+        points = emit_frontier_grid(law, l0_list, r_grid, d_grid)
+        assert [(p.l0, p.r, p.d) for p in points] == list(itertools.product(l0_list, r_grid, d_grid))
+        for point in points:
+            assert point.predicted == evaluate(law, point.l0, point.r, point.d)
 
     def test_monotone_in_r_for_feasible_accuracy(self):
         points = emit_frontier_grid(EXTRINSIC, [0.6], [i / 10 for i in range(1, 10)], [0.0])

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from compresslaw.errors import DomainError, SingularDesignError
-from compresslaw.laws import CompressionLaw, MetricKind
+from compresslaw.laws import CompressionLaw, MetricKind, evaluate
 from compresslaw.regression import fit_law
 from compresslaw.synth import SyntheticConfig, generate
 
@@ -51,6 +53,43 @@ class TestGenerate:
         a = generate(SyntheticConfig(truth=INTRINSIC, noise_std=0.05, seed=1, **GRID))
         b = generate(SyntheticConfig(truth=INTRINSIC, noise_std=0.05, seed=2, **GRID))
         assert any(x.l != y.l for x, y in zip(a, b))
+
+
+def _assert_noise_free_equals_evaluate(config):
+    records = generate(config)
+    for l0, r, d, l in zip(*(getattr(records, name).tolist() for name in ("l0", "r", "d", "l"))):
+        assert l == evaluate(config.truth, l0, r, d)
+
+
+class TestEqualsEvaluate:
+    def test_20x50x100_grid(self):
+        axes = dict(
+            l0_values=np.linspace(1.2, 4.0, 20).tolist(),
+            r_values=np.linspace(0.0, 0.9, 50).tolist(),
+            d_values=[0.0] + np.geomspace(1.0, 1e5, 99).tolist(),
+        )
+        _assert_noise_free_equals_evaluate(SyntheticConfig(truth=INTRINSIC, **axes))
+
+    @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+    @given(
+        truth=st.builds(
+            CompressionLaw,
+            alpha=st.floats(-3.0, 3.0),
+            beta=st.floats(-3.0, 3.0),
+            gamma=st.floats(-3.0, 3.0),
+            metric=st.sampled_from([MetricKind.LOSS, MetricKind.ACCURACY]),
+            epsilon=st.floats(0.01, 10.0),
+        ),
+        l0_values=st.lists(st.floats(0.01, 100.0), min_size=2, max_size=4, unique=True),
+        r_values=st.lists(st.floats(0.0, 0.999), min_size=2, max_size=4, unique=True),
+        d_values=st.lists(st.floats(0.0, 1e6), min_size=2, max_size=4, unique=True),
+    )
+    def test_small_grids(self, truth, l0_values, r_values, d_values):
+        config = SyntheticConfig(truth=truth, l0_values=l0_values, r_values=r_values, d_values=d_values)
+        try:
+            _assert_noise_free_equals_evaluate(config)
+        except SingularDesignError:
+            assume(False)
 
 
 class TestRoundTrip:
