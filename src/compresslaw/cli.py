@@ -160,7 +160,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     if args.format == "csv":
         lawio.write_frontier(points, sys.stdout)
     else:
-        _print_json("frontier", {"rows": [{"l0": p.l0, "r": p.r, "d": p.d, "predicted": p.predicted} for p in points]})
+        lawio._write_frontier_json(points, sys.stdout)
     return 0
 
 

@@ -14,10 +14,16 @@ File formats (all JSON but the grid versioned with ``compresslaw/v1``):
   free-text provenance note each.
 * grid JSON (``synth`` input): lists of numbers ``l0_values``, ``r_values``,
   ``d_values`` and an optional string ``model_id``.
+* frontier table (CSV or JSON): one row ``l0, r, d, predicted`` per grid
+  point.  :func:`emit_frontier_grid` returns the points as a read-only
+  sequence of :class:`FrontierPoint` over float64 columns, not a ``list``.
 
 Floats are written with ``repr`` (shortest exact form), so round trips are
 lossless; non-finite statistics (an exact fit has an infinite F-statistic)
-are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.
+are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.  Bulk output is
+written from columns: each distinct float of a column is formatted once, and
+rows are joined strings, byte for byte what ``csv.writer`` (``\r\n`` line
+ends) and ``json.dumps`` write for the same rows.
 
 Every reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
 else, on any malformed document.
@@ -35,14 +41,15 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from io import StringIO
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataFormatError, DomainError
 from .laws import CompressionLaw, MetricKind, RuntimeLaw, _checked_exp
 from .planner import CandidateModel
-from .regression import DesignForm, ExperimentRecord, FitStatistics, RecordBatch, _fit
+from .regression import DesignForm, ExperimentRecord, FitStatistics, RecordBatch, _Columns, _fit, _read_only
 from .synth import _grid_axes, _grid_log_prediction
 
 __all__ = [
@@ -134,7 +141,7 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
         raise DataFormatError(f"row {row_number}: {exc}") from exc
 
 
-# Rows parsed per chunk: memory holds at most this many raw CSV rows at once.
+# Rows read or written per chunk: memory holds at most this many rows of text at once.
 _CHUNK_ROWS = 8192
 _METRICS = {kind.value: kind for kind in MetricKind}
 
@@ -235,21 +242,58 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     return RecordBatch(*map(itertools.chain.from_iterable, columns[:2]), *map(np.concatenate, columns[2:]))
 
 
-def _write_csv(dest, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
-    """The one CSV writer: ``header``, then ``rows`` of strings (floats already ``repr``-formatted)."""
+def _quote(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as one field of a row of several."""
+    if not text:
+        return text  # a row of one empty field would be written as ""
+    buffer = StringIO()
+    # Strip the default terminator: with lineterminator="" csv would not quote "\r" and "\n".
+    csv.writer(buffer).writerow((text,))
+    return buffer.getvalue()[:-2]
+
+
+def _format_floats(column: np.ndarray) -> list[str]:
+    """``repr`` of every value of a float64 column.  Each distinct bit pattern (so ``-0.0`` apart from
+    ``0.0``) is formatted once and gathered back, unless most values are distinct."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(column):
+        return list(map(repr, column.tolist()))
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+
+
+def _format_column(column) -> list[str]:
+    """The fields of a float64 array (its values' ``repr``) or of a sequence of text (quoted for CSV)."""
+    if isinstance(column, np.ndarray):
+        return _format_floats(column)
+    fields = {text: _quote(text) for text in set(column)}
+    return list(map(fields.__getitem__, column))
+
+
+def _text_chunks(columns: Sequence, layout: Sequence[str]) -> Iterator[str]:
+    """The rows of ``columns`` as text, ``_CHUNK_ROWS`` rows per chunk.  A row is ``layout[0]``, its field of
+    the first column, ``layout[1]``, ..., its field of the last column, ``layout[-1]``."""
+    for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        parts = [itertools.repeat(layout[0])]
+        for column, literal in zip(columns, layout[1:]):
+            parts += (_format_column(column[start : start + _CHUNK_ROWS]), itertools.repeat(literal))
+        yield "".join(map("".join, zip(*parts)))
+
+
+def _write_csv(dest, header: Sequence[str], columns: Sequence) -> None:
+    """The one CSV writer: ``header``, then a row per index of ``columns`` (float64 arrays or sequences of
+    text), byte for byte as ``csv.writer`` writes them."""
     with _open_for_write(dest) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_quote, header)) + "\r\n")
+        for text in _text_chunks(columns, ("", *[","] * (len(header) - 1), "\r\n")):
+            fh.write(text)
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
     """Write records as CSV with lossless (repr) float formatting."""
     records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
     # _value_ is .value without its descriptor call
-    metrics = [kind._value_ for kind in records.metric]
-    floats = (map(repr, getattr(records, name).tolist()) for name in ("l0", "r", "d", "l"))
-    _write_csv(dest, RECORD_COLUMNS, zip(records.model_id, metrics, *floats))
+    metrics = list(map(operator.attrgetter("_value_"), records.metric))
+    _write_csv(dest, RECORD_COLUMNS, (records.model_id, metrics, records.l0, records.r, records.d, records.l))
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +503,24 @@ def build_fit_report(
 
 def report_to_json(report: FitReport) -> str:
     """Serialize a report; output is byte-stable for identical inputs."""
-    return _dump_document(
+    text = _dump_document(
         {
             "kind": "fit_report",
             "law": law_to_dict(report.law),
             "stats": _stats_to_dict(report.stats),
             "warnings": list(report.warnings),
-            "residuals": [_encode_num(v) for v in report.residuals],
+            "residuals": [],
         }
     )
+    if not report.residuals:
+        return text
+    # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
+    # document, are spliced in one per line as indent=2 lays them out.
+    values = np.array(report.residuals, dtype=float)
+    fields = _format_floats(values)
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        fields[i] = json.dumps(fields[i])
+    return text[: -len("[]\n}\n")] + "[\n    " + ",\n    ".join(fields) + "\n  ]\n}\n"
 
 
 def report_from_json(text: str, strict: bool = True) -> FitReport:
@@ -685,22 +738,58 @@ class FrontierPoint(NamedTuple):
     predicted: float
 
 
+class _FrontierGrid(_Columns):
+    """Frontier points as read-only float64 columns ``l0, r, d, predicted``: a read-only sequence of
+    :class:`FrontierPoint`."""
+
+    __slots__ = FrontierPoint._fields
+    _row = FrontierPoint
+
+    def __init__(self, l0, r, d, predicted) -> None:
+        self.l0, self.r, self.d, self.predicted = map(_read_only, (l0, r, d, predicted))
+
+    @classmethod
+    def from_points(cls, points: Iterable[FrontierPoint]) -> _FrontierGrid:
+        """``points`` itself if it is a grid, else its fields as columns."""
+        if isinstance(points, _FrontierGrid):
+            return points
+        return cls(*np.array(list(points), dtype=float).reshape(-1, len(cls.__slots__)).T)
+
+
 def emit_frontier_grid(
     law: CompressionLaw,
     l0_list: Sequence[float],
     r_grid: Sequence[float],
     d_grid: Sequence[float],
-) -> list[FrontierPoint]:
-    """Predictions over the full grid, one row per point in lexicographic order, each equal to ``evaluate``'s."""
+) -> Sequence[FrontierPoint]:
+    """Predictions over the full grid, one point per row in lexicographic order, each equal to ``evaluate``'s.
+
+    The points are a read-only sequence over float64 columns, not a list: indexing and iteration build
+    :class:`FrontierPoint` values on demand, and it equals a list of the same points.
+    """
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier grids need a compression law")
     l0, r, d, _, log_predicted = _grid_log_prediction(law, _grid_axes(l0_list, r_grid, d_grid))
-    predicted = map(_checked_exp, log_predicted.tolist())
-    return list(map(FrontierPoint, l0.tolist(), r.tolist(), d.tolist(), predicted))
+    predicted = np.fromiter(map(_checked_exp, log_predicted.tolist()), float, len(log_predicted))
+    return _FrontierGrid(l0, r, d, predicted)
 
 
 def write_frontier(points: Iterable[FrontierPoint], dest) -> None:
-    _write_csv(dest, FrontierPoint._fields, (map(repr, point) for point in points))
+    _write_csv(dest, FrontierPoint._fields, _FrontierGrid.from_points(points)._columns())
+
+
+def _write_frontier_json(points: Iterable[FrontierPoint], dest) -> None:
+    """The ``frontier`` JSON document, byte for byte as ``json.dumps`` writes it with a dict per point.  Its
+    values are finite, which json writes with ``float.__repr__``, so the rows are spliced in from the columns."""
+    columns = _FrontierGrid.from_points(points)._columns()
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "frontier", "rows": []})
+    # Every row starts with the ", " that separates it from the one before; the first row drops it.
+    layout = (', {"l0": ', ', "r": ', ', "d": ', ', "predicted": ', "}")
+    with _open_for_write(dest) as fh:
+        fh.write(head[: -len("]}")])
+        for i, text in enumerate(_text_chunks(columns, layout)):
+            fh.write(text[len(", ") :] if i == 0 else text)
+        fh.write("]}\n")
 
 
 # ---------------------------------------------------------------------------

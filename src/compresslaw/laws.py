@@ -190,7 +190,9 @@ def _checked_exp(log_value: float) -> float:
         value = math.exp(log_value)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value) or value <= 0.0:
+    if value == 0.0:
+        raise DomainError(f"prediction underflowed to zero (log value {log_value:.6g})")
+    if not value < math.inf:
         raise DomainError(f"prediction overflowed the finite positive range (log value {log_value:.6g})")
     return value
 

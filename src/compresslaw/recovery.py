@@ -172,11 +172,15 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     """Direct check of the recovery inequality at a concrete ``(r, d)``.
 
     Evaluates ``(1+r)**beta * (1 + 1/(d+epsilon))**gamma`` and compares it
-    against ``sigma``: ``>=`` for accuracy, ``<=`` for loss.
+    against ``sigma``: ``>=`` for accuracy, ``<=`` for loss.  A value too
+    large for a float compares as ``math.inf``.
     """
     sigma = _validate_sigma(sigma, law.metric)
     _, x1, x2 = log_features(1.0, require_ratio(r), require_nonnegative("d", d), law.epsilon)
-    ratio = math.exp(law.beta * x1 + law.gamma * x2)
+    try:
+        ratio = math.exp(law.beta * x1 + law.gamma * x2)
+    except OverflowError:
+        ratio = math.inf
     if law.metric is MetricKind.ACCURACY:
         return ratio >= sigma
     return ratio <= sigma

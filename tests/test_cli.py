@@ -391,6 +391,7 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
 
 
 OVERFLOW_TRUTH = dict(LAW, alpha=900.0)  # 100**900 overflows a float
+UNDERFLOW_TRUTH = dict(LAW, alpha=-900.0)  # and 100**-900 underflows to zero
 OVERFLOW_REGISTRY = dict(REGISTRY, entries=REGISTRY["entries"] + [
     {"model_id": "b", "metric": "runtime", "method_tag": "t", "form": "runtime",
      "law": {"kind": "runtime", "c": 1.0, "beta": 5000.0}},
@@ -399,21 +400,55 @@ OVERFLOW = {
     "synth": ["synth", "--truth", "{truth}", "--grid", "{grid}", "--seed", "0", "--out", "{out}"],
     "plan": ["plan", "--registry", "{registry}", "--budget", "3e9", "--metric", "accuracy"],
     "frontier": ["frontier", "--law", "{truth}", "--l0-list", "100", "--r-grid", "0.1,0.5", "--d-grid", "0,10"],
+    "predict": ["predict", "--law", "{truth}", "--l0", "100", "--r", "0.1"],
 }
+UNDERFLOW = ("frontier", "predict", "synth")
 
 
-@pytest.mark.parametrize("command", sorted(OVERFLOW))
+@pytest.mark.parametrize("command", sorted(OVERFLOW) + [f"{command}-underflow" for command in UNDERFLOW])
 def test_an_overflowing_prediction_is_one_domain_error(command, tmp_path):
+    command, _, underflow = command.partition("-")
     paths = {"truth": tmp_path / "truth.json", "grid": tmp_path / "grid.json",
              "registry": tmp_path / "registry.json", "out": tmp_path / "out.csv"}
-    paths["truth"].write_text(json.dumps(OVERFLOW_TRUTH))
+    paths["truth"].write_text(json.dumps(UNDERFLOW_TRUTH if underflow else OVERFLOW_TRUTH))
     paths["grid"].write_text(json.dumps(dict(GRID, l0_values=[100.0])))
     paths["registry"].write_text(json.dumps(OVERFLOW_REGISTRY))
     code, out = _run_captured([arg.format(**paths) for arg in OVERFLOW[command]])
     assert code == 1
     assert len(out.splitlines()) == 1
     assert list(json.loads(out)) == ["error"]
-    assert json.loads(out)["error"]["type"] == "DomainError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "DomainError"
+    assert ("underflowed to zero" if underflow else "overflowed") in error["message"]
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+GOLDEN_FRONTIER = ["frontier", "--law", str(GOLDEN / "truth.json"),
+                   "--l0-list", "2.5,4", "--r-grid", "0,0.1,0.5,0.9", "--d-grid", "0,-0.0,10,1e6"]
+
+
+class TestGoldenBytes:
+    """Outputs pinned byte for byte to files written by the per-row writers that the columnar ones replaced:
+    a 45-row noisy ``synth`` CSV whose ``model_id`` needs quoting and whose ``d`` axis holds ``-0.0``, the
+    ``fit`` report of that CSV, and a ``frontier`` table as CSV and JSON."""
+
+    def test_synth_csv(self, tmp_path):
+        out = tmp_path / "synth.csv"
+        argv = ["synth", "--truth", str(GOLDEN / "truth.json"), "--grid", str(GOLDEN / "grid.json"),
+                "--noise-std", "0.05", "--seed", "7", "--out", str(out)]
+        assert _run_captured(argv)[0] == 0
+        assert out.read_bytes() == (GOLDEN / "synth.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["fit", "--input", str(GOLDEN / "synth.csv")], "fit.json"),
+        (["fit", "--lenient", "--input", str(GOLDEN / "synth.csv")], "fit.json"),
+        (GOLDEN_FRONTIER + ["--format", "csv"], "frontier.csv"),
+        (GOLDEN_FRONTIER + ["--format", "json"], "frontier.json"),
+    ], ids=["fit", "fit-lenient", "frontier-csv", "frontier-json"])
+    def test_stdout(self, argv, golden):
+        code, out = _run_captured(argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_lenient_fit_skips_a_row_over_the_csv_field_limit(tmp_path):

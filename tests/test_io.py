@@ -230,6 +230,86 @@ class TestReadRecordsMatchesPerRowReader:
         assert_reads_like_oracle(text)
 
 
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1.7976931348623157e308)
+POSITIVE = st.one_of(st.sampled_from([5e-324, 1.7976931348623157e308]), st.floats(0.0, 1e308, exclude_min=True))
+NONNEGATIVE = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(0.0, 1e308))
+RATIO = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324]), st.floats(0.0, 1.0, exclude_max=True))
+FINITE = st.one_of(st.sampled_from(EDGE_FLOATS + (-5e-324,)), st.floats(allow_nan=False, allow_infinity=False))
+TEXT = st.one_of(
+    st.sampled_from(["", " lead", "a,b", 'q"t', "two\nlines", "cr\r", "crlf\r\n", "naïve 中文", "nul\x00"]),
+    st.text(alphabet=',"\r\n xé中', max_size=6),
+)
+ROW_COUNTS = st.sampled_from([0, 1, 2, 9, 40])
+
+
+@st.composite
+def columns_of(draw, n, values):
+    """``n`` values: a few values repeated, or mostly distinct ones."""
+    if draw(st.booleans()):
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        return [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))]
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+def csv_reference(header, rows):
+    out = stdio.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def written(write, *args):
+    out = stdio.StringIO()
+    write(*args, out)
+    return out.getvalue()
+
+
+class TestWritersMatchReference:
+    """The columnar writers against ``csv.writer`` and ``json.dumps`` over the same rows, with 7-row chunks: a
+    chunk drawn from a pool of up to 3 values takes the deduplicating path."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self):
+        with mock.patch.object(lawio, "_CHUNK_ROWS", 7):
+            yield
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=ROW_COUNTS)
+    def test_records_csv(self, data, n):
+        columns = [data.draw(columns_of(n, values)) for values in (TEXT, st.sampled_from(MetricKind))]
+        columns += [data.draw(columns_of(n, values)) for values in (POSITIVE, RATIO, NONNEGATIVE, POSITIVE)]
+        records = [ExperimentRecord(*fields) for fields in zip(*columns)]
+        rows = [[rec.model_id, rec.metric.value, repr(rec.l0), repr(rec.r), repr(rec.d), repr(rec.l)] for rec in records]
+        assert written(write_records, records) == csv_reference(RECORD_COLUMNS, rows)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=ROW_COUNTS)
+    def test_frontier_csv_and_json(self, data, n):
+        points = [lawio.FrontierPoint(*p) for p in zip(*(data.draw(columns_of(n, FINITE)) for _ in range(4)))]
+        assert written(write_frontier, points) == csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
+        doc = {"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier", "rows": [p._asdict() for p in points]}
+        assert written(lawio._write_frontier_json, points) == json.dumps(doc) + "\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), n=ROW_COUNTS.filter(bool), notes=st.lists(TEXT, max_size=2))
+    def test_report_json(self, data, n, notes):
+        residuals = tuple(data.draw(columns_of(n, st.one_of(st.floats(), st.sampled_from([math.inf, -math.inf])))))
+        stats = FitStatistics(n=n, p=0, r_squared=0.5, adj_r_squared=0.25, f_statistic=math.inf,
+                              residual_std=0.1, condition_number=1.0)
+        law = CompressionLaw(0.5, 1.0, 1.0, MetricKind.LOSS, stats=stats)
+        doc = {
+            "schema_version": lawio.SCHEMA_VERSION,
+            "kind": "fit_report",
+            "law": law_to_dict(law),
+            "stats": law_to_dict(law)["stats"],
+            "warnings": notes,
+            "residuals": [v if math.isfinite(v) else repr(v) for v in residuals],
+        }
+        report = lawio.FitReport(law, stats, tuple(notes), residuals)
+        assert report_to_json(report) == json.dumps(doc, indent=2) + "\n"
+
+
 class TestLawJson:
     @pytest.mark.parametrize(
         "law",
@@ -430,6 +510,20 @@ class TestFrontier:
         points = emit_frontier_grid(EXTRINSIC, [0.5, 0.7], [0.1, 0.2], [0.0, 5.0])
         keys = [(p.l0, p.r, p.d) for p in points]
         assert keys == sorted(keys)
+
+    def test_is_a_read_only_sequence_of_points(self, tmp_path):
+        points = emit_frontier_grid(EXTRINSIC, [0.5, 0.7], [0.1, 0.2], [0.0, 5.0])
+        as_list = [lawio.FrontierPoint(*p) for p in points]
+        assert len(points) == 8 and points == as_list and as_list == points
+        assert points[-1] == as_list[-1] and type(points[0].predicted) is float
+        assert points[2:5] == as_list[2:5] and points != as_list[::-1] and points != as_list[:7]
+        with pytest.raises(IndexError):
+            points[8]
+        with pytest.raises(ValueError):
+            points.predicted[0] = 1.0
+        write_frontier(points, tmp_path / "columns.csv")
+        write_frontier(iter(as_list), tmp_path / "points.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):

@@ -147,6 +147,12 @@ class TestRecoverable:
     def test_tiny_threshold_always_true(self):
         assert recoverable(LLAMA8B, 1e-9, 0.9, 0.0)
 
+    @pytest.mark.parametrize("metric, expected", [(MetricKind.LOSS, False), (MetricKind.ACCURACY, True)])
+    def test_an_overflowing_ratio_compares_as_infinity(self, metric, expected):
+        # (1 + 0.9)**5000 is far above the largest float.
+        sigma = 1.5 if metric is MetricKind.LOSS else 0.5
+        assert recoverable(CompressionLaw(1.0, 5000.0, 1.0, metric), sigma, 0.9, 0.0) is expected
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             recoverable(LLAMA8B, 0.8, 1.2, 0.0)
