@@ -16,7 +16,7 @@ from typing import Sequence
 from . import io as lawio
 from .errors import CompressLawError, DomainError
 from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
-from .planner import PlanRequest, plan
+from .planner import OBSERVED_RATIO_MAX, PlanRequest, plan
 from .recovery import Regime, RecoveryQuery, _critical_ratio, analyze, classify_regime
 from .regression import DesignForm
 from .synth import SyntheticConfig, generate
@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, default=0.0, help="assumed RFT dataset size (default 0)")
     p.add_argument("--metric", choices=["accuracy", "loss"], required=True, help="metric to rank by")
     p.add_argument("--method-tag", default=None, help="only consider entries with this method tag")
-    p.add_argument("--max-ratio", type=float, default=0.9, help="compression ratio cap (default 0.9)")
+    cap = OBSERVED_RATIO_MAX
+    p.add_argument("--max-ratio", type=float, default=cap, help=f"compression ratio cap (default {cap})")
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("synth", help="generate synthetic records from a truth law")

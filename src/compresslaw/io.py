@@ -9,7 +9,8 @@ File formats (all JSON but the grid versioned with ``compresslaw/v1``):
 * law JSON: a single compression or runtime law, optionally with fit stats
   (``n`` and ``p`` are JSON integers).
 * fit-report JSON: law + stats + feasibility warnings + per-record
-  log-residuals; serialization is byte-stable for identical inputs.
+  log-residuals; serialization is byte-stable for identical inputs, and the
+  law's copy of the stats equals the report's.
 * law-registry JSON: laws keyed by (model_id, metric, method_tag) with a
   free-text provenance note each.
 * grid JSON (``synth`` input): lists of numbers ``l0_values``, ``r_values``,
@@ -20,7 +21,9 @@ File formats (all JSON but the grid versioned with ``compresslaw/v1``):
 
 Floats are written with ``repr`` (shortest exact form), so round trips are
 lossless; non-finite statistics (an exact fit has an infinite F-statistic)
-are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.  Bulk output is
+are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.  Each JSON document
+is read only as it is written: a number is a JSON number or one of those three
+strings, and an unknown field is an error.  Bulk output is
 written from columns: each distinct float of a column is formatted once, and
 rows are joined strings, byte for byte what ``csv.writer`` (``\r\n`` line
 ends) and ``json.dumps`` write for the same rows.
@@ -66,13 +69,10 @@ __all__ = [
     "build_fit_report",
     "report_to_json",
     "report_from_json",
-    "write_report",
-    "read_report",
     "RegistryEntry",
     "LawRegistry",
     "registry_to_json",
     "registry_from_json",
-    "save_registry",
     "load_registry",
     "builtin_registry",
     "load_grid",
@@ -306,11 +306,6 @@ def _read_text(source) -> str:
         return fh.read()
 
 
-def _write_text(dest, text: str) -> None:
-    with _open_for_write(dest) as fh:
-        fh.write(text)
-
-
 def _parse_document(text: str, context: str, kind: str | None = None, *, versioned: bool = True) -> dict:
     """The top-level object of a JSON document, minus its checked ``schema_version`` (if
     ``versioned``) and ``kind`` (if given); every failure is a :class:`DataFormatError`."""
@@ -340,12 +335,17 @@ def _encode_num(value: float):
     return value if math.isfinite(value) else repr(value)
 
 
+# The strings _encode_num writes for the non-finite values: the only strings read as numbers.
+_NON_FINITE = frozenset(map(repr, (math.inf, -math.inf, math.nan)))
+
+
 # Decoders quote a bad value with reprlib.repr: short, and bounded however deeply it nests.
 def _decode_num(value, context: str) -> float:
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number or isinstance(value, str) and value in _NON_FINITE:
         try:
             return float(value)
-        except (ValueError, OverflowError):
+        except OverflowError:
             pass
     raise DataFormatError(f"{context}: expected a number, got {reprlib.repr(value)}")
 
@@ -373,16 +373,15 @@ def _decode_enum(enum_type, obj: dict, field: str, context: str):
     raise DataFormatError(f"{context}: unknown {field} {reprlib.repr(value)}")
 
 
-def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], context: str, strict: bool) -> None:
+def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], context: str) -> None:
     if not isinstance(obj, dict):
         raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
     missing = [k for k in required if k not in obj]
     if missing:
         raise DataFormatError(f"{context}: missing field(s) {missing}")
-    if strict:
-        unknown = sorted(set(obj) - set(required) - set(optional))
-        if unknown:
-            raise DataFormatError(f"{context}: unknown field(s) {unknown}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise DataFormatError(f"{context}: unknown field(s) {unknown}")
 
 
 _STATS_FLOAT_FIELDS = ("r_squared", "adj_r_squared", "f_statistic", "residual_std", "condition_number")
@@ -395,8 +394,8 @@ def _stats_to_dict(stats: FitStatistics) -> dict:
     return doc
 
 
-def _stats_from_dict(obj: dict, context: str, strict: bool) -> FitStatistics:
-    _check_fields(obj, ("n", "p", *_STATS_FLOAT_FIELDS), (), context, strict)
+def _stats_from_dict(obj: dict, context: str) -> FitStatistics:
+    _check_fields(obj, ("n", "p", *_STATS_FLOAT_FIELDS), (), context)
     try:
         return FitStatistics(
             n=_decode_int(obj, "n", context),
@@ -425,16 +424,19 @@ def law_to_dict(law: CompressionLaw | RuntimeLaw) -> dict:
     raise DomainError(f"cannot serialize {type(law).__name__}")
 
 
-def law_from_dict(obj: dict, context: str = "law", strict: bool = True) -> CompressionLaw | RuntimeLaw:
-    """Parse a law dict, enforcing type invariants; strict mode rejects unknown fields."""
+def law_from_dict(obj: dict, context: str = "law") -> CompressionLaw | RuntimeLaw:
+    """Parse a law dict as :func:`law_to_dict` writes it, enforcing type invariants.
+
+    Numbers are JSON numbers or the strings ``"inf"``, ``"-inf"`` and ``"nan"``; unknown fields are rejected.
+    """
     if not isinstance(obj, dict):
         raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
     stats_obj = obj.get("stats")
-    stats = _stats_from_dict(stats_obj, f"{context}.stats", strict) if stats_obj is not None else None
+    stats = _stats_from_dict(stats_obj, f"{context}.stats") if stats_obj is not None else None
     try:
         if kind == "compression":
-            _check_fields(obj, ("kind", "metric", "alpha", "beta", "gamma"), ("epsilon", "stats"), context, strict)
+            _check_fields(obj, ("kind", "metric", "alpha", "beta", "gamma"), ("epsilon", "stats"), context)
             return CompressionLaw(
                 alpha=_decode_num(obj["alpha"], f"{context}.alpha"),
                 beta=_decode_num(obj["beta"], f"{context}.beta"),
@@ -444,7 +446,7 @@ def law_from_dict(obj: dict, context: str = "law", strict: bool = True) -> Compr
                 stats=stats,
             )
         if kind == "runtime":
-            _check_fields(obj, ("kind", "c", "beta"), ("stats",), context, strict)
+            _check_fields(obj, ("kind", "c", "beta"), ("stats",), context)
             return RuntimeLaw(
                 c=_decode_num(obj["c"], f"{context}.c"),
                 beta=_decode_num(obj["beta"], f"{context}.beta"),
@@ -456,11 +458,12 @@ def law_from_dict(obj: dict, context: str = "law", strict: bool = True) -> Compr
 
 
 def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
-    _write_text(dest, _dump_document(law_to_dict(law)))
+    with _open_for_write(dest) as fh:
+        fh.write(_dump_document(law_to_dict(law)))
 
 
-def load_law(source, strict: bool = True) -> CompressionLaw | RuntimeLaw:
-    return law_from_dict(_parse_document(_read_text(source), "law document"), strict=strict)
+def load_law(source) -> CompressionLaw | RuntimeLaw:
+    return law_from_dict(_parse_document(_read_text(source), "law document"))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +473,7 @@ def load_law(source, strict: bool = True) -> CompressionLaw | RuntimeLaw:
 
 @dataclass(frozen=True)
 class FitReport:
-    """A fitted law, its statistics, feasibility warnings and log-residuals."""
+    """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
 
     law: CompressionLaw | RuntimeLaw
     stats: FitStatistics
@@ -478,6 +481,9 @@ class FitReport:
     residuals: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        # Compared as written, so that two "nan" statistics agree.
+        if self.law.stats is None or _stats_to_dict(self.law.stats) != _stats_to_dict(self.stats):
+            raise DomainError("the law's statistics disagree with the report's")
         if len(self.residuals) != self.stats.n:
             raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
 
@@ -523,11 +529,11 @@ def report_to_json(report: FitReport) -> str:
     return text[: -len("[]\n}\n")] + "[\n    " + ",\n    ".join(fields) + "\n  ]\n}\n"
 
 
-def report_from_json(text: str, strict: bool = True) -> FitReport:
+def report_from_json(text: str) -> FitReport:
     doc = _parse_document(text, "fit report", "fit_report")
-    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report", strict)
-    law = law_from_dict(doc["law"], "fit report.law", strict)
-    stats = _stats_from_dict(doc["stats"], "fit report.stats", strict)
+    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report")
+    law = law_from_dict(doc["law"], "fit report.law")
+    stats = _stats_from_dict(doc["stats"], "fit report.stats")
     if not isinstance(doc["warnings"], list) or not all(isinstance(w, str) for w in doc["warnings"]):
         raise DataFormatError("fit report: warnings must be a list of strings")
     if not isinstance(doc["residuals"], list):
@@ -537,14 +543,6 @@ def report_from_json(text: str, strict: bool = True) -> FitReport:
         return FitReport(law=law, stats=stats, warnings=tuple(doc["warnings"]), residuals=residuals)
     except DomainError as exc:
         raise DataFormatError(f"fit report: {exc}") from exc
-
-
-def write_report(report: FitReport, dest) -> None:
-    _write_text(dest, report_to_json(report))
-
-
-def read_report(source, strict: bool = True) -> FitReport:
-    return report_from_json(_read_text(source), strict=strict)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +600,6 @@ class LawRegistry:
             raise DataFormatError(f"duplicate registry key {entry.key!r}")
         self._entries[entry.key] = entry
 
-    def get(self, model_id: str, metric: MetricKind, method_tag: str) -> RegistryEntry:
-        return self._entries[(model_id, metric, method_tag)]
-
     def select(self, *, metric: MetricKind | None = None, method_tag: str | None = None) -> list[RegistryEntry]:
         return [
             entry
@@ -647,16 +642,16 @@ def _entry_to_dict(entry: RegistryEntry) -> dict:
     return doc
 
 
-def _entry_from_dict(obj: dict, context: str, strict: bool) -> RegistryEntry:
-    _check_fields(obj, _ENTRY_REQUIRED, _ENTRY_OPTIONAL, context, strict)
+def _entry_from_dict(obj: dict, context: str) -> RegistryEntry:
+    _check_fields(obj, _ENTRY_REQUIRED, _ENTRY_OPTIONAL, context)
     reported = obj.get("reported", {})
-    _check_fields(reported, (), ("adj_r_squared", "f_statistic"), f"{context}.reported", strict)
+    _check_fields(reported, (), ("adj_r_squared", "f_statistic"), f"{context}.reported")
     try:
         return RegistryEntry(
             model_id=_decode_str(obj["model_id"], f"{context}.model_id"),
             metric=_decode_enum(MetricKind, obj, "metric", context),
             method_tag=_decode_str(obj["method_tag"], f"{context}.method_tag"),
-            law=law_from_dict(obj["law"], f"{context}.law", strict),
+            law=law_from_dict(obj["law"], f"{context}.law"),
             form=_decode_enum(DesignForm, obj, "form", context),
             provenance=_decode_str(obj.get("provenance", ""), f"{context}.provenance"),
             param_count=_decode_num(obj["param_count"], f"{context}.param_count") if "param_count" in obj else None,
@@ -676,23 +671,19 @@ def registry_to_json(registry: LawRegistry) -> str:
     return _dump_document({"kind": "law_registry", "entries": [_entry_to_dict(entry) for entry in registry]})
 
 
-def registry_from_json(text: str, strict: bool = True) -> LawRegistry:
+def registry_from_json(text: str) -> LawRegistry:
     doc = _parse_document(text, "law registry", "law_registry")
-    _check_fields(doc, ("entries",), (), "law registry", strict)
+    _check_fields(doc, ("entries",), (), "law registry")
     if not isinstance(doc["entries"], list):
         raise DataFormatError("law registry: entries must be a list")
     registry = LawRegistry()
     for i, obj in enumerate(doc["entries"]):
-        registry.add(_entry_from_dict(obj, f"entry {i}", strict))
+        registry.add(_entry_from_dict(obj, f"entry {i}"))
     return registry
 
 
-def save_registry(registry: LawRegistry, dest) -> None:
-    _write_text(dest, registry_to_json(registry))
-
-
-def load_registry(source, strict: bool = True) -> LawRegistry:
-    return registry_from_json(_read_text(source), strict=strict)
+def load_registry(source) -> LawRegistry:
+    return registry_from_json(_read_text(source))
 
 
 def builtin_registry() -> LawRegistry:
@@ -715,7 +706,7 @@ def load_grid(source) -> dict:
     it names: a tuple of floats per axis, and ``model_id`` when present.
     """
     doc = _parse_document(_read_text(source), "grid", versioned=False)
-    _check_fields(doc, _GRID_AXES, ("model_id",), "grid", strict=True)
+    _check_fields(doc, _GRID_AXES, ("model_id",), "grid")
     grid: dict = {}
     for axis in _GRID_AXES:
         if not isinstance(doc[axis], list):

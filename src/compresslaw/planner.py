@@ -67,7 +67,7 @@ class PlanRequest:
     budget: float
     metric: MetricKind
     rft_size: float = 0.0
-    max_ratio: float = 0.9
+    max_ratio: float = OBSERVED_RATIO_MAX
 
     def __post_init__(self) -> None:
         require_positive("budget", self.budget)
@@ -99,7 +99,7 @@ class PlanResult:
     skipped: tuple[SkippedCandidate, ...]
 
 
-def required_ratio(param_count: float, budget: float, max_ratio: float = 0.9) -> float:
+def required_ratio(param_count: float, budget: float, max_ratio: float = OBSERVED_RATIO_MAX) -> float:
     """Compression ratio needed to fit ``param_count`` into ``budget`` parameters.
 
     Returns 0.0 when the model already fits (no compression needed).

@@ -280,11 +280,12 @@ def _solve(
     coef = np.linalg.solve(r, q.T @ y)
 
     residuals = y - x @ coef
-    ssr = float(residuals @ residuals)
+    # fsum is correctly rounded, so the sums do not depend on how a threaded BLAS splits a dot product.
+    ssr = math.fsum((residuals * residuals).tolist())
     # Only the runtime form has an intercept; it centers R^2 and is not a model degree of freedom.
     intercepts = int(form is DesignForm.RUNTIME)
     centered = y - y.mean() if intercepts else y
-    tss = float(centered @ centered)
+    tss = math.fsum((centered * centered).tolist())
     if tss > 0.0:
         r_squared = min(max(1.0 - ssr / tss, 0.0), 1.0)
     else:

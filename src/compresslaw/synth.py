@@ -91,5 +91,5 @@ def generate(config: SyntheticConfig) -> RecordBatch:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
     if config.noise_std > 0:
         log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)
-    l = list(map(_checked_exp, log_l.tolist()))
+    l = np.fromiter(map(_checked_exp, log_l.tolist()), float, n)
     return RecordBatch([config.model_id] * n, [law.metric] * n, l0, r, d, l)

@@ -5,17 +5,24 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compresslaw.cli import build_parser, run
-from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law
+from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law, write_records
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw
 from compresslaw.io import LawRegistry, RegistryEntry
+from compresslaw.synth import SyntheticConfig, generate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EXTRINSIC = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY)
 LLAMA8B = CompressionLaw(0.98, -1.18, -0.14, MetricKind.ACCURACY)
@@ -375,6 +382,13 @@ MALFORMED = {
     "grid model_id null": ("synth", json.dumps(_changed(GRID, ["model_id"], None))),
     "csv field over the size limit": ("fit", HUGE_FIELD_CSV),
 }
+# A number is read only as it is written: a JSON number, or one of the strings "inf", "-inf" and "nan".
+NUMBER_FIELDS = {"predict": (LAW, ["alpha"]), "synth": (GRID, ["d_values", 0]), "plan": (REGISTRY, ["entries", 0, "l0"])}
+MALFORMED.update(
+    (f"{command} number as {text!r}", (command, json.dumps(_changed(doc, path, text))))
+    for command, (doc, path) in NUMBER_FIELDS.items()
+    for text in ("0.63", " 1_720e-3 ", "1_0")
+)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -388,6 +402,25 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert doc["error"]["type"] == "DataFormatError"
+
+
+def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """OpenBLAS splits a long dot product between its threads and sums the parts in another order.  On these
+    20,000 rows, sums of squares taken that way print a ``residual_std`` that differs between 1 and 2 threads."""
+    axes = (np.linspace(1.5, 6.0, 20), np.linspace(0.0, 0.9, 50), np.geomspace(1.0, 1e6, 100))
+    config = SyntheticConfig(CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS), *(a.tolist() for a in axes),
+                             noise_std=0.05, seed=3)
+    path = tmp_path / "records.csv"
+    write_records(generate(config)[:20_000], path)
+    stdout = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-m", "compresslaw.cli", "fit", "--input", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        stdout.append(done.stdout)
+    assert stdout[0] == stdout[1]
 
 
 OVERFLOW_TRUTH = dict(LAW, alpha=900.0)  # 100**900 overflows a float
