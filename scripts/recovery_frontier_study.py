@@ -13,7 +13,7 @@ Usage:
 import argparse
 import math
 
-from compresslaw.io import builtin_registry
+from compresslaw.documents import builtin_registry
 from compresslaw.laws import MetricKind
 from compresslaw.recovery import RecoveryQuery, Regime, analyze
 

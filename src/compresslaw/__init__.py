@@ -1,6 +1,12 @@
-"""Power-law toolkit for compressed-LLM performance: fitting, recovery analysis, planning."""
+"""Power-law toolkit for compressed-LLM performance: fitting, recovery analysis, planning.
 
-from . import cli, errors, io, laws, planner, recovery, regression, synth
+``documents`` and the numpy-backed ``io``, ``regression`` and ``synth`` load on
+first access to them or to a name they define (PEP 562).
+"""
+
+# Eager cli makes "python -m compresslaw.cli" print runpy's RuntimeWarning, the one stderr line of the light
+# commands; perfbench's tests require its count (cli.stderr_lines) to be > 0 until the benchmark is changed.
+from . import cli, errors, laws, planner, recovery
 from .errors import (
     CompressLawError,
     DataFormatError,
@@ -11,6 +17,10 @@ from .errors import (
 )
 from .laws import (
     CompressionLaw,
+    DesignForm,
+    ExperimentRecord,
+    FeasibilityWarning,
+    FitStatistics,
     MetricKind,
     RuntimeLaw,
     SignViolation,
@@ -39,16 +49,23 @@ from .recovery import (
     recoverable,
     recovery_margin,
 )
-from .regression import (
-    DesignForm,
-    ExperimentRecord,
-    FeasibilityWarning,
-    FitStatistics,
-    build_design,
-    fit_law,
-    ols_fit,
-)
-from .synth import SyntheticConfig, generate
+
+# name -> the submodule that defines it; a submodule maps to itself.
+_LAZY = {"documents": "documents", "io": "io", "regression": "regression", "synth": "synth",
+         "build_design": "regression", "fit_law": "regression", "ols_fit": "regression",
+         "SyntheticConfig": "synth", "generate": "synth"}
+
+
+def __getattr__(name: str):
+    import importlib
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f".{_LAZY[name]}", __name__)
+    if name != _LAZY[name]:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups find it without calling this function
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -1,7 +1,9 @@
 """Command-line frontend wiring the library into reproducible analyses.
 
 One machine-readable document per run goes to stdout (JSON unless a
-subcommand emits CSV); human diagnostics go to stderr.  Exit codes:
+subcommand emits CSV); human diagnostics go to stderr.  Only ``fit``,
+``synth`` and ``frontier`` import the numpy-backed modules, inside their
+handlers, so the other commands start without numpy.  Exit codes:
 0 success, 1 validation or domain error, 2 I/O error.  Input path flags
 accept ``-`` for stdin, and ``synth --out -`` writes CSV to stdout.
 """
@@ -13,13 +15,11 @@ import json
 import sys
 from typing import Sequence
 
-from . import io as lawio
+from . import documents
 from .errors import CompressLawError, DomainError
-from .laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
+from .laws import CompressionLaw, DesignForm, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
 from .planner import OBSERVED_RATIO_MAX, PlanRequest, plan
 from .recovery import Regime, RecoveryQuery, _critical_ratio, analyze, classify_regime
-from .regression import DesignForm
-from .synth import SyntheticConfig, generate
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -43,10 +43,11 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _print_json(kind: str, fields: dict) -> None:
-    print(json.dumps({"schema_version": lawio.SCHEMA_VERSION, "kind": kind, **fields}))
+    print(json.dumps({"schema_version": documents.SCHEMA_VERSION, "kind": kind, **fields}))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    from . import io as lawio
     records = lawio.read_records(_input(args.input), strict=not args.lenient)
     report = lawio.build_fit_report(records, epsilon=args.epsilon, form=DesignForm(args.form))
     sys.stdout.write(lawio.report_to_json(report))
@@ -54,7 +55,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    law = lawio.load_law(_input(args.law))
+    law = documents.load_law(_input(args.law))
     if isinstance(law, RuntimeLaw):
         if args.l0 is not None or args.d is not None:
             raise DomainError("runtime laws take only --r; drop --l0/--d")
@@ -87,7 +88,7 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 
 
 def _cmd_min_rft(args: argparse.Namespace) -> int:
-    law = lawio.load_law(_input(args.law))
+    law = documents.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("min-rft needs a compression law, not a runtime law")
     result = analyze(RecoveryQuery(law=law, sigma=args.sigma, r=args.r))
@@ -108,8 +109,8 @@ def _cmd_min_rft(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     metric = MetricKind(args.metric)
-    registry = lawio.load_registry(_input(args.registry))
-    candidates = lawio.candidates_from_registry(registry, metric, method_tag=args.method_tag)
+    registry = documents.load_registry(_input(args.registry))
+    candidates = documents.candidates_from_registry(registry, metric, method_tag=args.method_tag)
     request = PlanRequest(budget=args.budget, metric=metric, rft_size=args.d, max_ratio=args.max_ratio)
     result = plan(candidates, request)
     _print_json(
@@ -136,10 +137,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    truth = lawio.load_law(_input(args.truth))
+    from . import io as lawio
+    from .synth import SyntheticConfig, generate
+    truth = documents.load_law(_input(args.truth))
     if not isinstance(truth, CompressionLaw):
         raise DomainError("synth needs a compression law as the truth")
-    grid = lawio.load_grid(_input(args.grid))
+    grid = documents.load_grid(_input(args.grid))
     records = generate(SyntheticConfig(truth=truth, noise_std=args.noise_std, seed=args.seed, **grid))
     lawio.write_records(records, _output(args.out))
     if args.out != "-":
@@ -148,7 +151,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    law = lawio.load_law(_input(args.law))
+    from . import io as lawio
+    law = documents.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier needs a compression law")
     points = lawio.emit_frontier_grid(

@@ -17,6 +17,11 @@ whole columns for the designs of :mod:`compresslaw.regression` and
 bit in their transforms.  The ``require_*`` validators are the one place
 each domain condition and its message are written.
 
+The numpy-free value types that fits and documents exchange live here too:
+:class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
+:class:`FeasibilityWarning`.  :mod:`compresslaw.regression` re-exports them,
+so the commands that only evaluate laws never import numpy.
+
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means
 ``beta > 0`` and ``gamma > 0``; for accuracy-like metrics (higher is
@@ -30,18 +35,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import DomainError
-
-if TYPE_CHECKING:
-    from .regression import FitStatistics
 
 __all__ = [
     "MetricKind",
     "CompressionLaw",
     "RuntimeLaw",
     "SignViolation",
+    "FitStatistics",
+    "DesignForm",
+    "ExperimentRecord",
+    "FeasibilityWarning",
     "log_features",
     "require_finite",
     "require_positive",
@@ -127,6 +133,36 @@ def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[flo
 
 
 @dataclass(frozen=True)
+class FitStatistics:
+    """Goodness-of-fit summary for one least-squares solve.
+
+    ``f_statistic`` is ``math.inf`` for an exact (zero-residual) fit.
+    """
+
+    n: int
+    p: int
+    r_squared: float
+    adj_r_squared: float
+    f_statistic: float
+    residual_std: float
+    condition_number: float
+
+    def __post_init__(self) -> None:
+        if self.n <= self.p:
+            raise DomainError(f"need n > p, got n={self.n}, p={self.p}")
+        if not 0.0 <= self.r_squared <= 1.0:
+            raise DomainError(f"r_squared must lie in [0, 1], got {self.r_squared}")
+        if self.adj_r_squared > self.r_squared + 1e-12:
+            raise DomainError("adj_r_squared cannot exceed r_squared")
+        if self.f_statistic < 0.0:
+            raise DomainError("f_statistic must be nonnegative")
+        if self.residual_std < 0.0:
+            raise DomainError("residual_std must be nonnegative")
+        if not self.condition_number > 0.0:
+            raise DomainError("condition_number must be positive")
+
+
+@dataclass(frozen=True)
 class CompressionLaw:
     """Fitted (or fixture) exponents of the compression power law.
 
@@ -146,7 +182,7 @@ class CompressionLaw:
     gamma: float
     metric: MetricKind
     epsilon: float = 1.0
-    stats: "FitStatistics | None" = None
+    stats: FitStatistics | None = None
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
@@ -166,7 +202,7 @@ class RuntimeLaw:
 
     c: float
     beta: float
-    stats: "FitStatistics | None" = None
+    stats: FitStatistics | None = None
 
     def __post_init__(self) -> None:
         require_positive("c", self.c)
@@ -183,6 +219,43 @@ class SignViolation:
 
     def __str__(self) -> str:
         return f"{self.exponent} = {self.value:.6g} violates the feasible sign ({self.expected})"
+
+
+class DesignForm(enum.Enum):
+    """Which regressors enter a fit's design matrix."""
+
+    FULL = "full"
+    RATIO_ONLY = "ratio"
+    DATA_ONLY = "data"
+    RUNTIME = "runtime"
+
+
+@dataclass(frozen=True)
+class ExperimentRecord:
+    """One measured observation of a compressed model.
+
+    ``d`` is in caller-chosen units (samples, tokens, ...); units must be
+    consistent within a fit.  ``d = 0`` is the valid no-RFT case.
+    """
+
+    model_id: str
+    metric: MetricKind
+    l0: float
+    r: float
+    d: float
+    l: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.metric, MetricKind):
+            raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
+        require_positive("l0", self.l0)
+        require_ratio(self.r)
+        require_nonnegative("d", self.d)
+        require_positive("l", self.l)
+
+
+class FeasibilityWarning(UserWarning):
+    """A fitted exponent has a sign the metric deems physically implausible."""
 
 
 def _checked_exp(log_value: float) -> float:

@@ -22,27 +22,27 @@ turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_
 
 from __future__ import annotations
 
-import enum
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .laws import (
     CompressionLaw,
-    MetricKind,
+    DesignForm,
+    ExperimentRecord,
+    FeasibilityWarning,
+    FitStatistics,
     RuntimeLaw,
     SignViolation,
     check_feasibility,
     log_feature_columns,
-    require_nonnegative,
     require_positive,
-    require_ratio,
 )
 
+# The first four names are laws' numpy-free value types, re-exported as the same objects.
 __all__ = [
     "ExperimentRecord",
     "FitStatistics",
@@ -55,20 +55,6 @@ __all__ = [
 ]
 
 CONDITION_NUMBER_LIMIT = 1e8
-
-
-class FeasibilityWarning(UserWarning):
-    """A fitted exponent has a sign the metric deems physically implausible."""
-
-
-class DesignForm(enum.Enum):
-    """Which regressors enter the design matrix."""
-
-    FULL = "full"
-    RATIO_ONLY = "ratio"
-    DATA_ONLY = "data"
-    RUNTIME = "runtime"
-
 
 _COLUMN_NAMES: dict[DesignForm, tuple[str, ...]] = {
     DesignForm.FULL: ("log_l0", "log_ratio", "log_data"),
@@ -88,30 +74,6 @@ FITTED_SIGN_EXPONENTS: dict[DesignForm, tuple[str, ...]] = {
     DesignForm.DATA_ONLY: ("gamma",),
     DesignForm.RUNTIME: (),
 }
-
-
-@dataclass(frozen=True)
-class ExperimentRecord:
-    """One measured observation of a compressed model.
-
-    ``d`` is in caller-chosen units (samples, tokens, ...); units must be
-    consistent within a fit.  ``d = 0`` is the valid no-RFT case.
-    """
-
-    model_id: str
-    metric: MetricKind
-    l0: float
-    r: float
-    d: float
-    l: float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.metric, MetricKind):
-            raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
-        require_positive("l0", self.l0)
-        require_ratio(self.r)
-        require_nonnegative("d", self.d)
-        require_positive("l", self.l)
 
 
 class _Columns(Sequence):
@@ -167,36 +129,6 @@ class RecordBatch(_Columns):
         if isinstance(records, RecordBatch):
             return records
         return cls(*([getattr(rec, name) for rec in records] for name in cls.__slots__))
-
-
-@dataclass(frozen=True)
-class FitStatistics:
-    """Goodness-of-fit summary for one least-squares solve.
-
-    ``f_statistic`` is ``math.inf`` for an exact (zero-residual) fit.
-    """
-
-    n: int
-    p: int
-    r_squared: float
-    adj_r_squared: float
-    f_statistic: float
-    residual_std: float
-    condition_number: float
-
-    def __post_init__(self) -> None:
-        if self.n <= self.p:
-            raise DomainError(f"need n > p, got n={self.n}, p={self.p}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise DomainError(f"r_squared must lie in [0, 1], got {self.r_squared}")
-        if self.adj_r_squared > self.r_squared + 1e-12:
-            raise DomainError("adj_r_squared cannot exceed r_squared")
-        if self.f_statistic < 0.0:
-            raise DomainError("f_statistic must be nonnegative")
-        if self.residual_std < 0.0:
-            raise DomainError("residual_std must be nonnegative")
-        if not self.condition_number > 0.0:
-            raise DomainError("condition_number must be positive")
 
 
 def build_design(

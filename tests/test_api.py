@@ -1,6 +1,7 @@
 """Package-wide contracts: export lists resolve, every ``r`` entry point validates alike, scripts start."""
 
 import importlib
+import json
 import math
 import os
 import subprocess
@@ -45,7 +46,7 @@ def test_every_r_entry_point_accepts_zero(entry):
     R_ENTRY_POINTS[entry](0.0)
 
 
-SUBMODULES = ("cli", "io", "laws", "planner", "recovery", "regression", "synth")
+SUBMODULES = ("cli", "documents", "io", "laws", "planner", "recovery", "regression", "synth")
 
 
 @pytest.mark.parametrize("module", ["compresslaw", *(f"compresslaw.{name}" for name in SUBMODULES)])
@@ -56,16 +57,72 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
-@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
-def test_script_help_runs(script):
+def test_moved_names_are_the_same_objects():
+    from compresslaw import documents, io, laws, regression
+
+    for name in ("DesignForm", "ExperimentRecord", "FitStatistics", "FeasibilityWarning"):
+        assert getattr(regression, name) is getattr(laws, name)
+        assert name in regression.__all__ and name in laws.__all__
+    assert set(documents.__all__) <= set(io.__all__)
+    for name in documents.__all__:
+        assert getattr(io, name) is getattr(documents, name)
+
+
+def _python(*args):
+    """``python *args`` with the source tree importable, its output captured as text."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--help"],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_importing_the_package_loads_no_numpy():
+    done = _python("-c", "import sys, compresslaw; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# Names the package loads on first access, and the module that defines each.
+LAZY = {
+    "documents": "compresslaw.documents",
+    "io": "compresslaw.io",
+    "regression": "compresslaw.regression",
+    "synth": "compresslaw.synth",
+    "build_design": "compresslaw.regression",
+    "fit_law": "compresslaw.regression",
+    "ols_fit": "compresslaw.regression",
+    "SyntheticConfig": "compresslaw.synth",
+    "generate": "compresslaw.synth",
+}
+
+LAZY_CHECK = """
+import json, sys
+import compresslaw
+
+lazy = json.loads(sys.argv[1])
+# documents comes with cli, which the package imports eagerly; the numpy-backed names wait for their first access.
+assert "numpy" not in sys.modules
+assert [name for name in lazy if name in vars(compresslaw)] == ["documents"]
+for name, module in lazy.items():
+    value = getattr(compresslaw, name)
+    module = sys.modules[module]
+    assert value is (module if module.__name__.endswith("." + name) else getattr(module, name)), name
+    assert vars(compresslaw)[name] is value, name  # cached: the next lookup does not reach __getattr__
+assert not hasattr(compresslaw, "no_such_name")
+print("ok")
+"""
+
+
+def test_each_lazy_name_resolves_and_is_cached():
+    import compresslaw
+
+    assert set(LAZY) <= set(compresslaw.__all__) | {"documents"}
+    done = _python("-c", LAZY_CHECK, json.dumps(LAZY))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_runs(script):
+    done = _python(str(ROOT / "scripts" / script), "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout

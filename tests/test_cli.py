@@ -389,6 +389,14 @@ MALFORMED.update(
     for command, (doc, path) in NUMBER_FIELDS.items()
     for text in ("0.63", " 1_720e-3 ", "1_0")
 )
+# Nor is a bare NaN, Infinity or -Infinity token a number: it is not JSON, and no writer emits it.
+BARE_STATS = _changed(_changed(LAW, ["stats", "adj_r_squared"], "@NAN@"), ["stats", "f_statistic"], "@INF@")
+MALFORMED["predict bare NaN and Infinity stats"] = (
+    "predict", json.dumps(BARE_STATS).replace('"@NAN@"', "NaN").replace('"@INF@"', "Infinity"))
+MALFORMED.update(
+    (f"plan bare {token} reported", ("plan", _with_raw(REGISTRY, ["entries", 0, "reported", "adj_r_squared"], token)))
+    for token in ("NaN", "Infinity", "-Infinity")
+)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -404,6 +412,45 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
     assert doc["error"]["type"] == "DataFormatError"
 
 
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    return env
+
+
+LIGHT = {
+    "critical": ["critical", "--beta", "-1.18", "--sigma", "0.8", "--metric", "accuracy"],
+    "predict": ["predict", "--law", "{law}", "--l0", "0.6", "--r", "0.19", "--d", "10"],
+    "predict-runtime": ["predict", "--law", "{runtime}", "--r", "0.5"],
+    "min-rft": ["min-rft", "--law", "{law}", "--sigma", "0.8", "--r", "0.19"],
+    "plan": ["plan", "--registry", "{registry}", "--budget", "1.5e9", "--metric", "accuracy"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIGHT))
+def test_light_commands_start_without_numpy(command, tmp_path):
+    """The commands that are scalar math over laws, run as ``python -m compresslaw.cli``, import no numpy and
+    print what ``run`` prints in process.  Their stderr holds only the import times and runpy's warning that the
+    package imported ``compresslaw.cli`` before running it as ``__main__``."""
+    paths = {"law": tmp_path / "law.json", "runtime": tmp_path / "runtime.json", "registry": tmp_path / "registry.json"}
+    paths["law"].write_text(json.dumps(LAW))
+    save_law(RuntimeLaw(c=100.0, beta=-0.67), paths["runtime"])
+    paths["registry"].write_text(json.dumps(REGISTRY))
+    argv = [arg.format(**paths) for arg in LIGHT[command]]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "compresslaw.cli", *argv],
+                          env=_cli_env(), capture_output=True, timeout=60)
+    stderr = done.stderr.decode()
+    assert done.returncode == 0, stderr
+    imports = [line for line in stderr.splitlines() if line.startswith("import time:")]
+    assert any(line.endswith("compresslaw.laws") for line in imports)
+    assert [line for line in imports if "numpy" in line] == []
+    others = [line for line in stderr.splitlines() if not line.startswith("import time:")]
+    assert len(others) == 1 and "RuntimeWarning: 'compresslaw.cli' found in sys.modules" in others[0], others
+    code, out = _run_captured(argv)
+    assert code == 0
+    assert done.stdout == out.encode()
+
+
 def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     """OpenBLAS splits a long dot product between its threads and sums the parts in another order.  On these
     20,000 rows, sums of squares taken that way print a ``residual_std`` that differs between 1 and 2 threads."""
@@ -414,8 +461,7 @@ def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     write_records(generate(config)[:20_000], path)
     stdout = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        env = dict(_cli_env(), OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run([sys.executable, "-m", "compresslaw.cli", "fit", "--input", str(path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr

@@ -420,6 +420,13 @@ class TestFitReport:
         with pytest.raises(DataFormatError, match="expected a number"):
             report_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_a_bare_non_finite_token_is_rejected(self, token):
+        doc = json.loads(report_to_json(build_fit_report(self.identity_records())))
+        doc["residuals"][0] = "@RAW@"
+        with pytest.raises(DataFormatError, match=f"invalid JSON: {token} is not a number"):
+            report_from_json(json.dumps(doc).replace('"@RAW@"', token))
+
     def test_the_two_copies_of_the_stats_must_agree(self):
         report = build_fit_report(self.identity_records())
         doc = json.loads(report_to_json(report))
