@@ -15,9 +15,14 @@ its public names as the same objects and reads and writes the fit report with it
   point.  :func:`emit_frontier_grid` returns the points as a read-only
   sequence of :class:`FrontierPoint` over float64 columns, not a ``list``.
 
-Bulk output is written from columns: each distinct float of a column is
-formatted once, and rows are joined strings, byte for byte what
-``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write for the same rows.
+Bulk input is read into columns: a block of plain lines (no quote, NUL or
+stray line-end character, the header's number of fields) is cut with
+``str.split`` into the fields ``csv.reader`` would return, and from the first
+block that is not plain ``csv.reader`` reads the rest.  Each distinct number
+text of a block is parsed once.  Bulk output is written from columns: each
+distinct float of a column is formatted once, and rows are joined strings,
+byte for byte what ``csv.writer`` (``\r\n`` line ends) and ``json.dumps``
+write for the same rows.
 Every reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
 else, on any malformed input.
 """
@@ -30,6 +35,7 @@ import json
 import math
 import operator
 import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 from io import StringIO
@@ -43,7 +49,7 @@ from .documents import _check_fields, _decode_num, _dump_document, _open_for_rea
 from .documents import _stats_from_dict, _stats_to_dict
 from .errors import DataFormatError, DomainError
 from .laws import CompressionLaw, DesignForm, ExperimentRecord, FitStatistics, MetricKind, RuntimeLaw, _checked_exp
-from .regression import RecordBatch, _Columns, _fit, _read_only
+from .regression import RecordBatch, _Columns, _fit, _map_distinct, _read_only
 from .synth import _grid_axes, _grid_log_prediction
 
 __all__ = [
@@ -103,6 +109,8 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
 
 # Rows read or written per chunk: memory holds at most this many rows of text at once.
 _CHUNK_ROWS = 8192
+# Characters of body text read per block: memory holds about one block of text at a time.
+_BLOCK_CHARS = 1 << 16
 _METRICS = {kind.value: kind for kind in MetricKind}
 
 
@@ -113,35 +121,107 @@ def _float_or_nan(text) -> float:
         return math.nan
 
 
-def _float_column(texts: tuple) -> np.ndarray:
-    try:
-        return np.array(list(map(float, texts)))
-    except (TypeError, ValueError):
-        return np.array(list(map(_float_or_nan, texts)))
+def _float_column(texts: Sequence) -> np.ndarray:
+    """``float`` of every text, NaN where it is not a number; called once per distinct text unless most
+    texts are distinct."""
+    distinct = dict.fromkeys(texts)
+    if 2 * len(distinct) > len(texts):
+        try:
+            return np.array(list(map(float, texts)))
+        except (TypeError, ValueError):
+            return np.array(list(map(_float_or_nan, texts)))
+    values = dict(zip(distinct, map(_float_or_nan, distinct)))
+    return np.fromiter(map(values.__getitem__, texts), float, len(texts))
 
 
-def _parse_chunk(rows: list[tuple], short: list[int], first_row: int) -> tuple[RecordBatch, list[DataFormatError]]:
-    """A batch of the valid ``rows`` (tuples of ``RECORD_COLUMNS`` fields, numbered from ``first_row``)
-    and the errors of the others.  A vectorized mask picks the suspects (``short``, an unknown metric, a value
-    not a number or out of domain); :func:`_parse_record` decides on them and words the error."""
-    model_id, raw_metric, *texts = zip(*rows) if rows else [()] * len(RECORD_COLUMNS)
-    metric = [_METRICS.get(text) for text in raw_metric]
+def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) -> tuple[list, list[DataFormatError]]:
+    """The columns of the valid rows and the errors of the others.  ``columns`` holds the fields of
+    ``RECORD_COLUMNS``, one sequence per column, of rows numbered from ``first_row``.  A vectorized mask picks
+    the suspects (``short``, an unknown metric, a value not a number or out of domain); :func:`_parse_record`
+    decides on them and words the error."""
+    model_id, raw_metric, *texts = columns
+    metric = list(map(_METRICS.get, raw_metric))
     l0, r, d, l = map(_float_column, texts)
     valid = (0.0 < l0) & (l0 < math.inf) & (0.0 <= r) & (r < 1.0) & (0.0 <= d) & (d < math.inf)
-    valid &= (0.0 < l) & (l < math.inf) & np.not_equal(metric, None)
+    valid &= (0.0 < l) & (l < math.inf)
+    if None in metric:  # an unknown metric; the membership test is cheap, an object array per chunk is not
+        valid &= np.array([m is not None for m in metric])
     valid[short] = False
     errors, model_id = [], list(model_id)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            record = _parse_record(dict(zip(RECORD_COLUMNS, rows[i])), first_row + i)
+            record = _parse_record(dict(zip(RECORD_COLUMNS, (column[i] for column in columns))), first_row + i)
         except DataFormatError as exc:
             errors.append(exc)
             continue
         valid[i] = True
         model_id[i], metric[i], l0[i], r[i], d[i], l[i] = (getattr(record, c) for c in RECORD_COLUMNS)
-    model_id, metric = itertools.compress(model_id, valid), itertools.compress(metric, valid)
-    l0, r, d, l = l0[valid], r[valid], d[valid], l[valid]
-    return RecordBatch(model_id, metric, l0, r, d, l), errors
+    if not valid.all():
+        model_id, metric = itertools.compress(model_id, valid), list(itertools.compress(metric, valid))
+        l0, r, d, l = l0[valid], r[valid], d[valid], l[valid]
+    # Equal ids become one string: the batch keeps them long after their text is gone.
+    return [list(map(sys.intern, model_id)), metric, l0, r, d, l], errors
+
+
+def _split_plain(lines: list[str], width: int, positions: Sequence[int]) -> list[list[str]] | None:
+    """The fields at ``positions`` of ``lines``, one list per position, as ``csv.reader`` splits them; or
+    ``None`` unless every line is plain.  A plain line is ``width`` fields joined by commas, then line-end
+    characters, with no quote, NUL or line-end character inside, and no longer than the csv field limit.
+    ``width`` is at least 2, so a blank line, which csv skips, is never plain."""
+    rows = list(map(str.rstrip, lines, itertools.repeat("\r\n")))
+    # Rows are joined by a field "\n" that no plain row holds, so a row of `width` fields puts one at every
+    # (width + 1)-th field, and a row of any other width moves the ones after it.
+    text = ",\n,".join(rows)
+    # csv before Python 3.11 rejects a line holding NUL.
+    if '"' in text or "\r" in text or "\x00" in text or text.count("\n") != len(rows) - 1:
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, rows)) > limit:
+        return None
+    fields = text.split(",")
+    if len(fields) != len(rows) * (width + 1) - 1 or fields[width :: width + 1].count("\n") != len(rows) - 1:
+        return None
+    return [fields[j :: width + 1] for j in positions]
+
+
+def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[list, list[int], csv.Error | None]]:
+    """The rows after the header as chunks ``(columns, short, error)``: the fields at ``positions``, one
+    sequence per position; the indexes of the ``short`` rows, which have ``None`` for the fields they lack;
+    and the ``csv.Error`` that ended the chunk, if one did.
+
+    The text is read in blocks of whole lines, and a block of plain lines is split in bulk.  From the first
+    block that is not, ``csv.reader`` reads the rest ``_CHUNK_ROWS`` rows at a time.  It is handed the lines
+    as the stream splits them, each of which it reads as one line.
+    """
+    lines = fh.readlines(_BLOCK_CHARS)
+    while lines:
+        columns = _split_plain(lines, width, positions)
+        if columns is None:
+            break
+        yield columns, [], None
+        lines = fh.readlines(_BLOCK_CHARS)
+    else:
+        return
+    reader = csv.reader(itertools.chain(lines, fh))
+    fields_of, last = operator.itemgetter(*positions), max(positions)
+    while True:
+        # Rows become tuples of their fields at once: holding the csv
+        # module's row lists would keep the garbage collector busy.
+        rows, short, error = [], [], None
+        try:
+            for row in reader:
+                if len(row) > last:
+                    rows.append(fields_of(row))
+                elif row:
+                    short.append(len(rows))
+                    rows.append(tuple(row[j] if j < len(row) else None for j in positions))
+                if len(rows) == _CHUNK_ROWS:
+                    break
+        except csv.Error as exc:
+            error = exc  # the reader resumes at the next line, so a bad line costs one row
+        yield list(zip(*rows)) or [()] * len(positions), short, error
+        if len(rows) < _CHUNK_ROWS and error is None:
+            return
 
 
 def read_records(source, *, strict: bool = True) -> RecordBatch:
@@ -150,13 +230,19 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     Strict mode aborts on the first invalid row with a row-numbered error;
     lenient mode skips invalid rows, emitting a :class:`SkippedRowWarning`
     per skipped row.  A row the csv module cannot split is invalid too.
-    Blank lines are skipped and not numbered; the header is row 1.  Rows are
-    parsed ``_CHUNK_ROWS`` at a time.
+    Blank lines are skipped and not numbered; the header is row 1.
+
+    The body is read in blocks of about ``_BLOCK_CHARS`` characters of whole
+    lines.  A block of plain lines (no quote, NUL or stray line-end character,
+    the header's number of fields, none over the csv field limit) is split
+    with ``str.split``; from the first block that is not, ``csv.reader``
+    reads the rest, ``_CHUNK_ROWS`` rows at a time.  Either way the fields
+    are those ``csv.reader`` returns.  Each distinct number text of a block
+    is parsed once.
     """
     with _open_for_read(source) as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
         except csv.Error as exc:
             raise DataFormatError(f"row 1: {exc}") from None
         if header is None:
@@ -171,35 +257,21 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
         # short row has None for the fields it lacks.
         index = {name: j for j, name in enumerate(header)}
         positions = [index[name] for name in RECORD_COLUMNS]
-        fields_of, last = operator.itemgetter(*positions), max(positions)
         parts, row_number = [], 1
-        while True:
-            # Rows become tuples of their fields at once: holding the csv
-            # module's row lists would keep the garbage collector busy.
-            rows, short, split_errors = [], [], []
-            try:
-                for row in reader:
-                    if len(row) > last:
-                        rows.append(fields_of(row))
-                    elif row:
-                        short.append(len(rows))
-                        rows.append(tuple(row[j] if j < len(row) else None for j in positions))
-                    if len(rows) == _CHUNK_ROWS:
-                        break
-            except csv.Error as exc:
-                # The reader resumes at the next line, so a bad line costs one row.
-                split_errors.append(DataFormatError(f"row {row_number + len(rows) + 1}: {exc}"))
-            batch, errors = _parse_chunk(rows, short, row_number + 1)
-            parts.append(batch)
-            row_number += len(rows) + len(split_errors)
-            for error in errors + split_errors:
+        for columns, short, split_error in _body_chunks(fh, len(header), positions):
+            part, errors = _parse_chunk(columns, short, row_number + 1)
+            parts.append(part)
+            row_number += len(columns[0])
+            if split_error is not None:
+                row_number += 1
+                errors.append(DataFormatError(f"row {row_number}: {split_error}"))
+            for error in errors:
                 if strict:
                     raise error
                 warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
-            if len(rows) < _CHUNK_ROWS and not split_errors:
-                break
-    columns = [[getattr(part, name) for part in parts] for name in RecordBatch.__slots__]
-    return RecordBatch(*map(itertools.chain.from_iterable, columns[:2]), *map(np.concatenate, columns[2:]))
+    model_id, metric, *floats = zip(*parts) if parts else [()] * len(RECORD_COLUMNS)
+    chain = itertools.chain.from_iterable
+    return RecordBatch(chain(model_id), chain(metric), *(np.concatenate((np.empty(0), *c)) for c in floats))
 
 
 def _quote(text: str) -> str:
@@ -213,12 +285,8 @@ def _quote(text: str) -> str:
 
 
 def _format_floats(column: np.ndarray) -> list[str]:
-    """``repr`` of every value of a float64 column.  Each distinct bit pattern (so ``-0.0`` apart from
-    ``0.0``) is formatted once and gathered back, unless most values are distinct."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(column):
-        return list(map(repr, column.tolist()))
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
+    """``repr`` of every value of a float64 column, once per distinct value of a long column."""
+    return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
 
 
 def _format_column(column) -> list[str]:

@@ -17,7 +17,8 @@ for the runtime form.  A bare :func:`ols_fit` call without a form has no
 intercept.
 
 Bulk paths pass records as a :class:`RecordBatch` of columns; :func:`build_design`
-turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over it.
+turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over it,
+once per distinct value of each long column.
 """
 
 from __future__ import annotations
@@ -112,6 +113,28 @@ def _read_only(values) -> np.ndarray:
     return column
 
 
+# Shorter columns are mapped value by value: finding their distinct values would cost more than it saves.
+_DISTINCT_MIN_ROWS = 1024
+
+
+def _map_distinct(transform, *columns: np.ndarray, dtype=object) -> list[np.ndarray]:
+    """``transform(*(column.tolist() for column in columns))`` for float64 ``columns`` of one length, each
+    list it returns as an array of ``dtype``.  Entry ``i`` of each list depends on entry ``i`` of its column
+    alone, so ``transform`` is given each long, mostly repeated column as its distinct bit patterns (``-0.0``
+    apart from ``0.0``), and the results are gathered back to the column's length."""
+    if len(columns[0]) < _DISTINCT_MIN_ROWS:
+        return [np.array(result, dtype) for result in transform(*map(np.ndarray.tolist, columns))]
+    values, gathers = [], []
+    for column in columns:
+        gather = slice(None)
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        if 2 * len(bits) <= len(column):
+            column, gather = bits.view(np.float64), inverse
+        values.append(column.tolist())
+        gathers.append(gather)
+    return [np.array(result, dtype)[gather] for result, gather in zip(transform(*values), gathers)]
+
+
 class RecordBatch(_Columns):
     """Records as columns (read-only float64 arrays ``l0, r, d, l``; tuples ``model_id, metric``) that only
     code which validated them builds.  A read-only sequence of :class:`ExperimentRecord`."""
@@ -164,7 +187,9 @@ def build_design(
     if batch.metric.count(batch.metric[0]) != len(batch):
         raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(batch.metric))}")
 
-    features = log_feature_columns(batch.l0.tolist(), batch.r.tolist(), batch.d.tolist(), epsilon)
+    features = _map_distinct(
+        lambda *columns: log_feature_columns(*columns, epsilon), batch.l0, batch.r, batch.d, dtype=float
+    )
     x = np.column_stack(
         [np.ones(len(batch)) if name == "intercept" else features[_FEATURE_INDEX[name]] for name in names]
     )

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compresslaw import io as lawio
+from compresslaw import io as lawio, regression
 from compresslaw.errors import DataFormatError, DomainError
 from compresslaw.io import (
     LawRegistry,
@@ -98,14 +98,14 @@ class TestReadRecords:
         assert read_records(path) == records
 
 
-def oracle_read(text, strict):
+def oracle_read(text, strict, stream=stdio.StringIO):
     """Per-row reference reader: csv.DictReader rows through io._parse_record.
 
     Returns ``(records, messages)``: in strict mode the records, or ``None``
     and the one error message; in lenient mode the records and the skip
-    messages in order.
+    messages in order.  ``stream`` makes the text a text stream.
     """
-    reader = csv.DictReader(stdio.StringIO(text))
+    reader = csv.DictReader(stream(text))
     fieldnames = reader.fieldnames
     missing = [c for c in RECORD_COLUMNS if c not in fieldnames]
     extra = [c for c in fieldnames if c not in RECORD_COLUMNS]
@@ -130,26 +130,36 @@ def oracle_read(text, strict):
             messages.append(f"row {row_number}: {exc}")
 
 
-def read_like_oracle(text, strict):
+def read_like_oracle(text, strict, stream=stdio.StringIO):
     """``read_records`` in the oracle's ``(records, messages)`` shape."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            records = read_records(stdio.StringIO(text), strict=strict)
+            records = read_records(stream(text), strict=strict)
         except DataFormatError as exc:
             return None, [str(exc)]
     assert all(w.category is SkippedRowWarning for w in caught)
     return records, [str(w.message) for w in caught]
 
 
-def assert_reads_like_oracle(text):
+def assert_reads_like_oracle(text, stream=stdio.StringIO):
     for strict in (True, False):
-        records, messages = read_like_oracle(text, strict)
-        expected_records, expected_messages = oracle_read(text, strict)
+        records, messages = read_like_oracle(text, strict, stream)
+        expected_records, expected_messages = oracle_read(text, strict, stream)
         assert messages == expected_messages
         assert (records is None) == (expected_records is None)
         if records is not None:
             assert records == expected_records
+
+
+# Text streams split lines as their newline mode says: StringIO only at "\n", a file opened as
+# read_records opens a path at "\r", "\n" and "\r\n", and sys.stdin (as `fit --input -` reads it)
+# translates all three to "\n".
+STREAMS = {
+    "StringIO": stdio.StringIO,
+    "file": lambda text: stdio.StringIO(text, newline=""),
+    "stdin": lambda text: stdio.TextIOWrapper(stdio.BytesIO(text.encode("utf-8")), encoding="utf-8"),
+}
 
 
 OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
@@ -190,12 +200,13 @@ def record_csvs(draw):
 
 
 class TestReadRecordsMatchesPerRowReader:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(text=record_csvs())
-    def test_generated_csvs_across_small_chunks(self, text):
-        # a 4-row chunk puts chunk boundaries among bad rows, blank lines and csv errors
-        with mock.patch.object(lawio, "_CHUNK_ROWS", 4):
-            assert_reads_like_oracle(text)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=record_csvs(), stream=st.sampled_from(list(STREAMS.values())))
+    def test_generated_csvs_across_small_chunks(self, text, stream):
+        # 4-row chunks and 64-character blocks put chunk and block boundaries among bad rows, blank lines
+        # and csv errors
+        with mock.patch.object(lawio, "_CHUNK_ROWS", 4), mock.patch.object(lawio, "_BLOCK_CHARS", 64):
+            assert_reads_like_oracle(text, stream)
 
     @pytest.mark.parametrize(
         "text",
@@ -226,6 +237,86 @@ class TestReadRecordsMatchesPerRowReader:
         assert messages == [f"row {half + 2}: field larger than field limit ({csv.field_size_limit()})"]
         assert [rec.model_id for rec in records] == [f"m{i}" for i in range(len(rows)) if i != half]
         assert_reads_like_oracle(text)
+
+
+PLAIN_ROW = "m,loss,2.0,0.5,10,6.9\r\n"
+BAD_ROW = "m,loss,2.0,1.5,10,6.9\r\n"
+BLOCK_CASES = {
+    "quoted field after plain blocks": CSV_HEADER + PLAIN_ROW * 20 + BAD_ROW + '"m,1",loss,2.0,0.5,10,6.9\r\n'
+    + PLAIN_ROW * 3 + BAD_ROW + "\r\n" + PLAIN_ROW,
+    "line longer than a block": CSV_HEADER + PLAIN_ROW * 5 + "m" * 300 + ",loss,2.0,0.5,10,6.9\n" + BAD_ROW + PLAIN_ROW,
+    "lone CR line ends": CSV_HEADER + PLAIN_ROW * 8 + "m,loss,2.0,0.5,10,6.9\r" * 6 + BAD_ROW + PLAIN_ROW * 8,
+    "lone CR inside a line": CSV_HEADER + PLAIN_ROW * 8 + "m\rx,loss,2.0,0.5,10,6.9\n" + BAD_ROW + PLAIN_ROW,
+    "NUL character": CSV_HEADER + PLAIN_ROW * 8 + "m\x00,loss,2.0,0.5,10,6.9\r\n" + BAD_ROW + PLAIN_ROW,
+    "over-limit field": CSV_HEADER + PLAIN_ROW * 8 + OVER_LIMIT + ",loss,2.0,0.5,10,6.9\r\n" + BAD_ROW + PLAIN_ROW,
+    "empty body": CSV_HEADER,
+    "header without a line end": CSV_HEADER.rstrip("\n"),
+    "last line without a line end": CSV_HEADER + PLAIN_ROW * 8 + BAD_ROW + "m,loss,2.0,0.5,10,6.9",
+    "mixed line ends and bad values": CSV_HEADER + (PLAIN_ROW + "m,loss,2.5,0.5,0,7\n" + BAD_ROW) * 6
+    + "m,bogus,2,0.5,0,7\n" + "m,loss,2,0.5,-1,7\n" + "m,loss,x,0.5,0,7\n" + PLAIN_ROW * 4,
+    "short and long rows between plain blocks": CSV_HEADER + PLAIN_ROW * 8 + "m,loss,2.0\n" + PLAIN_ROW * 8
+    + "m,loss,2.0,0.5,10,6.9,7\n" + PLAIN_ROW * 8,
+    "a column read twice": "model_id,metric,l0,r,d,l,l0\n" + "m,loss,2.0,0.5,10,6.9,3.0\n" * 9
+    + "m,loss,2.0,0.5,10,6.9,-3\n",
+}
+
+
+class TestBlockBoundaries:
+    """Blocks of 64 characters, a few lines each: a block of plain lines is split in bulk, and the rest of the
+    input goes through csv.reader from the first block that is not plain, for each kind of text stream."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self):
+        with mock.patch.object(lawio, "_BLOCK_CHARS", 64):
+            yield
+
+    @pytest.mark.parametrize("stream", STREAMS.values(), ids=STREAMS.keys())
+    @pytest.mark.parametrize("text", BLOCK_CASES.values(), ids=BLOCK_CASES.keys())
+    def test_reads_like_the_per_row_reader(self, text, stream):
+        assert_reads_like_oracle(text, stream)
+
+    def test_a_path_reads_like_a_file_stream(self, tmp_path):
+        path = tmp_path / "records.csv"
+        for text in BLOCK_CASES.values():
+            path.write_bytes(text.encode("utf-8"))
+            for strict in (True, False):
+                assert read_like_oracle(path, strict, lambda path: path) == oracle_read(text, strict, STREAMS["file"])
+
+    def test_lines_over_a_lowered_field_limit(self):
+        # A line over the limit leaves the bulk split; only a field over it is an error.
+        text = CSV_HEADER + PLAIN_ROW * 4 + "mm,loss,2.0,0.5,10,6.9\n" + "m" * 23 + ",loss,2.0,0.5,10,6.9\n" + PLAIN_ROW
+        limit = csv.field_size_limit(22)
+        try:
+            assert_reads_like_oracle(text)
+        finally:
+            csv.field_size_limit(limit)
+
+
+@st.composite
+def csv_lines(draw):
+    """Lines of fields from an alphabet with every character csv treats specially, and their width."""
+    width = draw(st.integers(2, 4))
+    field = st.one_of(st.sampled_from(["", "a", "1.5"]), st.text(alphabet='a ,"\r\n\x00é', max_size=3))
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\n\r", ""])
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        fields = draw(st.lists(field, min_size=width - 1, max_size=width + 1))
+        lines.append(",".join(fields) + draw(ends))
+    return lines, width
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=csv_lines())
+def test_bulk_split_is_csv_reader_or_declined(case):
+    lines, width = case
+    columns = lawio._split_plain(lines, width, range(width))
+    plain = all(
+        line.rstrip("\r\n").count(",") == width - 1 and not set('"\r\n\x00') & set(line.rstrip("\r\n"))
+        for line in lines
+    )
+    assert (columns is not None) == plain
+    if columns is not None:
+        assert [list(row) for row in zip(*columns)] == list(csv.reader(lines))
 
 
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1.7976931348623157e308)
@@ -264,12 +355,12 @@ def written(write, *args):
 
 
 class TestWritersMatchReference:
-    """The columnar writers against ``csv.writer`` and ``json.dumps`` over the same rows, with 7-row chunks: a
-    chunk drawn from a pool of up to 3 values takes the deduplicating path."""
+    """The columnar writers against ``csv.writer`` and ``json.dumps`` over the same rows, with 7-row chunks and
+    no shortest column to deduplicate: a chunk drawn from a pool of up to 3 values takes the deduplicating path."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self):
-        with mock.patch.object(lawio, "_CHUNK_ROWS", 7):
+        with mock.patch.object(lawio, "_CHUNK_ROWS", 7), mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
             yield
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from compresslaw.errors import DomainError, SingularDesignError
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, log_features
 from compresslaw.regression import (
     DesignForm,
     ExperimentRecord,
@@ -148,6 +148,40 @@ class TestRecordBatch:
             x_list, y_list = build_design(list(batch), epsilon=epsilon, form=form)
             assert x.tobytes() == x_list.tobytes() and y.tobytes() == y_list.tobytes()
         assert y.tolist() == [math.log(rec.l) for rec in records]
+
+
+FEATURE_VALUES = {
+    "l0": st.one_of(
+        st.sampled_from([5e-324, 1e-300, 1.0, 1.7976931348623157e308]), st.floats(0.0, 1e308, exclude_min=True)
+    ),
+    "r": st.one_of(st.sampled_from([-0.0, 0.0, 5e-324]), st.floats(0.0, 1.0, exclude_max=True)),
+    "d": st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e300, 1.7976931348623157e308]), st.floats(0.0, 1e308)),
+}
+
+
+class TestDesignKernel:
+    """``build_design``'s ``X`` is :func:`log_features` row by row, bit for bit, on columns short enough to be
+    mapped value by value and long enough to be mapped once per distinct value."""
+
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), epsilon=st.one_of(st.just(1.0), st.floats(1e-300, 1e300)))
+    @pytest.mark.parametrize("repeated", [True, False], ids=["mostly repeated", "all distinct"])
+    @pytest.mark.parametrize("n", [45, 100_000])
+    def test_rows_are_log_features_bit_for_bit(self, data, epsilon, n, repeated):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        columns = []
+        for name, values in FEATURE_VALUES.items():
+            pool = np.array(data.draw(st.lists(values, min_size=1, max_size=6)) + [-0.0, 0.0] * (name != "l0"))
+            if repeated:
+                column = pool[rng.integers(0, len(pool), n)]
+            else:  # the pool, then distinct values
+                tail = np.linspace(0.0, 0.999, n) if name == "r" else np.cumsum(rng.uniform(1e-3, 1.0, n))
+                column = np.concatenate([pool, tail])[:n]
+            columns.append(column)
+        batch = RecordBatch(["m"] * n, [MetricKind.LOSS] * n, *columns, np.ones(n))
+        x, _ = build_design(batch, epsilon=epsilon)
+        expected = np.array([log_features(l0, r, d, epsilon) for l0, r, d in zip(*(c.tolist() for c in columns))])
+        assert x.tobytes() == expected.tobytes()  # tells -0.0 from 0.0, which == does not
 
 
 class TestOlsFit:
