@@ -1,9 +1,11 @@
 """Command-line frontend wiring the library into reproducible analyses.
 
 One machine-readable document per run goes to stdout (JSON unless a
-subcommand emits CSV); human diagnostics go to stderr.  Only ``fit``,
-``synth`` and ``frontier`` import the numpy-backed modules, inside their
-handlers, so the other commands start without numpy.  Exit codes:
+subcommand emits CSV); human diagnostics go to stderr.  A command imports
+what its handler calls: the module itself needs only ``errors`` and
+``laws``, and each handler imports the modules it runs, so ``critical``
+loads no document codec and only ``fit``, ``synth`` and ``frontier`` load
+numpy.  Exit codes:
 0 success, 1 validation or domain error, 2 I/O error.  Input path flags
 accept ``-`` for stdin, and ``synth --out -`` writes CSV to stdout.
 """
@@ -15,11 +17,9 @@ import json
 import sys
 from typing import Sequence
 
-from . import documents
 from .errors import CompressLawError, DomainError
-from .laws import CompressionLaw, DesignForm, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
-from .planner import OBSERVED_RATIO_MAX, PlanRequest, plan
-from .recovery import Regime, RecoveryQuery, _critical_ratio, analyze, classify_regime
+from .laws import OBSERVED_RATIO_MAX, SCHEMA_VERSION, CompressionLaw, DesignForm, MetricKind, RuntimeLaw
+from .laws import evaluate, evaluate_runtime
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -43,7 +43,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _print_json(kind: str, fields: dict) -> None:
-    print(json.dumps({"schema_version": documents.SCHEMA_VERSION, "kind": kind, **fields}))
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}))
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -55,6 +55,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
+    from . import documents
     law = documents.load_law(_input(args.law))
     if isinstance(law, RuntimeLaw):
         if args.l0 is not None or args.d is not None:
@@ -70,6 +71,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
+    from .recovery import Regime, _critical_ratio, classify_regime
     metric = MetricKind(args.metric)
     regime, boundary = classify_regime(args.beta, args.sigma, metric)
     r_critical = _critical_ratio(args.beta, args.sigma) if regime is Regime.CONDITIONALLY_RECOVERABLE else None
@@ -88,6 +90,8 @@ def _cmd_critical(args: argparse.Namespace) -> int:
 
 
 def _cmd_min_rft(args: argparse.Namespace) -> int:
+    from . import documents
+    from .recovery import RecoveryQuery, analyze
     law = documents.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("min-rft needs a compression law, not a runtime law")
@@ -108,6 +112,8 @@ def _cmd_min_rft(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from . import documents
+    from .planner import PlanRequest, plan
     metric = MetricKind(args.metric)
     registry = documents.load_registry(_input(args.registry))
     candidates = documents.candidates_from_registry(registry, metric, method_tag=args.method_tag)
@@ -139,10 +145,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     from . import io as lawio
     from .synth import SyntheticConfig, generate
-    truth = documents.load_law(_input(args.truth))
+    truth = lawio.load_law(_input(args.truth))
     if not isinstance(truth, CompressionLaw):
         raise DomainError("synth needs a compression law as the truth")
-    grid = documents.load_grid(_input(args.grid))
+    grid = lawio.load_grid(_input(args.grid))
     records = generate(SyntheticConfig(truth=truth, noise_std=args.noise_std, seed=args.seed, **grid))
     lawio.write_records(records, _output(args.out))
     if args.out != "-":
@@ -152,7 +158,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from . import io as lawio
-    law = documents.load_law(_input(args.law))
+    law = lawio.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier needs a compression law")
     points = lawio.emit_frontier_grid(

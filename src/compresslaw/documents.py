@@ -24,12 +24,13 @@ import math
 import reprlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from importlib import resources
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
-from .laws import CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw
-from .planner import CandidateModel
+from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw
+
+if TYPE_CHECKING:
+    from .planner import CandidateModel
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -38,8 +39,6 @@ __all__ = [
     "load_grid",
     "candidates_from_registry",
 ]
-
-SCHEMA_VERSION = "compresslaw/v1"
 
 
 @contextmanager
@@ -377,6 +376,7 @@ def load_registry(source) -> LawRegistry:
 
 def builtin_registry() -> LawRegistry:
     """The bundled fixture registry of published coefficient tables."""
+    from importlib import resources
     text = resources.files("compresslaw").joinpath("data/fixtures.json").read_text("utf-8")
     return registry_from_json(text)
 
@@ -421,6 +421,7 @@ def candidates_from_registry(
     Runtime laws are paired by model id (first matching entry in registry
     order).
     """
+    from .planner import CandidateModel
     runtime_by_model: dict[str, RuntimeLaw] = {}
     for entry in registry:
         if isinstance(entry.law, RuntimeLaw) and entry.model_id not in runtime_by_model:

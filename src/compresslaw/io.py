@@ -45,12 +45,11 @@ import numpy as np
 
 from . import documents
 from .documents import *  # noqa: F403  (SCHEMA_VERSION, law_to_dict, ...: documents.__all__, re-exported)
-from .documents import _check_fields, _decode_num, _dump_document, _open_for_read, _open_for_write, _parse_document
-from .documents import _stats_from_dict, _stats_to_dict
+from .documents import _NON_FINITE, _check_fields, _decode_num, _dump_document, _open_for_read, _open_for_write
+from .documents import _parse_document, _stats_from_dict, _stats_to_dict
 from .errors import DataFormatError, DomainError
 from .laws import CompressionLaw, DesignForm, ExperimentRecord, FitStatistics, MetricKind, RuntimeLaw, _checked_exp
 from .regression import RecordBatch, _Columns, _fit, _map_distinct, _read_only
-from .synth import _grid_axes, _grid_log_prediction
 
 __all__ = [
     *documents.__all__,
@@ -380,11 +379,11 @@ def report_to_json(report: FitReport) -> str:
         return text
     # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
     # document, are spliced in one per line as indent=2 lays them out.
-    values = np.array(report.residuals, dtype=float)
-    fields = _format_floats(values)
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        fields[i] = json.dumps(fields[i])
-    return text[: -len("[]\n}\n")] + "[\n    " + ",\n    ".join(fields) + "\n  ]\n}\n"
+    sep = ",\n    "
+    body = sep.join(map(repr, map(float, report.residuals)))
+    if "n" in body:  # only inf, -inf and nan have an "n" in their repr; they are written as JSON strings
+        body = sep.join(json.dumps(field) if field in _NON_FINITE else field for field in body.split(sep))
+    return text[: -len("[]\n}\n")] + "[\n    " + body + "\n  ]\n}\n"
 
 
 def report_from_json(text: str) -> FitReport:
@@ -444,6 +443,7 @@ def emit_frontier_grid(
     The points are a read-only sequence over float64 columns, not a list: indexing and iteration build
     :class:`FrontierPoint` values on demand, and it equals a list of the same points.
     """
+    from .synth import _grid_axes, _grid_log_prediction
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier grids need a compression law")
     l0, r, d, _, log_predicted = _grid_log_prediction(law, _grid_axes(l0_list, r_grid, d_grid))

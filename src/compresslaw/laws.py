@@ -58,6 +58,12 @@ __all__ = [
     "check_feasibility",
 ]
 
+# Kept here so that cli prints them without loading documents or planner, which re-export them: the version of
+# every document compresslaw writes, and the largest compression ratio the underlying experiments explored (the
+# planner's default cap).
+SCHEMA_VERSION = "compresslaw/v1"
+OBSERVED_RATIO_MAX = 0.9
+
 
 class MetricKind(enum.Enum):
     """What a performance number means, and therefore which sign pattern is feasible."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
+    OBSERVED_RATIO_MAX,
     CompressionLaw,
     MetricKind,
     RuntimeLaw,
@@ -39,8 +40,6 @@ __all__ = [
     "plan",
     "predict_speedup",
 ]
-
-OBSERVED_RATIO_MAX = 0.9
 
 
 @dataclass(frozen=True)

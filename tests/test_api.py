@@ -58,7 +58,7 @@ def test_every_exported_name_resolves(module):
 
 
 def test_moved_names_are_the_same_objects():
-    from compresslaw import documents, io, laws, regression
+    from compresslaw import documents, io, laws, planner, regression
 
     for name in ("DesignForm", "ExperimentRecord", "FitStatistics", "FeasibilityWarning"):
         assert getattr(regression, name) is getattr(laws, name)
@@ -66,6 +66,8 @@ def test_moved_names_are_the_same_objects():
     assert set(documents.__all__) <= set(io.__all__)
     for name in documents.__all__:
         assert getattr(io, name) is getattr(documents, name)
+    assert documents.SCHEMA_VERSION is laws.SCHEMA_VERSION
+    assert planner.OBSERVED_RATIO_MAX is laws.OBSERVED_RATIO_MAX
 
 
 def _python(*args):
@@ -85,8 +87,14 @@ def test_importing_the_package_loads_no_numpy():
 LAZY = {
     "documents": "compresslaw.documents",
     "io": "compresslaw.io",
+    "planner": "compresslaw.planner",
+    "recovery": "compresslaw.recovery",
     "regression": "compresslaw.regression",
     "synth": "compresslaw.synth",
+    **dict.fromkeys(("CandidateModel", "PlanEntry", "PlanRequest", "PlanResult", "SkippedCandidate", "plan",
+                     "predict_speedup", "required_ratio"), "compresslaw.planner"),
+    **dict.fromkeys(("RecoveryAnalysis", "RecoveryQuery", "Regime", "analyze", "classify_regime", "critical_ratio",
+                     "min_rft_size", "recoverable", "recovery_margin"), "compresslaw.recovery"),
     "build_design": "compresslaw.regression",
     "fit_law": "compresslaw.regression",
     "ols_fit": "compresslaw.regression",
@@ -99,9 +107,10 @@ import json, sys
 import compresslaw
 
 lazy = json.loads(sys.argv[1])
-# documents comes with cli, which the package imports eagerly; the numpy-backed names wait for their first access.
+# Only cli, errors and laws load with the package; every lazy name and module waits for its first access.
 assert "numpy" not in sys.modules
-assert [name for name in lazy if name in vars(compresslaw)] == ["documents"]
+assert [name for name in lazy if name in vars(compresslaw)] == []
+assert {module for module in lazy.values() if module in sys.modules} == set()
 for name, module in lazy.items():
     value = getattr(compresslaw, name)
     module = sys.modules[module]

@@ -427,28 +427,62 @@ LIGHT = {
 }
 
 
+def _run_importtime(argv, tmp_path):
+    """``python -X importtime -m compresslaw.cli *argv`` on input files made in ``tmp_path``; returns the
+    finished process, the names of the modules it imported, in order, and ``argv`` with the paths filled in."""
+    paths = {name: tmp_path / f"{name}.{ext}"
+             for name, ext in (("law", "json"), ("runtime", "json"), ("registry", "json"), ("records", "csv"))}
+    paths["law"].write_text(json.dumps(LAW))
+    save_law(RuntimeLaw(c=100.0, beta=-0.67), paths["runtime"])
+    paths["registry"].write_text(json.dumps(REGISTRY))
+    config = SyntheticConfig(LLAMA8B, (0.5, 0.6, 0.7), (0.1, 0.3, 0.5), (0.0, 10.0, 1e2, 1e3, 1e4), 0.01, 5)
+    write_records(generate(config), paths["records"])
+    argv = [arg.format(**paths) for arg in argv]
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "compresslaw.cli", *argv],
+                          env=_cli_env(), capture_output=True, timeout=60)
+    lines = done.stderr.decode().splitlines()
+    imports = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
+    return done, imports[1:], argv  # the first line is the column header
+
+
 @pytest.mark.parametrize("command", sorted(LIGHT))
 def test_light_commands_start_without_numpy(command, tmp_path):
     """The commands that are scalar math over laws, run as ``python -m compresslaw.cli``, import no numpy and
     print what ``run`` prints in process.  Their stderr holds only the import times and runpy's warning that the
     package imported ``compresslaw.cli`` before running it as ``__main__``."""
-    paths = {"law": tmp_path / "law.json", "runtime": tmp_path / "runtime.json", "registry": tmp_path / "registry.json"}
-    paths["law"].write_text(json.dumps(LAW))
-    save_law(RuntimeLaw(c=100.0, beta=-0.67), paths["runtime"])
-    paths["registry"].write_text(json.dumps(REGISTRY))
-    argv = [arg.format(**paths) for arg in LIGHT[command]]
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "compresslaw.cli", *argv],
-                          env=_cli_env(), capture_output=True, timeout=60)
+    done, imports, argv = _run_importtime(LIGHT[command], tmp_path)
     stderr = done.stderr.decode()
     assert done.returncode == 0, stderr
-    imports = [line for line in stderr.splitlines() if line.startswith("import time:")]
-    assert any(line.endswith("compresslaw.laws") for line in imports)
-    assert [line for line in imports if "numpy" in line] == []
+    assert "compresslaw.laws" in imports
+    assert [name for name in imports if "numpy" in name] == []
     others = [line for line in stderr.splitlines() if not line.startswith("import time:")]
     assert len(others) == 1 and "RuntimeWarning: 'compresslaw.cli' found in sys.modules" in others[0], others
     code, out = _run_captured(argv)
     assert code == 0
     assert done.stdout == out.encode()
+
+
+# The compresslaw submodules each command loads: the package's eager ones and those its handler calls.
+EAGER = {"cli", "errors", "laws"}
+COMMAND_MODULES = {
+    "critical": EAGER | {"recovery"},
+    "predict": EAGER | {"documents"},
+    "predict-runtime": EAGER | {"documents"},
+    "min-rft": EAGER | {"documents", "recovery"},
+    "plan": EAGER | {"documents", "planner"},
+    "fit": EAGER | {"documents", "io", "regression"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    argv = LIGHT.get(command, ["fit", "--input", "{records}"])
+    done, imports, _ = _run_importtime(argv, tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    loaded = {name.split(".", 1)[1] for name in imports if name.startswith("compresslaw.")}
+    assert loaded == COMMAND_MODULES[command]
+    if command == "fit":
+        assert len(json.loads(done.stdout)["residuals"]) == 45
 
 
 def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
