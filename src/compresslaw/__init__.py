@@ -61,52 +61,5 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "cli",
-    "errors",
-    "io",
-    "laws",
-    "planner",
-    "recovery",
-    "regression",
-    "synth",
-    "CompressLawError",
-    "DataFormatError",
-    "DomainError",
-    "InfeasibleBudgetError",
-    "RegimeError",
-    "SingularDesignError",
-    "CompressionLaw",
-    "MetricKind",
-    "RuntimeLaw",
-    "SignViolation",
-    "check_feasibility",
-    "evaluate",
-    "evaluate_runtime",
-    "CandidateModel",
-    "PlanEntry",
-    "PlanRequest",
-    "PlanResult",
-    "SkippedCandidate",
-    "plan",
-    "predict_speedup",
-    "required_ratio",
-    "RecoveryAnalysis",
-    "RecoveryQuery",
-    "Regime",
-    "analyze",
-    "classify_regime",
-    "critical_ratio",
-    "min_rft_size",
-    "recoverable",
-    "recovery_margin",
-    "DesignForm",
-    "ExperimentRecord",
-    "FeasibilityWarning",
-    "FitStatistics",
-    "build_design",
-    "fit_law",
-    "ols_fit",
-    "SyntheticConfig",
-    "generate",
-]
+# Every public name bound above, then every lazy one but the documents module, which is served but not exported.
+__all__ = [name for name in dir() if not name.startswith("_")] + [name for name in _LAZY if name != "documents"]

@@ -47,10 +47,10 @@ def _print_json(kind: str, fields: dict) -> None:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    from . import io as lawio
+    from . import documents, io as lawio
     records = lawio.read_records(_input(args.input), strict=not args.lenient)
     report = lawio.build_fit_report(records, epsilon=args.epsilon, form=DesignForm(args.form))
-    sys.stdout.write(lawio.report_to_json(report))
+    sys.stdout.write(documents.report_to_json(report))
     return 0
 
 
@@ -143,12 +143,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    from . import io as lawio
+    from . import documents, io as lawio
     from .synth import SyntheticConfig, generate
-    truth = lawio.load_law(_input(args.truth))
+    truth = documents.load_law(_input(args.truth))
     if not isinstance(truth, CompressionLaw):
         raise DomainError("synth needs a compression law as the truth")
-    grid = lawio.load_grid(_input(args.grid))
+    grid = documents.load_grid(_input(args.grid))
     records = generate(SyntheticConfig(truth=truth, noise_std=args.noise_std, seed=args.seed, **grid))
     lawio.write_records(records, _output(args.out))
     if args.out != "-":
@@ -157,8 +157,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    from . import io as lawio
-    law = lawio.load_law(_input(args.law))
+    from . import documents, io as lawio
+    law = documents.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier needs a compression law")
     points = lawio.emit_frontier_grid(
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("predict", help="evaluate a stored law at one point")
-    p.add_argument("--law", required=True, help="law JSON path, or - for stdin")
+    p.add_argument("--law", required=True, help="law or fit-report JSON path, or - for stdin")
     p.add_argument("--l0", type=float, default=None, help="base-model performance (compression laws)")
     p.add_argument("--r", type=float, required=True, help="compression ratio in [0, 1)")
     p.add_argument("--d", type=float, default=None, help="RFT dataset size (default 0)")
@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_critical)
 
     p = sub.add_parser("min-rft", help="minimum RFT dataset size meeting a recovery threshold")
-    p.add_argument("--law", required=True, help="compression-law JSON path, or - for stdin")
+    p.add_argument("--law", required=True, help="compression-law or fit-report JSON path, or - for stdin")
     p.add_argument("--sigma", type=float, required=True, help="recovery threshold")
     p.add_argument("--r", type=float, required=True, help="compression ratio in [0, 1)")
     p.set_defaults(handler=_cmd_min_rft)
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_plan)
 
     p = sub.add_parser("synth", help="generate synthetic records from a truth law")
-    p.add_argument("--truth", required=True, help="truth law JSON path, or - for stdin")
+    p.add_argument("--truth", required=True, help="truth law or fit-report JSON path, or - for stdin")
     p.add_argument("--grid", required=True, help="grid JSON path ({l0_values, r_values, d_values})")
     p.add_argument("--noise-std", type=float, default=0.0, help="log-space Gaussian noise std (default 0)")
     p.add_argument("--seed", type=int, required=True, help="PRNG seed (required for reproducibility)")
@@ -226,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("frontier", help="tabulate predictions over an (l0, r, d) grid")
-    p.add_argument("--law", required=True, help="compression-law JSON path, or - for stdin")
+    p.add_argument("--law", required=True, help="compression-law or fit-report JSON path, or - for stdin")
     p.add_argument("--l0-list", required=True, help="comma-separated base performances")
     p.add_argument("--r-grid", required=True, help="comma-separated compression ratios")
     p.add_argument("--d-grid", required=True, help="comma-separated RFT sizes")

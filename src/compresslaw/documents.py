@@ -1,7 +1,11 @@
-"""The ``compresslaw/v1`` JSON documents: laws, law registries and ``synth`` grids.
+"""The ``compresslaw/v1`` JSON documents: laws, fit reports, law registries and ``synth`` grids.
 
 * law JSON: a single compression or runtime law, optionally with fit stats
   (``n`` and ``p`` are JSON integers).
+* fit-report JSON (``fit`` output): law + stats + feasibility warnings +
+  per-record log-residuals; serialization is byte-stable for identical
+  inputs, and the law's copy of the stats equals the report's.
+  :func:`load_law` reads a report as its law, checking the whole report.
 * law-registry JSON: laws keyed by (model_id, metric, method_tag) with a
   free-text provenance note each.
 * grid JSON (``synth`` input, not versioned): lists of numbers ``l0_values``,
@@ -35,6 +39,7 @@ if TYPE_CHECKING:
 __all__ = [
     "SCHEMA_VERSION",
     "law_to_dict", "law_from_dict", "save_law", "load_law",
+    "FitReport", "report_to_json", "report_from_json",
     "RegistryEntry", "LawRegistry", "registry_to_json", "registry_from_json", "load_registry", "builtin_registry",
     "load_grid",
     "candidates_from_registry",
@@ -230,7 +235,76 @@ def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
 
 
 def load_law(source) -> CompressionLaw | RuntimeLaw:
-    return law_from_dict(_parse_document(_read_text(source), "law document"))
+    """The law of a law document or of a fit report, checked whole as :func:`report_from_json` checks it."""
+    doc = _parse_document(_read_text(source), "law document")
+    if doc.get("kind") == "fit_report":
+        del doc["kind"]
+        return _report_from_dict(doc).law
+    return law_from_dict(doc)
+
+
+# ---------------------------------------------------------------------------
+# fit reports
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FitReport:
+    """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
+
+    law: CompressionLaw | RuntimeLaw
+    stats: FitStatistics
+    warnings: tuple[str, ...]
+    residuals: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # Compared as written, so that two "nan" statistics agree.
+        if self.law.stats is None or _stats_to_dict(self.law.stats) != _stats_to_dict(self.stats):
+            raise DomainError("the law's statistics disagree with the report's")
+        if len(self.residuals) != self.stats.n:
+            raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
+
+
+def report_to_json(report: FitReport) -> str:
+    """Serialize a report; output is byte-stable for identical inputs."""
+    text = _dump_document(
+        {
+            "kind": "fit_report",
+            "law": law_to_dict(report.law),
+            "stats": _stats_to_dict(report.stats),
+            "warnings": list(report.warnings),
+            "residuals": [],
+        }
+    )
+    if not report.residuals:
+        return text
+    # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
+    # document, are spliced in one per line as indent=2 lays them out.
+    sep = ",\n    "
+    body = sep.join(map(repr, map(float, report.residuals)))
+    if "n" in body:  # only inf, -inf and nan have an "n" in their repr; they are written as JSON strings
+        body = sep.join(json.dumps(field) if field in _NON_FINITE else field for field in body.split(sep))
+    return text[: -len("[]\n}\n")] + "[\n    " + body + "\n  ]\n}\n"
+
+
+def report_from_json(text: str) -> FitReport:
+    return _report_from_dict(_parse_document(text, "fit report", "fit_report"))
+
+
+def _report_from_dict(doc: dict) -> FitReport:
+    """The report of a fit-report document without its ``schema_version`` and ``kind``."""
+    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report")
+    law = law_from_dict(doc["law"], "fit report.law")
+    stats = _stats_from_dict(doc["stats"], "fit report.stats")
+    if not isinstance(doc["warnings"], list) or not all(isinstance(w, str) for w in doc["warnings"]):
+        raise DataFormatError("fit report: warnings must be a list of strings")
+    if not isinstance(doc["residuals"], list):
+        raise DataFormatError("fit report: residuals must be a list")
+    residuals = tuple(_decode_num(v, "fit report.residuals") for v in doc["residuals"])
+    try:
+        return FitReport(law=law, stats=stats, warnings=tuple(doc["warnings"]), residuals=residuals)
+    except DomainError as exc:
+        raise DataFormatError(f"fit report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

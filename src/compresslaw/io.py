@@ -1,16 +1,13 @@
 """The numpy-backed tables: experiment CSV, fit reports and frontier tables.
 
-The ``compresslaw/v1`` JSON codec for laws, registries and grids is
+The ``compresslaw/v1`` JSON codec, the fit report's included, is
 :mod:`compresslaw.documents`, which imports no numpy.  This module re-exports
-its public names as the same objects and reads and writes the fit report with it.
+its public names as the same objects and builds the fit report it writes.
 
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
   no unit suffixes).  It is read into, and written from, a
   :class:`~compresslaw.regression.RecordBatch`.
-* fit-report JSON: law + stats + feasibility warnings + per-record
-  log-residuals; serialization is byte-stable for identical inputs, and the
-  law's copy of the stats equals the report's.
 * frontier table (CSV or JSON): one row ``l0, r, d, predicted`` per grid
   point.  :func:`emit_frontier_grid` returns the points as a read-only
   sequence of :class:`FrontierPoint` over float64 columns, not a ``list``.
@@ -18,11 +15,13 @@ its public names as the same objects and reads and writes the fit report with it
 Bulk input is read into columns: a block of plain lines (no quote, NUL or
 stray line-end character, the header's number of fields) is cut with
 ``str.split`` into the fields ``csv.reader`` would return, and from the first
-block that is not plain ``csv.reader`` reads the rest.  Each distinct number
-text of a block is parsed once.  Bulk output is written from columns: each
-distinct float of a column is formatted once, and rows are joined strings,
-byte for byte what ``csv.writer`` (``\r\n`` line ends) and ``json.dumps``
-write for the same rows.
+block that is not plain ``csv.reader`` reads the rest.  Bulk output is
+written from columns, and rows are joined strings, byte for byte what
+``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write for the same
+rows.  Both ways, a long column of grid inputs ``l0``, ``r`` or ``d`` is
+parsed or formatted once per distinct value, and the observed ``l`` and the
+``predicted`` values one by one.  "Long" is the one floor
+:data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
 Every reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
 else, on any malformed input.
 """
@@ -37,18 +36,16 @@ import operator
 import reprlib
 import sys
 import warnings
-from dataclasses import dataclass
 from io import StringIO
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import documents
-from .documents import *  # noqa: F403  (SCHEMA_VERSION, law_to_dict, ...: documents.__all__, re-exported)
-from .documents import _NON_FINITE, _check_fields, _decode_num, _dump_document, _open_for_read, _open_for_write
-from .documents import _parse_document, _stats_from_dict, _stats_to_dict
+from . import documents, regression
+from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport and SCHEMA_VERSION are used here)
+from .documents import _open_for_read, _open_for_write
 from .errors import DataFormatError, DomainError
-from .laws import CompressionLaw, DesignForm, ExperimentRecord, FitStatistics, MetricKind, RuntimeLaw, _checked_exp
+from .laws import CompressionLaw, DesignForm, ExperimentRecord, MetricKind, _checked_exp
 from .regression import RecordBatch, _Columns, _fit, _map_distinct, _read_only
 
 __all__ = [
@@ -57,10 +54,7 @@ __all__ = [
     "SkippedRowWarning",
     "read_records",
     "write_records",
-    "FitReport",
     "build_fit_report",
-    "report_to_json",
-    "report_from_json",
     "FrontierPoint",
     "emit_frontier_grid",
     "write_frontier",
@@ -113,6 +107,14 @@ _BLOCK_CHARS = 1 << 16
 _METRICS = {kind.value: kind for kind in MetricKind}
 
 
+def _parse_floats(texts: Sequence) -> np.ndarray:
+    """``float`` of every text, NaN where it is not a number."""
+    try:
+        return np.array(list(map(float, texts)), float)
+    except (TypeError, ValueError):
+        return np.array(list(map(_float_or_nan, texts)), float)
+
+
 def _float_or_nan(text) -> float:
     try:
         return float(text)
@@ -120,16 +122,12 @@ def _float_or_nan(text) -> float:
         return math.nan
 
 
-def _float_column(texts: Sequence) -> np.ndarray:
-    """``float`` of every text, NaN where it is not a number; called once per distinct text unless most
-    texts are distinct."""
-    distinct = dict.fromkeys(texts)
-    if 2 * len(distinct) > len(texts):
-        try:
-            return np.array(list(map(float, texts)))
-        except (TypeError, ValueError):
-            return np.array(list(map(_float_or_nan, texts)))
-    values = dict(zip(distinct, map(_float_or_nan, distinct)))
+def _parse_grid_column(texts: Sequence) -> np.ndarray:
+    """:func:`_parse_floats` of a grid column, whose values repeat: once per distinct text if it is long."""
+    if len(texts) < regression._DISTINCT_MIN_ROWS:
+        return _parse_floats(texts)
+    distinct = list(dict.fromkeys(texts))
+    values = dict(zip(distinct, _parse_floats(distinct).tolist()))
     return np.fromiter(map(values.__getitem__, texts), float, len(texts))
 
 
@@ -138,9 +136,10 @@ def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) 
     ``RECORD_COLUMNS``, one sequence per column, of rows numbered from ``first_row``.  A vectorized mask picks
     the suspects (``short``, an unknown metric, a value not a number or out of domain); :func:`_parse_record`
     decides on them and words the error."""
-    model_id, raw_metric, *texts = columns
+    model_id, raw_metric, *grid, observed = columns
     metric = list(map(_METRICS.get, raw_metric))
-    l0, r, d, l = map(_float_column, texts)
+    l0, r, d = map(_parse_grid_column, grid)
+    l = _parse_floats(observed)
     valid = (0.0 < l0) & (l0 < math.inf) & (0.0 <= r) & (r < 1.0) & (0.0 <= d) & (d < math.inf)
     valid &= (0.0 < l) & (l < math.inf)
     if None in metric:  # an unknown metric; the membership test is cheap, an object array per chunk is not
@@ -236,8 +235,9 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     the header's number of fields, none over the csv field limit) is split
     with ``str.split``; from the first block that is not, ``csv.reader``
     reads the rest, ``_CHUNK_ROWS`` rows at a time.  Either way the fields
-    are those ``csv.reader`` returns.  Each distinct number text of a block
-    is parsed once.
+    are those ``csv.reader`` returns.  In a block of at least
+    ``_DISTINCT_MIN_ROWS`` rows, each distinct text of ``l0``, ``r`` and
+    ``d`` is parsed once; ``l`` is parsed row by row.
     """
     with _open_for_read(source) as fh:
         try:
@@ -283,26 +283,24 @@ def _quote(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _format_floats(column: np.ndarray) -> list[str]:
-    """``repr`` of every value of a float64 column, once per distinct value of a long column."""
-    return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
-
-
 def _format_column(column) -> list[str]:
-    """The fields of a float64 array (its values' ``repr``) or of a sequence of text (quoted for CSV)."""
+    """The fields of a float64 array of grid inputs (its values' ``repr``, once per distinct value of a long
+    array) or of a sequence of text (quoted for CSV)."""
     if isinstance(column, np.ndarray):
-        return _format_floats(column)
+        return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
     fields = {text: _quote(text) for text in set(column)}
     return list(map(fields.__getitem__, column))
 
 
 def _text_chunks(columns: Sequence, layout: Sequence[str]) -> Iterator[str]:
     """The rows of ``columns`` as text, ``_CHUNK_ROWS`` rows per chunk.  A row is ``layout[0]``, its field of
-    the first column, ``layout[1]``, ..., its field of the last column, ``layout[-1]``."""
+    the first column, ``layout[1]``, ..., its field of the last column, ``layout[-1]``.  The last column is a
+    float64 array of observed or predicted values, all but always distinct, so each is formatted on its own."""
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
+        *leading, values = (column[start : start + _CHUNK_ROWS] for column in columns)
         parts = [itertools.repeat(layout[0])]
-        for column, literal in zip(columns, layout[1:]):
-            parts += (_format_column(column[start : start + _CHUNK_ROWS]), itertools.repeat(literal))
+        for fields, literal in zip([*map(_format_column, leading), list(map(repr, values.tolist()))], layout[1:]):
+            parts += (fields, itertools.repeat(literal))
         yield "".join(map("".join, zip(*parts)))
 
 
@@ -328,23 +326,6 @@ def write_records(records: Iterable[ExperimentRecord], dest) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitReport:
-    """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
-
-    law: CompressionLaw | RuntimeLaw
-    stats: FitStatistics
-    warnings: tuple[str, ...]
-    residuals: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        # Compared as written, so that two "nan" statistics agree.
-        if self.law.stats is None or _stats_to_dict(self.law.stats) != _stats_to_dict(self.stats):
-            raise DomainError("the law's statistics disagree with the report's")
-        if len(self.residuals) != self.stats.n:
-            raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
-
-
 def build_fit_report(
     records: Sequence[ExperimentRecord],
     epsilon: float = 1.0,
@@ -362,44 +343,6 @@ def build_fit_report(
         warnings=tuple(str(v) for v in violations),
         residuals=tuple(residuals.tolist()),
     )
-
-
-def report_to_json(report: FitReport) -> str:
-    """Serialize a report; output is byte-stable for identical inputs."""
-    text = _dump_document(
-        {
-            "kind": "fit_report",
-            "law": law_to_dict(report.law),
-            "stats": _stats_to_dict(report.stats),
-            "warnings": list(report.warnings),
-            "residuals": [],
-        }
-    )
-    if not report.residuals:
-        return text
-    # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
-    # document, are spliced in one per line as indent=2 lays them out.
-    sep = ",\n    "
-    body = sep.join(map(repr, map(float, report.residuals)))
-    if "n" in body:  # only inf, -inf and nan have an "n" in their repr; they are written as JSON strings
-        body = sep.join(json.dumps(field) if field in _NON_FINITE else field for field in body.split(sep))
-    return text[: -len("[]\n}\n")] + "[\n    " + body + "\n  ]\n}\n"
-
-
-def report_from_json(text: str) -> FitReport:
-    doc = _parse_document(text, "fit report", "fit_report")
-    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report")
-    law = law_from_dict(doc["law"], "fit report.law")
-    stats = _stats_from_dict(doc["stats"], "fit report.stats")
-    if not isinstance(doc["warnings"], list) or not all(isinstance(w, str) for w in doc["warnings"]):
-        raise DataFormatError("fit report: warnings must be a list of strings")
-    if not isinstance(doc["residuals"], list):
-        raise DataFormatError("fit report: residuals must be a list")
-    residuals = tuple(_decode_num(v, "fit report.residuals") for v in doc["residuals"])
-    try:
-        return FitReport(law=law, stats=stats, warnings=tuple(doc["warnings"]), residuals=residuals)
-    except DomainError as exc:
-        raise DataFormatError(f"fit report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ each domain condition and its message are written.
 
 The numpy-free value types that fits and documents exchange live here too:
 :class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
-:class:`FeasibilityWarning`.  :mod:`compresslaw.regression` re-exports them,
-so the commands that only evaluate laws never import numpy.
+:class:`FeasibilityWarning`.  This is their one home, so the commands that
+only evaluate laws never import numpy.
 
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means

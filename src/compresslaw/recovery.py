@@ -165,7 +165,10 @@ def recovery_margin(beta: float, gamma: float, sigma: float, r: float) -> float:
     Recovery at ratio ``r`` requires ``1/(d + epsilon) <= phi(r)``; a
     nonpositive margin means no dataset size works.
     """
-    return math.expm1((math.log(sigma) - beta * math.log1p(r)) / gamma)
+    try:
+        return math.expm1((math.log(sigma) - beta * math.log1p(r)) / gamma)
+    except OverflowError:  # gamma near zero, and sigma is met without RFT: every d recovers
+        return math.inf
 
 
 def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:

@@ -17,8 +17,8 @@ for the runtime form.  A bare :func:`ols_fit` call without a form has no
 intercept.
 
 Bulk paths pass records as a :class:`RecordBatch` of columns; :func:`build_design`
-turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over it,
-once per distinct value of each long column.
+turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over its
+grid columns ``l0``, ``r`` and ``d``, once per distinct value of a column of at least ``_DISTINCT_MIN_ROWS``.
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ from .laws import (
     require_positive,
 )
 
-# The first four names are laws' numpy-free value types, re-exported as the same objects.
 __all__ = [
-    "ExperimentRecord",
-    "FitStatistics",
-    "DesignForm",
-    "FeasibilityWarning",
     "FITTED_SIGN_EXPONENTS",
     "build_design",
     "ols_fit",
@@ -113,26 +108,21 @@ def _read_only(values) -> np.ndarray:
     return column
 
 
-# Shorter columns are mapped value by value: finding their distinct values would cost more than it saves.
-_DISTINCT_MIN_ROWS = 1024
+# The one dedup floor, shared with the CSV reader and writers: shorter columns are mapped value by value.  Over
+# repeated values, np.unique or a dict of texts pays from ~128 rows; a 64k-character CSV block holds ~750 rows.
+_DISTINCT_MIN_ROWS = 256
 
 
 def _map_distinct(transform, *columns: np.ndarray, dtype=object) -> list[np.ndarray]:
     """``transform(*(column.tolist() for column in columns))`` for float64 ``columns`` of one length, each
     list it returns as an array of ``dtype``.  Entry ``i`` of each list depends on entry ``i`` of its column
-    alone, so ``transform`` is given each long, mostly repeated column as its distinct bit patterns (``-0.0``
-    apart from ``0.0``), and the results are gathered back to the column's length."""
+    alone, so if the columns have at least ``_DISTINCT_MIN_ROWS`` values, ``transform`` is given each as its
+    distinct bit patterns (``-0.0`` apart from ``0.0``), and the results are gathered back to its length."""
     if len(columns[0]) < _DISTINCT_MIN_ROWS:
         return [np.array(result, dtype) for result in transform(*map(np.ndarray.tolist, columns))]
-    values, gathers = [], []
-    for column in columns:
-        gather = slice(None)
-        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        if 2 * len(bits) <= len(column):
-            column, gather = bits.view(np.float64), inverse
-        values.append(column.tolist())
-        gathers.append(gather)
-    return [np.array(result, dtype)[gather] for result, gather in zip(transform(*values), gathers)]
+    distinct = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
+    results = transform(*(bits.view(np.float64).tolist() for bits, _ in distinct))
+    return [np.array(result, dtype)[inverse] for result, (_, inverse) in zip(results, distinct)]
 
 
 class RecordBatch(_Columns):

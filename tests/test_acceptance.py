@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from compresslaw.cli import run
+from compresslaw.documents import save_law
 from compresslaw.io import (
     builtin_registry,
     read_records,
@@ -260,3 +261,45 @@ def test_criterion_7_io_round_trips_and_fixture_registry(tmp_path):
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed("7", f"CSV/JSON round trips exact; {len(registry)} fixture laws feasible; {elapsed:.2f} s")
+
+
+def test_criterion_8_abstract_headline_claims_via_cli(tmp_path, capsys):
+    """The abstract's headline claims, derived through the CLI from the bundled Table 1 calibration-free laws: RFT
+    improves test loss by up to 55%, and loss rises quadratically while accuracy falls linearly with the ratio."""
+    start = time.perf_counter()
+    table1 = {entry.metric: entry.law for entry in builtin_registry()
+              if entry.provenance.startswith("table1:") and entry.method_tag == "calibration-free"}
+    assert set(table1) == {MetricKind.LOSS, MetricKind.ACCURACY}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"l0_values": [0.5, 2.0, 4.0], "r_values": [0.1, 0.5, 0.9], "d_values": [0, 10, 1000]}))
+
+    def cli(*argv):
+        assert run([str(arg) for arg in argv]) == 0
+        return capsys.readouterr().out
+
+    betas = {}
+    for metric, law in table1.items():
+        # noiseless synth -> fit; every prediction below reads the law from the fit report
+        law_path, records, report = (tmp_path / f"{metric.value}{ext}" for ext in (".json", ".csv", "-report.json"))
+        save_law(law, law_path)
+        cli("synth", "--truth", law_path, "--grid", grid, "--seed", 0, "--out", records)
+        report.write_text(cli("fit", "--input", records))
+
+        def predict(r, d):
+            return json.loads(cli("predict", "--law", report, "--l0", 2.0, "--r", r, "--d", d))["prediction"]
+
+        # at any d, L(r) / L(0) = (1 + r)^beta
+        betas[metric] = math.log(predict(0.5, 0.0) / predict(0.0, 0.0)) / math.log(1.5)
+        if metric is MetricKind.LOSS:
+            # the RFT factor (1 + 1/(d + 1))^gamma falls from 2^gamma at d = 0 to 1 as d grows
+            improvement = 1.0 - predict(0.5, 1e15) / predict(0.5, 0.0)
+    elapsed = time.perf_counter() - start
+
+    assert improvement == pytest.approx(1.0 - 2.0**-1.16, abs=1e-8)
+    assert round(improvement, 2) == 0.55  # 1 - 2^-1.16 = 0.5525: "up to 55%"
+    assert betas[MetricKind.LOSS] == pytest.approx(1.72, abs=1e-8) and round(betas[MetricKind.LOSS]) == 2
+    assert betas[MetricKind.ACCURACY] == pytest.approx(-1.03, abs=1e-8) and round(betas[MetricKind.ACCURACY]) == -1
+    assert elapsed < 5.0
+    with capsys.disabled():
+        _passed("8", f"RFT loss improvement {improvement:.4f}; beta_loss={betas[MetricKind.LOSS]:.2f} (quadratic), "
+                     f"beta_acc={betas[MetricKind.ACCURACY]:.2f} (linear); {elapsed:.2f} s")

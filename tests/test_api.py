@@ -57,12 +57,35 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+# The package's star-export list: written once in the package, so pinned here.
+PACKAGE_EXPORTS = {
+    "cli", "errors", "io", "laws", "planner", "recovery", "regression", "synth",
+    "CompressLawError", "DataFormatError", "DomainError", "InfeasibleBudgetError", "RegimeError",
+    "SingularDesignError",
+    "CompressionLaw", "DesignForm", "ExperimentRecord", "FeasibilityWarning", "FitStatistics", "MetricKind",
+    "RuntimeLaw", "SignViolation", "check_feasibility", "evaluate", "evaluate_runtime",
+    "CandidateModel", "PlanEntry", "PlanRequest", "PlanResult", "SkippedCandidate", "plan", "predict_speedup",
+    "required_ratio",
+    "RecoveryAnalysis", "RecoveryQuery", "Regime", "analyze", "classify_regime", "critical_ratio", "min_rft_size",
+    "recoverable", "recovery_margin",
+    "build_design", "fit_law", "ols_fit",
+    "SyntheticConfig", "generate",
+}
+
+
+def test_package_exports_exactly_its_names():
+    import compresslaw
+
+    assert len(PACKAGE_EXPORTS) == 47
+    assert set(compresslaw.__all__) == PACKAGE_EXPORTS
+
+
 def test_moved_names_are_the_same_objects():
     from compresslaw import documents, io, laws, planner, regression
 
     for name in ("DesignForm", "ExperimentRecord", "FitStatistics", "FeasibilityWarning"):
         assert getattr(regression, name) is getattr(laws, name)
-        assert name in regression.__all__ and name in laws.__all__
+        assert name not in regression.__all__ and name in laws.__all__
     assert set(documents.__all__) <= set(io.__all__)
     for name in documents.__all__:
         assert getattr(io, name) is getattr(documents, name)

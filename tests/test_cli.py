@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +18,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compresslaw.cli import build_parser, run
+from compresslaw.documents import load_law, report_to_json
+from compresslaw.errors import CompressLawError
 from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law, write_records
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw
+from compresslaw.io import build_fit_report, emit_frontier_grid
+from compresslaw.laws import SCHEMA_VERSION, CompressionLaw, FeasibilityWarning, MetricKind, RuntimeLaw, evaluate
 from compresslaw.io import LawRegistry, RegistryEntry
+from compresslaw.recovery import RecoveryQuery, analyze
+from compresslaw.regression import fit_law
 from compresslaw.synth import SyntheticConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -52,6 +58,15 @@ class TestCritical:
 
 
 class TestPredict:
+    def test_fit_report_predicts_as_its_law(self, tmp_path):
+        outputs = []
+        for name, doc in (("law", LAW), ("report", REPORT)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            outputs.append(_run_captured(["predict", "--law", str(path), "--l0", "0.6", "--r", "0.19", "--d", "10"]))
+        assert outputs[0][0] == 0
+        assert outputs[1] == outputs[0]
+
     def test_identity_law_echoes_l0(self, capsys, tmp_path):
         law_path = tmp_path / "identity.json"
         save_law(CompressionLaw(1.0, 0.0, 0.0, MetricKind.LOSS), law_path)
@@ -152,6 +167,84 @@ class TestSynthFitPipeline:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["law"]["alpha"] == pytest.approx(1.0, abs=1e-10)
+
+
+def _library_doc(kind, fields):
+    """The exit code and stdout document of a command whose ``fields()`` the library computes in process."""
+    try:
+        return 0, {"schema_version": SCHEMA_VERSION, "kind": kind, **fields()}
+    except CompressLawError as exc:
+        return 1, {"error": {"type": type(exc).__name__, "message": str(exc)}}
+
+
+def _cli_doc(argv):
+    code, out = _run_captured([str(arg) for arg in argv])
+    return code, json.loads(out)
+
+
+CHAIN_GRID = {"l0_values": [0.5, 0.7, 2.0], "r_values": [0.1, 0.3, 0.5, 0.8], "d_values": [0.0, 10.0, 1000.0]}
+
+
+class TestFitReportChain:
+    """``synth`` -> ``fit`` -> ``predict`` / ``min-rft`` / ``frontier`` / ``synth`` on the report print, bit for
+    bit, what ``evaluate``, ``analyze``, ``emit_frontier_grid`` and ``generate`` give for
+    ``fit_law(generate(config))``."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(
+        truth=st.sampled_from([e.law for e in builtin_registry() if isinstance(e.law, CompressionLaw)]),
+        noise_std=st.sampled_from([0.0, 0.01, 0.05]),
+        seed=st.integers(0, 2**16),
+        sigma=st.floats(0.05, 0.95),
+        r=st.floats(0.0, 0.9),
+        d=st.sampled_from([0.0, 3.0, 1e4]),
+    )
+    def test_commands_on_a_fit_report_match_the_library(self, truth, noise_std, seed, sigma, r, d):
+        config = SyntheticConfig(truth, *CHAIN_GRID.values(), noise_std=noise_std, seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FeasibilityWarning)
+            law = fit_law(generate(config))
+        if law.metric is MetricKind.LOSS:
+            sigma = 1.0 / sigma  # a loss threshold lies above 1
+        with tempfile.TemporaryDirectory() as directory:
+            truth_path, grid_path, records_path, report_path = (
+                Path(directory) / name for name in ("truth.json", "grid.json", "records.csv", "report.json"))
+            save_law(truth, truth_path)
+            grid_path.write_text(json.dumps(CHAIN_GRID))
+            argv = ["synth", "--truth", truth_path, "--grid", grid_path, "--noise-std", repr(noise_std),
+                    "--seed", seed, "--out", records_path]
+            assert _cli_doc(argv)[0] == 0
+            code, report = _run_captured(["fit", "--input", str(records_path)])
+            assert code == 0
+            report_path.write_text(report)
+            assert load_law(report_path) == law
+
+            predict = _cli_doc(["predict", "--law", report_path, "--l0", "0.6", "--r", repr(r), "--d", repr(d)])
+            assert predict == _library_doc(
+                "prediction", lambda: {"l0": 0.6, "r": r, "d": d, "prediction": evaluate(law, 0.6, r, d)})
+
+            def recovery_fields():
+                result = analyze(RecoveryQuery(law=law, sigma=sigma, r=r))
+                min_d = "unrecoverable" if result.min_d == math.inf else result.min_d
+                return {"metric": law.metric.value, "sigma": sigma, "r": r, "regime": result.regime.value,
+                        "boundary": result.boundary, "r_critical": result.r_critical, "min_rft_size": min_d}
+
+            min_rft = _cli_doc(["min-rft", "--law", report_path, "--sigma", repr(sigma), "--r", repr(r)])
+            assert min_rft == _library_doc("min_rft", recovery_fields)
+
+            axes = ([0.5, 0.7], [0.0, r], [0.0, d])
+            argv = ["frontier", "--law", report_path]
+            for flag, axis in zip(("--l0-list", "--r-grid", "--d-grid"), axes):
+                argv += [flag, ",".join(map(repr, axis))]
+            points = emit_frontier_grid(law, *axes)
+            assert _cli_doc(argv) == (0, {"schema_version": SCHEMA_VERSION, "kind": "frontier",
+                                          "rows": [point._asdict() for point in points]})
+
+            resynth, expected = Path(directory) / "resynth.csv", Path(directory) / "expected.csv"
+            argv = ["synth", "--truth", report_path, "--grid", grid_path, "--seed", seed, "--out", resynth]
+            assert _cli_doc(argv)[0] == 0
+            write_records(generate(SyntheticConfig(law, *CHAIN_GRID.values(), seed=seed)), expected)
+            assert resynth.read_bytes() == expected.read_bytes()
 
 
 class TestPlan:
@@ -309,6 +402,9 @@ REGISTRY = {"schema_version": "compresslaw/v1", "kind": "law_registry", "entries
      "param_count": 7e9, "l0": 0.6,
      "law": {"kind": "compression", "metric": "accuracy", "alpha": 0.64, "beta": -1.34, "gamma": -0.11}},
 ]}
+REPORT = {"schema_version": "compresslaw/v1", "kind": "fit_report",
+          "law": {name: value for name, value in LAW.items() if name != "schema_version"},
+          "stats": STATS, "warnings": [], "residuals": [0.0] * STATS["n"]}
 GRID = {"l0_values": [0.4, 0.7], "r_values": [0.1, 0.5], "d_values": [0, 10], "model_id": "m"}
 CSV_ROWS = [["model_id", "metric", "l0", "r", "d", "l"]] + [
     ["m", "loss", str(l0), str(r), str(d), str(l0 * (1 + r) * (1 + 1 / (d + 1)))]
@@ -381,6 +477,11 @@ MALFORMED = {
     "grid nested value": ("synth", json.dumps(_changed(GRID, ["l0_values"], [[1]]))),
     "grid model_id null": ("synth", json.dumps(_changed(GRID, ["model_id"], None))),
     "csv field over the size limit": ("fit", HUGE_FIELD_CSV),
+    # A fit report is read as its law only if the whole report is valid.
+    "report stats disagree with its law's": ("predict", json.dumps(_changed(REPORT, ["stats", "r_squared"], 0.5))),
+    "report residual count off": ("predict", json.dumps(_changed(REPORT, ["residuals"], [0.0] * 9))),
+    "report unknown field": ("predict", json.dumps(_changed(REPORT, ["note"], ""))),
+    "report residual not a number": ("min-rft", json.dumps(_changed(REPORT, ["residuals", 0], "0.0"))),
 }
 # A number is read only as it is written: a JSON number, or one of the strings "inf", "-inf" and "nan".
 NUMBER_FIELDS = {"predict": (LAW, ["alpha"]), "synth": (GRID, ["d_values", 0]), "plan": (REGISTRY, ["entries", 0, "l0"])}
@@ -422,6 +523,7 @@ LIGHT = {
     "critical": ["critical", "--beta", "-1.18", "--sigma", "0.8", "--metric", "accuracy"],
     "predict": ["predict", "--law", "{law}", "--l0", "0.6", "--r", "0.19", "--d", "10"],
     "predict-runtime": ["predict", "--law", "{runtime}", "--r", "0.5"],
+    "predict-report": ["predict", "--law", "{report}", "--l0", "0.6", "--r", "0.19", "--d", "10"],
     "min-rft": ["min-rft", "--law", "{law}", "--sigma", "0.8", "--r", "0.19"],
     "plan": ["plan", "--registry", "{registry}", "--budget", "1.5e9", "--metric", "accuracy"],
 }
@@ -430,13 +532,14 @@ LIGHT = {
 def _run_importtime(argv, tmp_path):
     """``python -X importtime -m compresslaw.cli *argv`` on input files made in ``tmp_path``; returns the
     finished process, the names of the modules it imported, in order, and ``argv`` with the paths filled in."""
-    paths = {name: tmp_path / f"{name}.{ext}"
-             for name, ext in (("law", "json"), ("runtime", "json"), ("registry", "json"), ("records", "csv"))}
+    paths = {name: tmp_path / f"{name}.{ext}" for name, ext in
+             (("law", "json"), ("runtime", "json"), ("registry", "json"), ("records", "csv"), ("report", "json"))}
     paths["law"].write_text(json.dumps(LAW))
     save_law(RuntimeLaw(c=100.0, beta=-0.67), paths["runtime"])
     paths["registry"].write_text(json.dumps(REGISTRY))
     config = SyntheticConfig(LLAMA8B, (0.5, 0.6, 0.7), (0.1, 0.3, 0.5), (0.0, 10.0, 1e2, 1e3, 1e4), 0.01, 5)
     write_records(generate(config), paths["records"])
+    paths["report"].write_text(report_to_json(build_fit_report(generate(config))))
     argv = [arg.format(**paths) for arg in argv]
     done = subprocess.run([sys.executable, "-X", "importtime", "-m", "compresslaw.cli", *argv],
                           env=_cli_env(), capture_output=True, timeout=60)
@@ -468,6 +571,7 @@ COMMAND_MODULES = {
     "critical": EAGER | {"recovery"},
     "predict": EAGER | {"documents"},
     "predict-runtime": EAGER | {"documents"},
+    "predict-report": EAGER | {"documents"},
     "min-rft": EAGER | {"documents", "recovery"},
     "plan": EAGER | {"documents", "planner"},
     "fit": EAGER | {"documents", "io", "regression"},

@@ -208,6 +208,13 @@ class TestReadRecordsMatchesPerRowReader:
         with mock.patch.object(lawio, "_CHUNK_ROWS", 4), mock.patch.object(lawio, "_BLOCK_CHARS", 64):
             assert_reads_like_oracle(text, stream)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(text=record_csvs())
+    def test_generated_csvs_with_every_grid_column_deduplicated(self, text):
+        # a floor of 1 parses l0, r and d once per distinct text in every block and chunk, bad texts included
+        with mock.patch.object(lawio, "_BLOCK_CHARS", 64), mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
+            assert_reads_like_oracle(text)
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -253,6 +253,17 @@ class TestMarginProperties:
         values = [recovery_margin(1.72, 1.16, 1.5, r) for r in rs]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("metric, beta, gamma, sigma", [
+        (MetricKind.ACCURACY, -1.05, -1.7e-16, 0.5),  # an exact fit of a law whose gamma is 0
+        (MetricKind.LOSS, 1.72, 1e-300, 1.5),
+    ])
+    def test_a_vanishing_gamma_margin_is_infinite_where_no_rft_is_needed(self, metric, beta, gamma, sigma):
+        # The margin overflows the float range: the ratio term alone meets sigma, so every d recovers.
+        law = CompressionLaw(1.0, beta, gamma, metric)
+        assert recovery_margin(beta, gamma, sigma, 0.0) == math.inf
+        assert min_rft_size(RecoveryQuery(law, sigma, 0.0)) == 0.0
+        assert recoverable(law, sigma, 0.0, 0.0)
+
     def test_min_rft_nonincreasing_in_threshold_leniency(self):
         # a smaller accuracy threshold never demands more data
         sigmas = np.linspace(0.75, 0.45, 30)
