@@ -27,11 +27,10 @@ import json
 import math
 import reprlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
-from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw
+from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -237,9 +236,12 @@ def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
 def load_law(source) -> CompressionLaw | RuntimeLaw:
     """The law of a law document or of a fit report, checked whole as :func:`report_from_json` checks it."""
     doc = _parse_document(_read_text(source), "law document")
-    if doc.get("kind") == "fit_report":
+    kind = doc.get("kind")
+    if kind == "fit_report":
         del doc["kind"]
         return _report_from_dict(doc).law
+    if kind not in ("compression", "runtime"):
+        raise DataFormatError(f"law: kind must be 'compression', 'runtime' or 'fit_report', got {reprlib.repr(kind)}")
     return law_from_dict(doc)
 
 
@@ -248,7 +250,7 @@ def load_law(source) -> CompressionLaw | RuntimeLaw:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class FitReport:
     """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
 
@@ -312,7 +314,7 @@ def _report_from_dict(doc: dict) -> FitReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_value_type
 class RegistryEntry:
     """One law in a registry, keyed by (model_id, metric, method_tag).
 

@@ -20,7 +20,11 @@ each domain condition and its message are written.
 The numpy-free value types that fits and documents exchange live here too:
 :class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
 :class:`FeasibilityWarning`.  This is their one home, so the commands that
-only evaluate laws never import numpy.
+only evaluate laws never import numpy.  The private decorator
+``_value_type`` builds every value type of the package: immutable, equal by
+class and fields, hashable, with a ``Name(field=value, ...)`` repr.  It
+stands in for the standard library's frozen classes, whose import of
+``inspect`` costs a light command more than its own work.
 
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means
@@ -34,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
@@ -138,7 +141,45 @@ def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[flo
     return list(map(math.log, l0)), list(map(math.log1p, r)), [_rft(v, epsilon) for v in d]
 
 
-@dataclass(frozen=True)
+def _fields(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._value_fields])
+
+
+def _eq(self, other):
+    return _fields(self) == _fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_fields(self))
+
+
+def _repr(self) -> str:
+    return f"{type(self).__qualname__}({', '.join(map('{}={!r}'.format, self._value_fields, _fields(self)))})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def _value_type(cls):
+    """Make ``cls`` an immutable value type whose fields are the names annotated in its body, in order; a class
+    attribute of a field's name is its default.  The one generated ``__init__`` sets each field, then calls
+    ``__post_init__`` if the class has one.  Equality (of class and fields), hash, repr and the refusal to
+    assign or delete a field are shared by every value type."""
+    cls._value_fields = fields = tuple(cls.__annotations__)
+    defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
+    params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):{body}{post_init}", namespace)
+    cls.__init__ = namespace["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__eq__, cls.__hash__, cls.__repr__, cls.__setattr__, cls.__delattr__ = _eq, _hash, _repr, _frozen, _frozen
+    return cls
+
+
+@_value_type
 class FitStatistics:
     """Goodness-of-fit summary for one least-squares solve.
 
@@ -168,7 +209,7 @@ class FitStatistics:
             raise DomainError("condition_number must be positive")
 
 
-@dataclass(frozen=True)
+@_value_type
 class CompressionLaw:
     """Fitted (or fixture) exponents of the compression power law.
 
@@ -198,7 +239,7 @@ class CompressionLaw:
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class RuntimeLaw:
     """Inference-runtime power law ``runtime = c * (1 + r)**beta``.
 
@@ -215,7 +256,7 @@ class RuntimeLaw:
         require_finite("beta", self.beta)
 
 
-@dataclass(frozen=True)
+@_value_type
 class SignViolation:
     """One exponent whose fitted sign contradicts the metric's feasible pattern."""
 
@@ -236,7 +277,7 @@ class DesignForm(enum.Enum):
     RUNTIME = "runtime"
 
 
-@dataclass(frozen=True)
+@_value_type
 class ExperimentRecord:
     """One measured observation of a compressed model.
 

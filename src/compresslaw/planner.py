@@ -15,19 +15,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
-    OBSERVED_RATIO_MAX,
-    CompressionLaw,
-    MetricKind,
-    RuntimeLaw,
-    evaluate,
-    evaluate_runtime,
-    require_nonnegative,
-    require_positive,
-    require_ratio,
+    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _value_type, evaluate, evaluate_runtime,
+    require_nonnegative, require_positive, require_ratio
 )
 
 __all__ = [
@@ -42,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_value_type
 class CandidateModel:
     """A base model that could be compressed down to the budget."""
 
@@ -59,7 +51,7 @@ class CandidateModel:
             raise DomainError("candidate laws must target loss or accuracy")
 
 
-@dataclass(frozen=True)
+@_value_type
 class PlanRequest:
     """Target budget (post-compression parameter count) and planning knobs."""
 
@@ -75,7 +67,7 @@ class PlanRequest:
             raise DomainError(f"max_ratio must lie in (0, 1], got {self.max_ratio}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class PlanEntry:
     model_id: str
     required_ratio: float
@@ -84,13 +76,13 @@ class PlanEntry:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@_value_type
 class SkippedCandidate:
     model_id: str
     reason: str
 
 
-@dataclass(frozen=True)
+@_value_type
 class PlanResult:
     """Feasible candidates ranked best-first, plus skipped ones with reasons."""
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, RegimeError
 from .laws import (
-    CompressionLaw, MetricKind, check_feasibility, log_features, require_finite, require_nonnegative, require_ratio
+    CompressionLaw, MetricKind, _value_type, check_feasibility, log_features, require_finite, require_nonnegative,
+    require_ratio
 )
 
 __all__ = [
@@ -77,7 +77,7 @@ def _validate_beta(beta: float, metric: MetricKind) -> float:
     return beta
 
 
-@dataclass(frozen=True)
+@_value_type
 class RecoveryQuery:
     """A recovery question: can this law reach threshold ``sigma`` at ratio ``r``?
 
@@ -99,7 +99,7 @@ class RecoveryQuery:
         require_ratio(self.r)
 
 
-@dataclass(frozen=True)
+@_value_type
 class RecoveryAnalysis:
     """Answer to a :class:`RecoveryQuery`.
 

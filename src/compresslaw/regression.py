@@ -218,7 +218,8 @@ def _solve(
 
     q, r = np.linalg.qr(x)
     # X = QR with orthonormal Q, so X and the p x p factor R share singular values.
-    condition = float(np.linalg.cond(r))
+    singular = np.linalg.svd(r, compute_uv=False).tolist()
+    condition = singular[0] / singular[-1] if singular[-1] else math.inf
     if not math.isfinite(condition) or condition > CONDITION_NUMBER_LIMIT:
         raise SingularDesignError(
             f"design is rank deficient or ill conditioned (cond = {condition:.3g}); "

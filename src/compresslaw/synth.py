@@ -18,13 +18,11 @@ produce bit-identical records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .laws import (
-    CompressionLaw, _checked_exp, log_feature_columns, require_nonnegative, require_positive, require_ratio
+    CompressionLaw, _checked_exp, _value_type, log_feature_columns, require_nonnegative, require_positive, require_ratio
 )
 from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
 
@@ -50,7 +48,7 @@ def _grid_log_prediction(law: CompressionLaw, axes: tuple) -> tuple:
     return l0, r, d, (x0, x1, x2), law.alpha * x0 + law.beta * x1 + law.gamma * x2
 
 
-@dataclass(frozen=True)
+@_value_type
 class SyntheticConfig:
     """Grid, truth law, noise level and seed for one synthetic experiment."""
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -482,6 +483,8 @@ MALFORMED = {
     "report residual count off": ("predict", json.dumps(_changed(REPORT, ["residuals"], [0.0] * 9))),
     "report unknown field": ("predict", json.dumps(_changed(REPORT, ["note"], ""))),
     "report residual not a number": ("min-rft", json.dumps(_changed(REPORT, ["residuals", 0], "0.0"))),
+    # A --law flag reads a law or a fit report, not a registry.
+    "predict on a law registry": ("predict", json.dumps(REGISTRY)),
 }
 # A number is read only as it is written: a JSON number, or one of the strings "inf", "-inf" and "nan".
 NUMBER_FIELDS = {"predict": (LAW, ["alpha"]), "synth": (GRID, ["d_values", 0]), "plan": (REGISTRY, ["entries", 0, "l0"])}
@@ -513,6 +516,15 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
     assert doc["error"]["type"] == "DataFormatError"
 
 
+def test_a_law_of_the_wrong_kind_is_told_every_kind_a_law_flag_reads(tmp_path):
+    path = tmp_path / "registry.json"
+    path.write_text(MALFORMED["predict on a law registry"][1])
+    code, out = _run_captured(_argv("predict", path, tmp_path))
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert all(f"'{kind}'" in message for kind in ("compression", "runtime", "fit_report", "law_registry")), message
+
+
 def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
@@ -529,7 +541,7 @@ LIGHT = {
 }
 
 
-def _run_importtime(argv, tmp_path):
+def _run_importtime(argv, tmp_path, python=sys.executable):
     """``python -X importtime -m compresslaw.cli *argv`` on input files made in ``tmp_path``; returns the
     finished process, the names of the modules it imported, in order, and ``argv`` with the paths filled in."""
     paths = {name: tmp_path / f"{name}.{ext}" for name, ext in
@@ -541,7 +553,7 @@ def _run_importtime(argv, tmp_path):
     write_records(generate(config), paths["records"])
     paths["report"].write_text(report_to_json(build_fit_report(generate(config))))
     argv = [arg.format(**paths) for arg in argv]
-    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "compresslaw.cli", *argv],
+    done = subprocess.run([python, "-X", "importtime", "-m", "compresslaw.cli", *argv],
                           env=_cli_env(), capture_output=True, timeout=60)
     lines = done.stderr.decode().splitlines()
     imports = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
@@ -585,8 +597,35 @@ def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
     assert done.returncode == 0, done.stderr.decode()
     loaded = {name.split(".", 1)[1] for name in imports if name.startswith("compresslaw.")}
     assert loaded == COMMAND_MODULES[command]
+    # laws._value_type builds the value types, so no command imports dataclasses, nor a light one inspect (fit
+    # still imports inspect, through numpy).
+    assert "dataclasses" not in imports
+    assert command not in LIGHT or "inspect" not in imports
     if command == "fit":
         assert len(json.loads(done.stdout)["residuals"]) == 45
+
+
+@pytest.fixture(scope="module")
+def python310():
+    """A Python 3.10 interpreter, the oldest that pyproject.toml allows.  Each candidate is probed first: a
+    version manager's ``python3.10`` shim can be on PATH and still refuse to run."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    for candidate in [shutil.which("python3.10"), *map(str, sorted(versions.glob("3.10*/bin/python")))]:
+        if candidate is None:
+            continue
+        probe = subprocess.run([candidate, "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
+            return candidate
+    pytest.skip(f"no runnable Python 3.10: neither python3.10 on PATH nor {versions}/3.10*/bin/python")
+
+
+@pytest.mark.parametrize("command", sorted(LIGHT))
+def test_light_commands_run_on_python_3_10(command, python310, tmp_path):
+    """The numpy-free commands print on Python 3.10 what ``run`` prints in process."""
+    done, _, argv = _run_importtime(LIGHT[command], tmp_path, python310)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout == _run_captured(argv)[1].encode()
 
 
 def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):

@@ -1,0 +1,186 @@
+"""The contract every compresslaw value type keeps: construction, validation, equality, hashing, repr and
+immutability, checked on one instance of each of the 15 classes."""
+
+import math
+
+import pytest
+
+from compresslaw import documents, laws, planner, recovery, synth
+from compresslaw.documents import FitReport, RegistryEntry
+from compresslaw.errors import DomainError
+from compresslaw.laws import (
+    CompressionLaw, DesignForm, ExperimentRecord, FitStatistics, MetricKind, RuntimeLaw, SignViolation
+)
+from compresslaw.planner import CandidateModel, PlanEntry, PlanRequest, PlanResult, SkippedCandidate
+from compresslaw.recovery import Regime, RecoveryAnalysis, RecoveryQuery
+from compresslaw.synth import SyntheticConfig
+
+STATS = FitStatistics(n=10, p=3, r_squared=0.9, adj_r_squared=0.8, f_statistic=5.0, residual_std=0.1,
+                      condition_number=2.0)
+ACCURACY = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY)
+FITTED = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY, 2.0, STATS)
+ENTRY = PlanEntry("a", 0.5, 0.4)
+SKIPPED = SkippedCandidate("b", "needs r = 0.95")
+
+# Every field of one valid instance, in declaration order; the fields named in DEFAULTED hold their defaults.
+FIELDS = {
+    FitStatistics: dict(n=10, p=3, r_squared=0.9, adj_r_squared=0.8, f_statistic=5.0, residual_std=0.1,
+                        condition_number=2.0),
+    CompressionLaw: dict(alpha=0.63, beta=1.72, gamma=1.16, metric=MetricKind.LOSS, epsilon=1.0, stats=None),
+    RuntimeLaw: dict(c=100.0, beta=-0.67, stats=None),
+    SignViolation: dict(exponent="beta", value=-0.5, expected="beta > 0 for loss"),
+    ExperimentRecord: dict(model_id="m", metric=MetricKind.LOSS, l0=2.0, r=0.5, d=10.0, l=2.5),
+    RecoveryQuery: dict(law=ACCURACY, sigma=0.8, r=0.19),
+    RecoveryAnalysis: dict(regime=Regime.CONDITIONALLY_RECOVERABLE, boundary=0.49, r_critical=0.21, min_d=math.inf),
+    CandidateModel: dict(model_id="a", param_count=3e9, l0=0.6, law=ACCURACY, runtime_law=None),
+    PlanRequest: dict(budget=1.5e9, metric=MetricKind.ACCURACY, rft_size=0.0, max_ratio=0.9),
+    PlanEntry: dict(model_id="a", required_ratio=0.5, predicted_performance=0.4, predicted_runtime_factor=None,
+                    notes=()),
+    SkippedCandidate: dict(model_id="b", reason="needs r = 0.95"),
+    PlanResult: dict(entries=(ENTRY,), skipped=(SKIPPED,)),
+    FitReport: dict(law=FITTED, stats=STATS, warnings=("w",), residuals=(0.0,) * 10),
+    RegistryEntry: dict(model_id="a", metric=MetricKind.ACCURACY, method_tag="t", law=ACCURACY,
+                        form=DesignForm.FULL, provenance="", param_count=None, l0=None,
+                        reported_adj_r_squared=None, reported_f_statistic=None),
+    SyntheticConfig: dict(truth=ACCURACY, l0_values=(0.5, 0.7), r_values=(0.1, 0.5), d_values=(0.0, 10.0),
+                          noise_std=0.0, seed=0, model_id="synthetic"),
+}
+DEFAULTED = {
+    CompressionLaw: ("epsilon", "stats"),
+    RuntimeLaw: ("stats",),
+    CandidateModel: ("runtime_law",),
+    PlanRequest: ("rft_size", "max_ratio"),
+    PlanEntry: ("predicted_runtime_factor", "notes"),
+    RegistryEntry: ("form", "provenance", "param_count", "l0", "reported_adj_r_squared", "reported_f_statistic"),
+    SyntheticConfig: ("noise_std", "seed", "model_id"),
+}
+# One field value that each class's __post_init__ rejects; the other five classes have no __post_init__.
+INVALID = {
+    FitStatistics: {"n": 3},
+    CompressionLaw: {"epsilon": 0.0},
+    RuntimeLaw: {"c": -1.0},
+    ExperimentRecord: {"r": 1.0},
+    RecoveryQuery: {"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
+    CandidateModel: {"l0": 0.0},
+    PlanRequest: {"max_ratio": 0.0},
+    FitReport: {"residuals": (0.0,)},
+    RegistryEntry: {"metric": MetricKind.LOSS},
+    SyntheticConfig: {"noise_std": -1.0},
+}
+CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
+IDS = [cls.__name__ for cls in CLASSES]
+
+
+def _instance(cls):
+    return cls(**FIELDS[cls])
+
+
+def test_every_value_type_is_covered():
+    modules = (documents, laws, planner, recovery, synth)
+    built = {obj for module in modules for obj in vars(module).values()
+             if isinstance(obj, type) and "_value_fields" in vars(obj)}
+    assert built == set(FIELDS) and len(FIELDS) == 15
+    assert set(DEFAULTED) | set(INVALID) <= set(FIELDS)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_positional_keyword_and_default_construction_agree(cls):
+    fields = FIELDS[cls]
+    value = cls(*fields.values())
+    assert [getattr(value, name) for name in fields] == list(fields.values())
+    assert cls(**fields) == value
+    required = {name: v for name, v in fields.items() if name not in DEFAULTED.get(cls, ())}
+    assert cls(**required) == value
+    assert cls(*required.values()) == value
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_equal_fields_give_equal_values_and_hashes(cls):
+    first, second = _instance(cls), _instance(cls)
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second) == hash(tuple(FIELDS[cls].values()))
+    assert len({first, second}) == 1
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_a_value_never_equals_a_tuple_of_its_fields(cls):
+    value, fields = _instance(cls), tuple(FIELDS[cls].values())
+    assert value != fields and fields != value
+    assert value.__eq__(fields) is NotImplemented
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(cls):
+    value = _instance(cls)
+    for name, field in FIELDS[cls].items():
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, field)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+        assert getattr(value, name) == field
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("cls", sorted(INVALID, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_post_init_still_validates(cls):
+    with pytest.raises(DomainError):
+        cls(**{**FIELDS[cls], **INVALID[cls]})
+
+
+@pytest.mark.parametrize("name, other", [("alpha", 0.64), ("beta", 1.73), ("gamma", 1.17), ("epsilon", 2.0),
+                                         ("metric", MetricKind.ACCURACY), ("stats", STATS)])
+def test_values_differing_in_one_field_are_unequal(name, other):
+    law = _instance(CompressionLaw)
+    changed = CompressionLaw(**{**FIELDS[CompressionLaw], name: other})
+    assert law != changed and changed != law
+
+
+def test_synthetic_config_normalizes_its_axes_to_tuples():
+    config = SyntheticConfig(ACCURACY, [0.5, 0.7], [0.1, 0.5], iter([0, 10]))
+    assert (config.l0_values, config.r_values, config.d_values) == ((0.5, 0.7), (0.1, 0.5), (0.0, 10.0))
+    assert type(config.d_values[0]) is float
+    assert config == _instance(SyntheticConfig)
+    assert hash(config) == hash(_instance(SyntheticConfig))
+
+
+# Printed by the same instances when these classes were built with dataclasses.dataclass(frozen=True).
+STATS_REPR = ("FitStatistics(n=10, p=3, r_squared=0.9, adj_r_squared=0.8, f_statistic=5.0, residual_std=0.1, "
+              "condition_number=2.0)")
+ACCURACY_REPR = ("CompressionLaw(alpha=0.98, beta=-1.03, gamma=-0.14, metric=<MetricKind.ACCURACY: 'accuracy'>, "
+                 "epsilon=1.0, stats=None)")
+ENTRY_REPR = ("PlanEntry(model_id='a', required_ratio=0.5, predicted_performance=0.4, predicted_runtime_factor=None, "
+              "notes=())")
+REPRS = {
+    CandidateModel: f"CandidateModel(model_id='a', param_count=3000000000.0, l0=0.6, law={ACCURACY_REPR}, "
+                    "runtime_law=None)",
+    CompressionLaw: "CompressionLaw(alpha=0.63, beta=1.72, gamma=1.16, metric=<MetricKind.LOSS: 'loss'>, "
+                    "epsilon=1.0, stats=None)",
+    ExperimentRecord: "ExperimentRecord(model_id='m', metric=<MetricKind.LOSS: 'loss'>, l0=2.0, r=0.5, d=10.0, l=2.5)",
+    FitReport: "FitReport(law=CompressionLaw(alpha=0.98, beta=-1.03, gamma=-0.14, "
+               f"metric=<MetricKind.ACCURACY: 'accuracy'>, epsilon=2.0, stats={STATS_REPR}), stats={STATS_REPR}, "
+               "warnings=('w',), residuals=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))",
+    FitStatistics: STATS_REPR,
+    PlanEntry: ENTRY_REPR,
+    PlanRequest: "PlanRequest(budget=1500000000.0, metric=<MetricKind.ACCURACY: 'accuracy'>, rft_size=0.0, "
+                 "max_ratio=0.9)",
+    PlanResult: f"PlanResult(entries=({ENTRY_REPR},), "
+                "skipped=(SkippedCandidate(model_id='b', reason='needs r = 0.95'),))",
+    RecoveryAnalysis: "RecoveryAnalysis(regime=<Regime.CONDITIONALLY_RECOVERABLE: 'conditionally-recoverable'>, "
+                      "boundary=0.49, r_critical=0.21, min_d=inf)",
+    RecoveryQuery: f"RecoveryQuery(law={ACCURACY_REPR}, sigma=0.8, r=0.19)",
+    RegistryEntry: "RegistryEntry(model_id='a', metric=<MetricKind.ACCURACY: 'accuracy'>, method_tag='t', "
+                   f"law={ACCURACY_REPR}, form=<DesignForm.FULL: 'full'>, provenance='', param_count=None, l0=None, "
+                   "reported_adj_r_squared=None, reported_f_statistic=None)",
+    RuntimeLaw: "RuntimeLaw(c=100.0, beta=-0.67, stats=None)",
+    SignViolation: "SignViolation(exponent='beta', value=-0.5, expected='beta > 0 for loss')",
+    SkippedCandidate: "SkippedCandidate(model_id='b', reason='needs r = 0.95')",
+    SyntheticConfig: f"SyntheticConfig(truth={ACCURACY_REPR}, l0_values=(0.5, 0.7), r_values=(0.1, 0.5), "
+                     "d_values=(0.0, 10.0), noise_std=0.0, seed=0, model_id='synthetic')",
+}
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_repr_names_every_field_as_before(cls):
+    assert repr(_instance(cls)) == REPRS[cls]
