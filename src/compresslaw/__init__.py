@@ -1,9 +1,9 @@
 """Power-law toolkit for compressed-LLM performance: fitting, recovery analysis, planning.
 
 The package imports ``cli``, ``errors`` and ``laws`` eagerly.  ``documents``,
-``planner``, ``recovery`` and the numpy-backed ``io``, ``regression`` and
-``synth`` load on first access to them or to a name they define (PEP 562), so
-a command imports what its handler calls and nothing more.
+``frontier``, ``planner``, ``recovery`` and the numpy-backed ``io``,
+``regression`` and ``synth`` load on first access to them or to a name they
+define (PEP 562), so a command imports what its handler calls and nothing more.
 """
 
 # Eager cli makes "python -m compresslaw.cli" print runpy's RuntimeWarning, the one stderr line of the light
@@ -34,6 +34,7 @@ from .laws import (
 # submodule -> the exported names it defines.
 _LAZY_MODULES = {
     "documents": (),
+    "frontier": (),
     "io": (),
     "planner": ("CandidateModel", "PlanEntry", "PlanRequest", "PlanResult", "SkippedCandidate", "plan",
                 "predict_speedup", "required_ratio"),
@@ -61,5 +62,5 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-# Every public name bound above, then every lazy one but the documents module, which is served but not exported.
-__all__ = [name for name in dir() if not name.startswith("_")] + [name for name in _LAZY if name != "documents"]
+# Every public name bound above, then every lazy one but the documents and frontier modules: served, not exported.
+__all__ = [name for name in dir() if not name.startswith("_")] + sorted(set(_LAZY) - {"documents", "frontier"})

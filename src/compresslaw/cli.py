@@ -4,8 +4,7 @@ One machine-readable document per run goes to stdout (JSON unless a
 subcommand emits CSV); human diagnostics go to stderr.  A command imports
 what its handler calls: the module itself needs only ``errors`` and
 ``laws``, and each handler imports the modules it runs, so ``critical``
-loads no document codec and only ``fit``, ``synth`` and ``frontier`` load
-numpy.  Exit codes:
+loads no document codec and only ``fit`` and ``synth`` load numpy.  Exit codes:
 0 success, 1 validation or domain error, 2 I/O error.  Input path flags
 accept ``-`` for stdin, and ``synth --out -`` writes CSV to stdout.
 """
@@ -157,20 +156,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    from . import documents, io as lawio
+    from . import documents, frontier
     law = documents.load_law(_input(args.law))
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier needs a compression law")
-    points = lawio.emit_frontier_grid(
-        law,
-        _parse_float_list(args.l0_list, "--l0-list"),
-        _parse_float_list(args.r_grid, "--r-grid"),
-        _parse_float_list(args.d_grid, "--d-grid"),
-    )
-    if args.format == "csv":
-        lawio.write_frontier(points, sys.stdout)
-    else:
-        lawio._write_frontier_json(points, sys.stdout)
+    flags = ((args.l0_list, "--l0-list"), (args.r_grid, "--r-grid"), (args.d_grid, "--d-grid"))
+    points = frontier.emit_frontier_grid(law, *(_parse_float_list(text, flag) for text, flag in flags))
+    (frontier.write_frontier if args.format == "csv" else frontier._write_frontier_json)(points, sys.stdout)
     return 0
 
 

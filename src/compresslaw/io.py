@@ -1,52 +1,49 @@
-"""The numpy-backed tables: experiment CSV, fit reports and frontier tables.
+"""The numpy-backed tables: experiment CSV and fit reports.
 
 The ``compresslaw/v1`` JSON codec, the fit report's included, is
-:mod:`compresslaw.documents`, which imports no numpy.  This module re-exports
-its public names as the same objects and builds the fit report it writes.
+:mod:`compresslaw.documents`, and the frontier tables are
+:mod:`compresslaw.frontier`; neither imports numpy.  This module re-exports
+their public names as the same objects and builds the fit report it writes.
 
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
   no unit suffixes).  It is read into, and written from, a
   :class:`~compresslaw.regression.RecordBatch`.
-* frontier table (CSV or JSON): one row ``l0, r, d, predicted`` per grid
-  point.  :func:`emit_frontier_grid` returns the points as a read-only
-  sequence of :class:`FrontierPoint` over float64 columns, not a ``list``.
 
 Bulk input is read into columns: a block of plain lines (no quote, NUL or
 stray line-end character, the header's number of fields) is cut with
 ``str.split`` into the fields ``csv.reader`` would return, and from the first
 block that is not plain ``csv.reader`` reads the rest.  Bulk output is
-written from columns, and rows are joined strings, byte for byte what
-``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write for the same
-rows.  Both ways, a long column of grid inputs ``l0``, ``r`` or ``d`` is
-parsed or formatted once per distinct value, and the observed ``l`` and the
-``predicted`` values one by one.  "Long" is the one floor
-:data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
-Every reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
-else, on any malformed input.
+written from columns by the row joiner of :mod:`compresslaw.frontier`, byte
+for byte what ``csv.writer`` (``\r\n`` line ends) writes for the same rows.
+Both ways, a long column of grid inputs ``l0``, ``r`` or ``d`` is parsed or
+formatted once per distinct value, and the observed ``l`` one by one.
+"Long" is the one floor :data:`compresslaw.regression._DISTINCT_MIN_ROWS`
+that the design uses too.  Every reader raises
+:class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
+malformed input.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import json
 import math
 import operator
 import reprlib
 import sys
 import warnings
-from io import StringIO
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import documents, regression
-from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport and SCHEMA_VERSION are used here)
-from .documents import _open_for_read, _open_for_write
+from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport is used here)
+from .documents import _open_for_read
 from .errors import DataFormatError, DomainError
-from .laws import CompressionLaw, DesignForm, ExperimentRecord, MetricKind, _checked_exp
-from .regression import RecordBatch, _Columns, _fit, _map_distinct, _read_only
+from .frontier import FrontierPoint, _quote, _write_csv, emit_frontier_grid, write_frontier
+from .laws import DesignForm, ExperimentRecord, MetricKind
+from .regression import RecordBatch, _fit, _map_distinct
 
 __all__ = [
     *documents.__all__,
@@ -273,16 +270,6 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     return RecordBatch(chain(model_id), chain(metric), *(np.concatenate((np.empty(0), *c)) for c in floats))
 
 
-def _quote(text: str) -> str:
-    """``text`` as ``csv.writer`` writes it as one field of a row of several."""
-    if not text:
-        return text  # a row of one empty field would be written as ""
-    buffer = StringIO()
-    # Strip the default terminator: with lineterminator="" csv would not quote "\r" and "\n".
-    csv.writer(buffer).writerow((text,))
-    return buffer.getvalue()[:-2]
-
-
 def _format_column(column) -> list[str]:
     """The fields of a float64 array of grid inputs (its values' ``repr``, once per distinct value of a long
     array) or of a sequence of text (quoted for CSV)."""
@@ -292,25 +279,11 @@ def _format_column(column) -> list[str]:
     return list(map(fields.__getitem__, column))
 
 
-def _text_chunks(columns: Sequence, layout: Sequence[str]) -> Iterator[str]:
-    """The rows of ``columns`` as text, ``_CHUNK_ROWS`` rows per chunk.  A row is ``layout[0]``, its field of
-    the first column, ``layout[1]``, ..., its field of the last column, ``layout[-1]``.  The last column is a
-    float64 array of observed or predicted values, all but always distinct, so each is formatted on its own."""
+def _record_chunks(columns: Sequence) -> Iterator[list[list[str]]]:
+    """The fields of ``columns``, ``_CHUNK_ROWS`` rows at a time; one ``repr`` per observed value of the last."""
     for start in range(0, len(columns[0]), _CHUNK_ROWS):
         *leading, values = (column[start : start + _CHUNK_ROWS] for column in columns)
-        parts = [itertools.repeat(layout[0])]
-        for fields, literal in zip([*map(_format_column, leading), list(map(repr, values.tolist()))], layout[1:]):
-            parts += (fields, itertools.repeat(literal))
-        yield "".join(map("".join, zip(*parts)))
-
-
-def _write_csv(dest, header: Sequence[str], columns: Sequence) -> None:
-    """The one CSV writer: ``header``, then a row per index of ``columns`` (float64 arrays or sequences of
-    text), byte for byte as ``csv.writer`` writes them."""
-    with _open_for_write(dest) as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
-        for text in _text_chunks(columns, ("", *[","] * (len(header) - 1), "\r\n")):
-            fh.write(text)
+        yield [*map(_format_column, leading), list(map(repr, values.tolist()))]
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
@@ -318,7 +291,8 @@ def write_records(records: Iterable[ExperimentRecord], dest) -> None:
     records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
     # _value_ is .value without its descriptor call
     metrics = list(map(operator.attrgetter("_value_"), records.metric))
-    _write_csv(dest, RECORD_COLUMNS, (records.model_id, metrics, records.l0, records.r, records.d, records.l))
+    columns = (records.model_id, metrics, records.l0, records.r, records.d, records.l)
+    _write_csv(dest, RECORD_COLUMNS, _record_chunks(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -343,70 +317,3 @@ def build_fit_report(
         warnings=tuple(str(v) for v in violations),
         residuals=tuple(residuals.tolist()),
     )
-
-
-# ---------------------------------------------------------------------------
-# frontier tables
-# ---------------------------------------------------------------------------
-
-
-class FrontierPoint(NamedTuple):
-    l0: float
-    r: float
-    d: float
-    predicted: float
-
-
-class _FrontierGrid(_Columns):
-    """Frontier points as read-only float64 columns ``l0, r, d, predicted``: a read-only sequence of
-    :class:`FrontierPoint`."""
-
-    __slots__ = FrontierPoint._fields
-    _row = FrontierPoint
-
-    def __init__(self, l0, r, d, predicted) -> None:
-        self.l0, self.r, self.d, self.predicted = map(_read_only, (l0, r, d, predicted))
-
-    @classmethod
-    def from_points(cls, points: Iterable[FrontierPoint]) -> _FrontierGrid:
-        """``points`` itself if it is a grid, else its fields as columns."""
-        if isinstance(points, _FrontierGrid):
-            return points
-        return cls(*np.array(list(points), dtype=float).reshape(-1, len(cls.__slots__)).T)
-
-
-def emit_frontier_grid(
-    law: CompressionLaw,
-    l0_list: Sequence[float],
-    r_grid: Sequence[float],
-    d_grid: Sequence[float],
-) -> Sequence[FrontierPoint]:
-    """Predictions over the full grid, one point per row in lexicographic order, each equal to ``evaluate``'s.
-
-    The points are a read-only sequence over float64 columns, not a list: indexing and iteration build
-    :class:`FrontierPoint` values on demand, and it equals a list of the same points.
-    """
-    from .synth import _grid_axes, _grid_log_prediction
-    if not isinstance(law, CompressionLaw):
-        raise DomainError("frontier grids need a compression law")
-    l0, r, d, _, log_predicted = _grid_log_prediction(law, _grid_axes(l0_list, r_grid, d_grid))
-    predicted = np.fromiter(map(_checked_exp, log_predicted.tolist()), float, len(log_predicted))
-    return _FrontierGrid(l0, r, d, predicted)
-
-
-def write_frontier(points: Iterable[FrontierPoint], dest) -> None:
-    _write_csv(dest, FrontierPoint._fields, _FrontierGrid.from_points(points)._columns())
-
-
-def _write_frontier_json(points: Iterable[FrontierPoint], dest) -> None:
-    """The ``frontier`` JSON document, byte for byte as ``json.dumps`` writes it with a dict per point.  Its
-    values are finite, which json writes with ``float.__repr__``, so the rows are spliced in from the columns."""
-    columns = _FrontierGrid.from_points(points)._columns()
-    head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "frontier", "rows": []})
-    # Every row starts with the ", " that separates it from the one before; the first row drops it.
-    layout = (', {"l0": ', ', "r": ', ', "d": ', ', "predicted": ', "}")
-    with _open_for_write(dest) as fh:
-        fh.write(head[: -len("]}")])
-        for i, text in enumerate(_text_chunks(columns, layout)):
-            fh.write(text[len(", ") :] if i == 0 else text)
-        fh.write("]}\n")

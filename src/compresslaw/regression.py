@@ -72,43 +72,13 @@ FITTED_SIGN_EXPONENTS: dict[DesignForm, tuple[str, ...]] = {
 }
 
 
-class _Columns(Sequence):
-    """Rows of type ``_row`` held as columns named by ``__slots__``.  A read-only sequence: indexing and
-    iteration build rows on demand (a float64 column gives Python floats), a slice is a batch of the same type,
-    and it equals any sequence of the same rows in the same order."""
-
-    __slots__ = ()
-    _row: type
-
-    def __len__(self) -> int:
-        return len(getattr(self, self.__slots__[0]))
-
-    def _columns(self) -> list:
-        """The columns, in row field order."""
-        return [getattr(self, name) for name in self.__slots__]
-
-    def __getitem__(self, index):
-        columns = [column[index] for column in self._columns()]
-        if isinstance(index, slice):
-            return type(self)(*columns)
-        return self._row(*(float(v) if isinstance(v, np.floating) else v for v in columns))
-
-    def __iter__(self):
-        return map(self._row, *(c.tolist() if isinstance(c, np.ndarray) else c for c in self._columns()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
 def _read_only(values) -> np.ndarray:
     column = np.array(values, dtype=float)
     column.flags.writeable = False
     return column
 
 
-# The one dedup floor, shared with the CSV reader and writers: shorter columns are mapped value by value.  Over
+# The one dedup floor, shared with the CSV reader and write_records: shorter columns are mapped value by value.  Over
 # repeated values, np.unique or a dict of texts pays from ~128 rows; a 64k-character CSV block holds ~750 rows.
 _DISTINCT_MIN_ROWS = 256
 
@@ -125,12 +95,12 @@ def _map_distinct(transform, *columns: np.ndarray, dtype=object) -> list[np.ndar
     return [np.array(result, dtype)[inverse] for result, (_, inverse) in zip(results, distinct)]
 
 
-class RecordBatch(_Columns):
+class RecordBatch(Sequence):
     """Records as columns (read-only float64 arrays ``l0, r, d, l``; tuples ``model_id, metric``) that only
-    code which validated them builds.  A read-only sequence of :class:`ExperimentRecord`."""
+    code which validated them builds.  A read-only sequence of :class:`ExperimentRecord`: a slice is a batch,
+    and it equals any sequence of the same records in the same order."""
 
     __slots__ = ("model_id", "metric", "l0", "r", "d", "l")
-    _row = ExperimentRecord
 
     def __init__(self, model_id, metric, l0, r, d, l) -> None:
         self.model_id, self.metric = tuple(model_id), tuple(metric)
@@ -142,6 +112,25 @@ class RecordBatch(_Columns):
         if isinstance(records, RecordBatch):
             return records
         return cls(*([getattr(rec, name) for rec in records] for name in cls.__slots__))
+
+    def __len__(self) -> int:
+        return len(self.model_id)
+
+    def __getitem__(self, index):
+        columns = [getattr(self, name)[index] for name in self.__slots__]
+        if isinstance(index, slice):
+            return RecordBatch(*columns)
+        model_id, metric, *floats = columns
+        return ExperimentRecord(model_id, metric, *map(float, floats))
+
+    def __iter__(self):
+        floats = (column.tolist() for column in (self.l0, self.r, self.d, self.l))
+        return map(ExperimentRecord, self.model_id, self.metric, *floats)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def build_design(

@@ -5,10 +5,11 @@ d_values`` (in that lexicographic order) from a known truth law, with
 optional Gaussian noise added in log space (multiplicative on the observed
 value), matching the regression's noise model.
 
-The grid kernel here, shared with the ``frontier`` tables, sums the exponent
-in :func:`~compresslaw.laws.evaluate`'s order and takes ``evaluate``'s checked
-``exp``: a noise-free ``l`` equals ``evaluate`` at its point bit for bit, and
-an overflow is a :class:`~compresslaw.errors.DomainError`.
+The grid is checked as the ``frontier`` tables check theirs.  Its log
+predictions are one numpy sum over the meshed features, taken in
+:func:`~compresslaw.laws.evaluate`'s order, and each goes through
+``evaluate``'s checked ``exp``: a noise-free ``l`` equals ``evaluate`` at its
+point bit for bit, and an overflow is a :class:`~compresslaw.errors.DomainError`.
 
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
@@ -21,31 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import (
-    CompressionLaw, _checked_exp, _value_type, log_feature_columns, require_nonnegative, require_positive, require_ratio
-)
+from .frontier import _grid_axes
+from .laws import CompressionLaw, _checked_exp, _value_type, log_feature_columns, require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
 
 __all__ = ["SyntheticConfig", "generate"]
-
-
-def _grid_axes(l0_values, r_values, d_values) -> tuple[tuple[float, ...], ...]:
-    """The three grid axes as tuples of floats, each nonempty and every value in its domain."""
-    l0, r, d = axes = tuple(map(tuple, (l0_values, r_values, d_values)))
-    if not all(axes):
-        raise DomainError("all three grid axes must be nonempty")
-    l0 = tuple(require_positive("l0", v) for v in l0)
-    r = tuple(map(require_ratio, r))
-    return l0, r, tuple(require_nonnegative("d", v) for v in d)
-
-
-def _grid_log_prediction(law: CompressionLaw, axes: tuple) -> tuple:
-    """Columns ``l0, r, d`` of the grid of validated ``axes`` in lexicographic order, their three
-    :func:`~compresslaw.laws.log_feature_columns` (taken per axis value, then spread like the axes) and the log
-    prediction: row ``i`` is the value :func:`~compresslaw.laws.evaluate` passes to ``exp``, bit for bit."""
-    meshes = np.meshgrid(*axes, indexing="ij") + np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij")
-    l0, r, d, x0, x1, x2 = (mesh.ravel() for mesh in meshes)
-    return l0, r, d, (x0, x1, x2), law.alpha * x0 + law.beta * x1 + law.gamma * x2
 
 
 @_value_type
@@ -81,11 +62,14 @@ def generate(config: SyntheticConfig) -> RecordBatch:
             ``d`` axis).
         DomainError: When a value overflows or underflows the finite positive range.
     """
-    law = config.truth
-    l0, r, d, features, log_l = _grid_log_prediction(law, (config.l0_values, config.r_values, config.d_values))
+    law, axes = config.truth, (config.l0_values, config.r_values, config.d_values)
+    # Each feature is taken once per axis value, then spread like the axes.
+    meshes = np.meshgrid(*axes, indexing="ij") + np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij")
+    l0, r, d, x0, x1, x2 = (mesh.ravel() for mesh in meshes)
+    log_l = law.alpha * x0 + law.beta * x1 + law.gamma * x2
     n = len(l0)
     # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
-    if n < 3 or not np.linalg.cond(np.column_stack(features)) <= CONDITION_NUMBER_LIMIT:
+    if n < 3 or not np.linalg.cond(np.column_stack((x0, x1, x2))) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
     if config.noise_std > 0:
         log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)

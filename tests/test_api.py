@@ -46,7 +46,7 @@ def test_every_r_entry_point_accepts_zero(entry):
     R_ENTRY_POINTS[entry](0.0)
 
 
-SUBMODULES = ("cli", "documents", "io", "laws", "planner", "recovery", "regression", "synth")
+SUBMODULES = ("cli", "documents", "frontier", "io", "laws", "planner", "recovery", "regression", "synth")
 
 
 @pytest.mark.parametrize("module", ["compresslaw", *(f"compresslaw.{name}" for name in SUBMODULES)])
@@ -81,7 +81,7 @@ def test_package_exports_exactly_its_names():
 
 
 def test_moved_names_are_the_same_objects():
-    from compresslaw import documents, io, laws, planner, regression
+    from compresslaw import documents, frontier, io, laws, planner, regression
 
     for name in ("DesignForm", "ExperimentRecord", "FitStatistics", "FeasibilityWarning"):
         assert getattr(regression, name) is getattr(laws, name)
@@ -89,6 +89,8 @@ def test_moved_names_are_the_same_objects():
     assert set(documents.__all__) <= set(io.__all__)
     for name in documents.__all__:
         assert getattr(io, name) is getattr(documents, name)
+    for name in ("FrontierPoint", "emit_frontier_grid", "write_frontier"):
+        assert getattr(io, name) is getattr(frontier, name) and name in io.__all__
     assert documents.SCHEMA_VERSION is laws.SCHEMA_VERSION
     assert planner.OBSERVED_RATIO_MAX is laws.OBSERVED_RATIO_MAX
 
@@ -109,6 +111,7 @@ def test_importing_the_package_loads_no_numpy():
 # Names the package loads on first access, and the module that defines each.
 LAZY = {
     "documents": "compresslaw.documents",
+    "frontier": "compresslaw.frontier",
     "io": "compresslaw.io",
     "planner": "compresslaw.planner",
     "recovery": "compresslaw.recovery",
@@ -147,7 +150,7 @@ print("ok")
 def test_each_lazy_name_resolves_and_is_cached():
     import compresslaw
 
-    assert set(LAZY) <= set(compresslaw.__all__) | {"documents"}
+    assert set(LAZY) <= set(compresslaw.__all__) | {"documents", "frontier"}
     done = _python("-c", LAZY_CHECK, json.dumps(LAZY))
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"

@@ -538,6 +538,8 @@ LIGHT = {
     "predict-report": ["predict", "--law", "{report}", "--l0", "0.6", "--r", "0.19", "--d", "10"],
     "min-rft": ["min-rft", "--law", "{law}", "--sigma", "0.8", "--r", "0.19"],
     "plan": ["plan", "--registry", "{registry}", "--budget", "1.5e9", "--metric", "accuracy"],
+    **{f"frontier-{fmt}": ["frontier", "--law", "{law}", "--l0-list", "0.5,0.6", "--r-grid", "0,0.19,0.5",
+                           "--d-grid", "0,-0.0,10", "--format", fmt] for fmt in ("csv", "json")},
 }
 
 
@@ -562,9 +564,9 @@ def _run_importtime(argv, tmp_path, python=sys.executable):
 
 @pytest.mark.parametrize("command", sorted(LIGHT))
 def test_light_commands_start_without_numpy(command, tmp_path):
-    """The commands that are scalar math over laws, run as ``python -m compresslaw.cli``, import no numpy and
-    print what ``run`` prints in process.  Their stderr holds only the import times and runpy's warning that the
-    package imported ``compresslaw.cli`` before running it as ``__main__``."""
+    """The commands that only evaluate laws, ``frontier`` tables included, run as ``python -m compresslaw.cli``,
+    import no numpy and print what ``run`` prints in process.  Their stderr holds only the import times and
+    runpy's warning that the package imported ``compresslaw.cli`` before running it as ``__main__``."""
     done, imports, argv = _run_importtime(LIGHT[command], tmp_path)
     stderr = done.stderr.decode()
     assert done.returncode == 0, stderr
@@ -586,7 +588,9 @@ COMMAND_MODULES = {
     "predict-report": EAGER | {"documents"},
     "min-rft": EAGER | {"documents", "recovery"},
     "plan": EAGER | {"documents", "planner"},
-    "fit": EAGER | {"documents", "io", "regression"},
+    "fit": EAGER | {"documents", "frontier", "io", "regression"},  # io re-exports the frontier names
+    "frontier-csv": EAGER | {"documents", "frontier"},
+    "frontier-json": EAGER | {"documents", "frontier"},
 }
 
 

@@ -1,17 +1,19 @@
 """CSV and JSON round trips, registry fixtures, frontier tables."""
 
+import copy
 import csv
 import io as stdio
 import itertools
 import json
 import math
+import pickle
 import warnings
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compresslaw import io as lawio, regression
+from compresslaw import frontier, io as lawio, regression
 from compresslaw.errors import DataFormatError, DomainError
 from compresslaw.io import (
     LawRegistry,
@@ -34,7 +36,7 @@ from compresslaw.io import (
     RECORD_COLUMNS,
     SkippedRowWarning,
 )
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate
 from compresslaw.regression import DesignForm, ExperimentRecord, FitStatistics
 
 EXTRINSIC = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY)
@@ -367,7 +369,8 @@ class TestWritersMatchReference:
 
     @pytest.fixture(autouse=True)
     def small_chunks(self):
-        with mock.patch.object(lawio, "_CHUNK_ROWS", 7), mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
+        with mock.patch.object(lawio, "_CHUNK_ROWS", 7), mock.patch.object(frontier, "_CHUNK_ROWS", 7), \
+                mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
             yield
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -385,7 +388,7 @@ class TestWritersMatchReference:
         points = [lawio.FrontierPoint(*p) for p in zip(*(data.draw(columns_of(n, FINITE)) for _ in range(4)))]
         assert written(write_frontier, points) == csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
         doc = {"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier", "rows": [p._asdict() for p in points]}
-        assert written(lawio._write_frontier_json, points) == json.dumps(doc) + "\n"
+        assert written(frontier._write_frontier_json, points) == json.dumps(doc) + "\n"
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=ROW_COUNTS.filter(bool), notes=st.lists(TEXT, max_size=2))
@@ -650,11 +653,34 @@ class TestFrontier:
         assert points[2:5] == as_list[2:5] and points != as_list[::-1] and points != as_list[:7]
         with pytest.raises(IndexError):
             points[8]
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             points.predicted[0] = 1.0
+        grid = list(itertools.product([0.5, 0.7], [0.1, 0.2], [0.0, 5.0]))
+        for i in (len(points) // 2, -1):
+            assert points[i] == (*grid[i], evaluate(EXTRINSIC, *grid[i]))
+        assert pickle.loads(pickle.dumps(points)) == points and copy.deepcopy(points) == points
         write_frontier(points, tmp_path / "columns.csv")
         write_frontier(iter(as_list), tmp_path / "points.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "points.csv").read_bytes()
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(law=GRID_LAWS, data=st.data())
+    def test_large_grids_with_signed_zeros_match_a_reference(self, law, data):
+        """Grids of 264 to 840 rows, past the writers' old dedup floor, with ``0.0`` and ``-0.0`` in the ``r``
+        and ``d`` axes and a repeated ``l0``, in 7-row chunks, against ``csv.writer`` and ``json.dumps`` over
+        ``itertools.product`` and ``evaluate``; the same points as a list are written the same."""
+        l0 = data.draw(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=4))
+        l0.append(l0[0])
+        r, d = (data.draw(st.permutations(data.draw(st.lists(values, min_size=size, max_size=size + 4)) + [0.0, -0.0]))
+                for values, size in ((st.floats(0.0, 0.999), 6), (st.floats(0.0, 1e6), 9)))
+        points = [lawio.FrontierPoint(*p, evaluate(law, *p)) for p in itertools.product(l0, r, d)]
+        csv_text = csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
+        json_text = json.dumps({"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier",
+                                "rows": [p._asdict() for p in points]}) + "\n"
+        with mock.patch.object(frontier, "_CHUNK_ROWS", 7):
+            for table in (emit_frontier_grid(law, l0, r, d), points):
+                assert written(write_frontier, table) == csv_text
+                assert written(frontier._write_frontier_json, table) == json_text
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
