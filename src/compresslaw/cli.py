@@ -5,14 +5,26 @@ subcommand emits CSV); human diagnostics go to stderr.  A command imports
 what its handler calls: the module itself needs only ``errors`` and
 ``laws``, and each handler imports the modules it runs, so ``critical``
 loads no document codec and only ``fit`` and ``synth`` load numpy.  Exit codes:
-0 success, 1 validation or domain error, 2 I/O error.  Input path flags
-accept ``-`` for stdin, and ``synth --out -`` writes CSV to stdout.
+0 success, 1 validation or domain error, 2 I/O error, a closed stdout pipe
+included.  Input path flags accept ``-`` for stdin, and ``synth --out -``
+writes CSV to stdout.
+
+:func:`main`, the process entry, freezes the garbage collector once
+:func:`run` has returned and stdout is flushed; :func:`run` itself leaves
+the collector alone, so in-process callers see no change.  The
+interpreter's shutdown collections would otherwise walk every object of
+every loaded module and every element of a command's 100k-element tuples,
+memory the OS reclaims anyway.  This relies on every file a command writes
+being closed before :func:`run` returns: no file is left for a collection
+at exit to close and flush.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -251,7 +263,17 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the command in ``sys.argv``, flush stdout, freeze the collector and exit with the command's code."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  What is still buffered goes to devnull, so the final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    gc.freeze()  # the shutdown collections skip everything made so far
+    sys.exit(code)
 
 
 if __name__ == "__main__":

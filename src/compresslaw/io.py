@@ -4,6 +4,8 @@ The ``compresslaw/v1`` JSON codec, the fit report's included, is
 :mod:`compresslaw.documents`, and the frontier tables are
 :mod:`compresslaw.frontier`; neither imports numpy.  This module re-exports
 their public names as the same objects and builds the fit report it writes.
+The frontier names are served on first access (PEP 562), and the writers
+import the row joiner when they run, so reading records loads no frontier.
 
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
@@ -41,9 +43,11 @@ from . import documents, regression
 from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport is used here)
 from .documents import _open_for_read
 from .errors import DataFormatError, DomainError
-from .frontier import FrontierPoint, _quote, _write_csv, emit_frontier_grid, write_frontier
 from .laws import DesignForm, ExperimentRecord, MetricKind
 from .regression import RecordBatch, _fit, _map_distinct
+
+# compresslaw.frontier's public names, re-exported on first access.
+_FRONTIER_NAMES = ("FrontierPoint", "emit_frontier_grid", "write_frontier")
 
 __all__ = [
     *documents.__all__,
@@ -52,12 +56,18 @@ __all__ = [
     "read_records",
     "write_records",
     "build_fit_report",
-    "FrontierPoint",
-    "emit_frontier_grid",
-    "write_frontier",
+    *_FRONTIER_NAMES,
 ]
 
 RECORD_COLUMNS = ("model_id", "metric", "l0", "r", "d", "l")
+
+
+def __getattr__(name: str):
+    """The frontier names: the same objects as :mod:`compresslaw.frontier`'s, which loads on first access."""
+    if name not in _FRONTIER_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import frontier
+    return getattr(frontier, name)
 
 
 class SkippedRowWarning(UserWarning):
@@ -275,6 +285,7 @@ def _format_column(column) -> list[str]:
     array) or of a sequence of text (quoted for CSV)."""
     if isinstance(column, np.ndarray):
         return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
+    from .frontier import _quote
     fields = {text: _quote(text) for text in set(column)}
     return list(map(fields.__getitem__, column))
 
@@ -288,6 +299,7 @@ def _record_chunks(columns: Sequence) -> Iterator[list[list[str]]]:
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
     """Write records as CSV with lossless (repr) float formatting."""
+    from .frontier import _write_csv
     records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
     # _value_ is .value without its descriptor call
     metrics = list(map(operator.attrgetter("_value_"), records.metric))

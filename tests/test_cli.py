@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compresslaw.cli import build_parser, run
+from compresslaw.cli import build_parser, main, run
 from compresslaw.documents import load_law, report_to_json
 from compresslaw.errors import CompressLawError
 from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law, write_records
@@ -588,7 +589,7 @@ COMMAND_MODULES = {
     "predict-report": EAGER | {"documents"},
     "min-rft": EAGER | {"documents", "recovery"},
     "plan": EAGER | {"documents", "planner"},
-    "fit": EAGER | {"documents", "frontier", "io", "regression"},  # io re-exports the frontier names
+    "fit": EAGER | {"documents", "io", "regression"},
     "frontier-csv": EAGER | {"documents", "frontier"},
     "frontier-json": EAGER | {"documents", "frontier"},
 }
@@ -790,3 +791,67 @@ def test_cli_contract_holds_for_mutated_documents(command, data):
     assert isinstance(result, dict)
     if code:
         assert len(out.splitlines()) == 1 and "error" in result
+
+
+MAIN_EXITS = {
+    0: ["critical", "--beta", "-1.18", "--sigma", "0.8", "--metric", "accuracy"],
+    1: ["critical", "--beta", "-1.18", "--sigma", "-0.5", "--metric", "accuracy"],
+    2: ["fit", "--input", "{missing}"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(MAIN_EXITS))
+def test_main_exits_with_the_code_of_run_and_freezes_the_collector(code, tmp_path, capsys, monkeypatch):
+    argv = [arg.format(missing=tmp_path / "missing.csv") for arg in MAIN_EXITS[code]]
+    assert run(argv) == code
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["compresslaw", *argv])
+    assert gc.get_freeze_count() == 0
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            main()
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert exit_info.value.code == code
+    assert capsys.readouterr() == expected
+
+
+def test_a_file_written_by_one_process_is_complete_for_the_next(tmp_path):
+    """``main`` freezes the collector after ``run`` returns, so ``synth`` must have closed its CSV by then: a
+    ``fit`` process reads all of it and prints what ``run`` prints in process."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"l0_values": [1.5 + i / 4 for i in range(10)], "r_values": [i / 40 for i in range(30)],
+                                "d_values": [10.0 * i for i in range(30)], "model_id": "m"}))
+    synth = ["synth", "--truth", str(GOLDEN / "truth.json"), "--grid", str(grid), "--noise-std", "0.05",
+             "--seed", "3", "--out"]
+    assert _run_captured(synth + [str(tmp_path / "expected.csv")])[0] == 0
+    path = tmp_path / "records.csv"
+    for argv in (synth + [str(path)], ["fit", "--input", str(path)]):
+        done = subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == _run_captured(argv)[1]
+    assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert len(path.read_bytes().splitlines()) == 1 + 10 * 30 * 30
+
+
+def test_a_closed_stdout_pipe_exits_2_without_a_traceback(tmp_path):
+    """A reader that stops after a few bytes of a 100k-point frontier CSV leaves an I/O error: exit 2, and one
+    ``error:`` line on stderr beside runpy's warning."""
+    law = tmp_path / "law.json"
+    law.write_text(json.dumps(LAW))
+    axes = {"--l0-list": [0.5 + i / 100 for i in range(10)], "--r-grid": [i / 200 for i in range(100)],
+            "--d-grid": [float(i) for i in range(100)]}
+    argv = ["frontier", "--law", str(law), "--format", "csv",
+            *(arg for flag, values in axes.items() for arg in (flag, ",".join(map(repr, values))))]
+    with open(tmp_path / "stderr.txt", "w+") as stderr:
+        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
+                                 stdout=subprocess.PIPE, stderr=stderr)
+        assert child.stdout.read(100).startswith(b"l0,r,d,predicted\r\n")
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
+        stderr.seek(0)
+        lines = stderr.read().splitlines()
+    others = [line for line in lines if "RuntimeWarning: 'compresslaw.cli' found in sys.modules" not in line]
+    assert others == ["error: [Errno 32] Broken pipe"], lines
