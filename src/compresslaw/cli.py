@@ -16,7 +16,9 @@ interpreter's shutdown collections would otherwise walk every object of
 every loaded module and every element of a command's 100k-element tuples,
 memory the OS reclaims anyway.  This relies on every file a command writes
 being closed before :func:`run` returns: no file is left for a collection
-at exit to close and flush.
+at exit to close and flush.  :func:`main` also prints each warning the
+command raises as one ``warning: <message>`` line on stderr, without the
+source line Python's default format reads through ``linecache``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from typing import Sequence
 
 from .errors import CompressLawError, DomainError
@@ -262,10 +265,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main() -> None:
     """Run the command in ``sys.argv``, flush stdout, freeze the collector and exit with the command's code."""
     try:
-        code = run()
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning  # no source line read through linecache
+            code = run()
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # The reader closed stdout.  What is still buffered goes to devnull, so the final flush cannot fail.

@@ -2,8 +2,9 @@
 
 :func:`emit_frontier_grid` returns the points as a read-only sequence built from the three axes and the
 predictions, not a ``list``.  The writers format each axis value once and repeat its text down the column, and
-each prediction once; the row joiner they share with :func:`compresslaw.io.write_records` writes, byte for
-byte, what ``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write.  The module imports no numpy.
+each prediction once.  The CSV writer, which :func:`compresslaw.io.write_records` shares, joins each row's fields
+with ``","`` and a chunk's rows with ``"\r\n"`` plus the text of the constant fields every row starts with.  The
+bytes are what ``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .documents import _open_for_write
 from .errors import DomainError
-from .laws import SCHEMA_VERSION, CompressionLaw, _checked_exp, log_feature_columns
+from .laws import SCHEMA_VERSION, CompressionLaw, _checked_exps, log_feature_columns
 from .laws import require_nonnegative, require_positive, require_ratio
 
 __all__ = ["FrontierPoint", "emit_frontier_grid", "write_frontier"]
@@ -94,9 +95,10 @@ def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Se
                        d_grid: Sequence[float]) -> Sequence[FrontierPoint]:
     """Predictions over the full grid, one point per row in lexicographic order, each equal to ``evaluate``'s.
 
-    Each axis value's term of the exponent is taken once, and each point sums them in ``evaluate``'s order and
-    takes its checked ``exp``: an overflow or underflow is a :class:`~compresslaw.errors.DomainError` before any
-    point is returned.  The points are a read-only sequence that equals a list of the same points.
+    Each axis value's term of the exponent is taken once, and each point sums them in ``evaluate``'s order.  The
+    ``exp`` of every sum is one map, checked at once: an overflow or underflow is ``evaluate``'s
+    :class:`~compresslaw.errors.DomainError` for the first point out of range, before any point is returned.
+    The points are a read-only sequence that equals a list of the same points.
     """
     if not isinstance(law, CompressionLaw):
         raise DomainError("frontier grids need a compression law")
@@ -104,7 +106,7 @@ def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Se
     x0, x1, x2 = log_feature_columns(*axes, law.epsilon)
     a_terms, b_terms, c_terms = [law.alpha * x for x in x0], [law.beta * x for x in x1], [law.gamma * x for x in x2]
     log_predicted = [ab + c for a in a_terms for ab in [a + b for b in b_terms] for c in c_terms]
-    predicted = tuple(map(_checked_exp, log_predicted))
+    predicted = _checked_exps(log_predicted)
     return _FrontierTable((l0, r, d, predicted), (len(r) * len(d), len(d), 1, 1))
 
 
@@ -119,7 +121,8 @@ def _quote(text: str) -> str:
 
 
 def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str]) -> Iterator[str]:
-    """Each chunk (its columns of field texts) as rows: ``layout[k]`` before field ``k``, ``layout[-1]`` after."""
+    """Each chunk (its columns of field texts) as JSON rows: ``layout[k]`` before field ``k``, ``layout[-1]``
+    after."""
     for columns in chunks:
         parts = [repeat(layout[0])]
         for fields, literal in zip(columns, layout[1:]):
@@ -127,12 +130,14 @@ def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str
         yield "".join(map("".join, zip(*parts)))
 
 
-def _write_csv(dest, header: Sequence[str], chunks: Iterable[Sequence[Sequence[str]]]) -> None:
-    """The one CSV writer: ``header``, then the rows of ``chunks`` (columns of quoted field texts)."""
+def _write_csv(dest, header: Sequence[str], chunks: Iterable[Sequence[Sequence[str]]], head: str = "") -> None:
+    """The one CSV writer: ``header``, then each row of ``chunks`` (columns of quoted field texts) as ``head``,
+    the text of the row's constant leading fields and their commas, and its own fields joined by commas."""
     with _open_for_write(dest) as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for text in _text_chunks(chunks, ("", *[","] * (len(header) - 1), "\r\n")):
-            fh.write(text)
+        for columns in chunks:
+            if columns[0]:
+                fh.write(head + ("\r\n" + head).join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def write_frontier(points: Iterable[FrontierPoint], dest) -> None:

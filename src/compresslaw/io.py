@@ -16,10 +16,13 @@ Bulk input is read into columns: a block of plain lines (no quote, NUL or
 stray line-end character, the header's number of fields) is cut with
 ``str.split`` into the fields ``csv.reader`` would return, and from the first
 block that is not plain ``csv.reader`` reads the rest.  Bulk output is
-written from columns by the row joiner of :mod:`compresslaw.frontier`, byte
-for byte what ``csv.writer`` (``\r\n`` line ends) writes for the same rows.
-Both ways, a long column of grid inputs ``l0``, ``r`` or ``d`` is parsed or
-formatted once per distinct value, and the observed ``l`` one by one.
+written from columns by the CSV writer of :mod:`compresslaw.frontier`, byte
+for byte what ``csv.writer`` (``\r\n`` line ends) writes for the same rows:
+a leading text column that holds one value (``synth``'s model id and metric)
+is quoted once into the text every row starts with, and each row's other
+fields are joined by ``","`` in one C-level pass per chunk.  Both ways, a
+long column of grid inputs ``l0``, ``r`` or ``d`` is parsed or formatted
+once per distinct value, and the observed ``l`` one by one.
 "Long" is the one floor :data:`compresslaw.regression._DISTINCT_MIN_ROWS`
 that the design uses too.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
@@ -138,6 +141,16 @@ def _parse_grid_column(texts: Sequence) -> np.ndarray:
     return np.fromiter(map(values.__getitem__, texts), float, len(texts))
 
 
+def _frameless(exc: BaseException) -> BaseException:
+    """``exc`` with no traceback on it or on the exceptions it chains to.  A kept error holds no frame, whose
+    locals (a chunk's columns, the list of errors) would hold the error in turn: a cycle only the collector frees."""
+    link = exc
+    while link is not None:
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return exc
+
+
 def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) -> tuple[list, list[DataFormatError]]:
     """The columns of the valid rows and the errors of the others.  ``columns`` holds the fields of
     ``RECORD_COLUMNS``, one sequence per column, of rows numbered from ``first_row``.  A vectorized mask picks
@@ -157,7 +170,7 @@ def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) 
         try:
             record = _parse_record(dict(zip(RECORD_COLUMNS, (column[i] for column in columns))), first_row + i)
         except DataFormatError as exc:
-            errors.append(exc)
+            errors.append(_frameless(exc))
             continue
         valid[i] = True
         model_id[i], metric[i], l0[i], r[i], d[i], l[i] = (getattr(record, c) for c in RECORD_COLUMNS)
@@ -282,9 +295,11 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
 
 def _format_column(column) -> list[str]:
     """The fields of a float64 array of grid inputs (its values' ``repr``, once per distinct value of a long
-    array) or of a sequence of text (quoted for CSV)."""
+    array), or of a sequence of metrics or of text (quoted for CSV)."""
     if isinstance(column, np.ndarray):
         return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
+    if column and isinstance(column[0], MetricKind):
+        column = list(map(operator.attrgetter("_value_"), column))  # _value_ is .value without its descriptor call
     from .frontier import _quote
     fields = {text: _quote(text) for text in set(column)}
     return list(map(fields.__getitem__, column))
@@ -298,13 +313,17 @@ def _record_chunks(columns: Sequence) -> Iterator[list[list[str]]]:
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
-    """Write records as CSV with lossless (repr) float formatting."""
+    """Write records as CSV with lossless (repr) float formatting.
+
+    Each leading text column that holds one value (``synth``'s model id and metric) is quoted once into the
+    text every row starts with; the other columns are formatted chunk by chunk."""
     from .frontier import _write_csv
     records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
-    # _value_ is .value without its descriptor call
-    metrics = list(map(operator.attrgetter("_value_"), records.metric))
-    columns = (records.model_id, metrics, records.l0, records.r, records.d, records.l)
-    _write_csv(dest, RECORD_COLUMNS, _record_chunks(columns))
+    n, texts, head = len(records), [records.model_id, records.metric], ""
+    # tuple.count compares by identity first, so a column of one object costs no Python call per row.
+    while texts and n and texts[0].count(texts[0][0]) == n:
+        head += _format_column(texts.pop(0)[:1])[0] + ","
+    _write_csv(dest, RECORD_COLUMNS, _record_chunks([*texts, records.l0, records.r, records.d, records.l]), head)
 
 
 # ---------------------------------------------------------------------------

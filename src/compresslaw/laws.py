@@ -317,6 +317,19 @@ def _checked_exp(log_value: float) -> float:
     return value
 
 
+def _checked_exps(log_values: Sequence[float]) -> tuple[float, ...]:
+    """``_checked_exp`` of each value, from one ``map(math.exp, ...)``: an overflow, 0, inf or nan sends every
+    value through ``_checked_exp``, so the first offender raises its error.  ``sum`` sees a nan that ``max``
+    would skip."""
+    try:
+        values = tuple(map(math.exp, log_values))
+        if 0.0 < min(values, default=1.0) and sum(values) < math.inf:
+            return values
+    except OverflowError:
+        pass
+    return tuple(map(_checked_exp, log_values))
+
+
 def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     """Predict compressed-model performance at one point.
 

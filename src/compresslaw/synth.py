@@ -7,9 +7,10 @@ value), matching the regression's noise model.
 
 The grid is checked as the ``frontier`` tables check theirs.  Its log
 predictions are one numpy sum over the meshed features, taken in
-:func:`~compresslaw.laws.evaluate`'s order, and each goes through
-``evaluate``'s checked ``exp``: a noise-free ``l`` equals ``evaluate`` at its
-point bit for bit, and an overflow is a :class:`~compresslaw.errors.DomainError`.
+:func:`~compresslaw.laws.evaluate`'s order, and their ``exp`` is one
+``math.exp`` map checked at once, as the ``frontier`` grid's is: a noise-free
+``l`` equals ``evaluate`` at its point bit for bit, and the first value out of
+range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.
 
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .frontier import _grid_axes
-from .laws import CompressionLaw, _checked_exp, _value_type, log_feature_columns, require_nonnegative
+from .laws import CompressionLaw, _checked_exps, _value_type, log_feature_columns, require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
 
 __all__ = ["SyntheticConfig", "generate"]
@@ -73,5 +74,5 @@ def generate(config: SyntheticConfig) -> RecordBatch:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
     if config.noise_std > 0:
         log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)
-    l = np.fromiter(map(_checked_exp, log_l.tolist()), float, n)
+    l = np.array(_checked_exps(log_l.tolist()))
     return RecordBatch([config.model_id] * n, [law.metric] * n, l0, r, d, l)

@@ -855,3 +855,24 @@ def test_a_closed_stdout_pipe_exits_2_without_a_traceback(tmp_path):
         lines = stderr.read().splitlines()
     others = [line for line in lines if "RuntimeWarning: 'compresslaw.cli' found in sys.modules" not in line]
     assert others == ["error: [Errno 32] Broken pipe"], lines
+
+
+def test_each_skipped_row_is_one_warning_line(tmp_path):
+    """``fit --lenient`` as a process prints one ``warning:`` line per skipped row and no source line; the
+    stdout document is what ``run`` prints in process."""
+    rows = [f"m,loss,{l0},{r},{d},{l0 * (1 + r) * (1 + 1 / (d + 1))!r}" for l0 in (1.5, 2.0, 3.0)
+            for r in (0.1, 0.3, 0.5) for d in (0.0, 10.0, 100.0)]
+    rows[2], rows[5], rows[9] = "m,loss,x,0.1,0,1.0", "m,bogus,2,0.1,0,1.0", "m,loss,-1,0.1,0,1.0"
+    path = tmp_path / "records.csv"
+    path.write_text("model_id,metric,l0,r,d,l\n" + "\n".join(rows) + "\n")
+    argv = ["fit", "--lenient", "--input", str(path)]
+    done = subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    others = [line for line in lines if "RuntimeWarning: 'compresslaw.cli' found in sys.modules" not in line]
+    assert others == ["warning: row 4: field 'l0' is not a number: 'x'",
+                      "warning: row 7: field 'metric' has unknown value 'bogus'",
+                      "warning: row 11: l0 must be > 0, got -1.0"], lines
+    with pytest.warns(SkippedRowWarning):
+        assert done.stdout == _run_captured(argv)[1]

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import gc
 import io as stdio
 import itertools
 import json
@@ -38,10 +39,12 @@ from compresslaw.io import (
 )
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate
 from compresslaw.regression import DesignForm, ExperimentRecord, FitStatistics
+from compresslaw.synth import SyntheticConfig, generate
 
 EXTRINSIC = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY)
 
 CSV_HEADER = "model_id,metric,l0,r,d,l\n"
+OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
 
 
 def records_csv(rows):
@@ -70,6 +73,31 @@ class TestReadRecords:
         with pytest.warns(SkippedRowWarning, match="row 3"):
             records = read_records(records_csv(rows), strict=False)
         assert [r.model_id for r in records] == ["m1", "m3"]
+
+    @pytest.mark.parametrize("rows", [
+        ["m1,loss,2.0,0.5,0,6.9\n", "m2,loss,junk,0.5,0,6.9\n", "m3,bogus,2.0,0.5,0,6.9\n", "m4,loss,-1,0.5,0,6.9\n"],
+        ["m1,loss,2.0,0.5,0,6.9\n", f"m2,loss,{OVER_LIMIT},0.5,0,6.9\n", '"m3,loss,2.0,0.5,0,6.9\n'],
+    ], ids=["plain", "csv-errors"])
+    def test_a_lenient_read_leaves_no_reference_cycles(self, rows):
+        """A skipped row's error keeps no frame, which would hold the chunk's columns and the error itself."""
+        read_records(records_csv(rows[:1]))
+        gc.collect()
+        gc.disable()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SkippedRowWarning)
+                records = read_records(records_csv(rows), strict=False)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert [r.model_id for r in records] == ["m1"]
+
+    def test_the_strict_error_keeps_its_message_and_cause(self):
+        with pytest.raises(DataFormatError) as caught:
+            read_records(records_csv(["m1,loss,2.0,0.5,0,6.9\n", "m2,loss,-1,0.5,0,6.9\n"]))
+        assert str(caught.value) == "row 3: l0 must be > 0, got -1.0"
+        assert isinstance(caught.value.__cause__, DomainError)
+        assert str(caught.value.__cause__) == "l0 must be > 0, got -1.0"
 
     def test_missing_column(self):
         with pytest.raises(DataFormatError, match="missing"):
@@ -164,7 +192,6 @@ STREAMS = {
 }
 
 
-OVER_LIMIT = "x" * (csv.field_size_limit() + 1)
 NUMBER_CELLS = {
     "l0": st.floats(0.01, 100).map(repr),
     "r": st.floats(0, 1, exclude_max=True).map(repr),
@@ -407,6 +434,63 @@ class TestWritersMatchReference:
         }
         report = lawio.FitReport(law, stats, tuple(notes), residuals)
         assert report_to_json(report) == json.dumps(doc, indent=2) + "\n"
+
+    LOSS, ACCURACY, RUNTIME = MetricKind.LOSS, MetricKind.ACCURACY, MetricKind.RUNTIME
+    TEXT_COLUMNS = {
+        "one-model-one-metric": (["m"] * 9, [LOSS] * 9),
+        "equal-ids-apart": (["".join(["m", "x"]) for _ in range(9)], [ACCURACY] * 9),
+        "one-model-mixed-metrics": (["m"] * 9, [LOSS, ACCURACY, RUNTIME] * 3),
+        "quoted-model": (['a,"b"'] * 9, [LOSS] * 9),
+        "model-with-a-line-end": (["two\nlines"] * 9, [RUNTIME] * 9),
+        "empty-model": ([""] * 9, [LOSS] * 9),
+        "last-model-differs": (["m"] * 8 + ["n"], [LOSS] * 9),
+        "middle-model-differs": (["m"] * 4 + ["n"] + ["m"] * 4, [LOSS] * 9),
+        "last-metric-differs": (["m"] * 9, [LOSS] * 8 + [ACCURACY]),
+        "no-rows": ([], []),
+        "one-row": (["m"], [LOSS]),
+        "one-row-empty-model": ([""], [LOSS]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(TEXT_COLUMNS))
+    def test_records_csv_with_constant_leading_columns(self, case):
+        """A leading text column of one value is written as row text: the bytes stay ``csv.writer``'s."""
+        model_id, metric = self.TEXT_COLUMNS[case]
+        floats = [[1.5 + i % 2, i % 3 / 4, float(i // 4), 0.1 + i / 7] for i in range(len(model_id))]
+        records = [ExperimentRecord(m, k, *values) for m, k, values in zip(model_id, metric, floats)]
+        rows = [[rec.model_id, rec.metric.value, *map(repr, (rec.l0, rec.r, rec.d, rec.l))] for rec in records]
+        assert written(write_records, records) == csv_reference(RECORD_COLUMNS, rows)
+
+    def test_an_empty_chunk_writes_nothing(self):
+        assert written(lambda out: frontier._write_csv(out, ("a", "b"), [[[], []], [["1"], ["2"]]], "x,")) == \
+            "a,b\r\nx,1,2\r\n"
+
+    # Only at (10, 0.5, 0) does the exponent leave the float range: there it is 690 + 15 + 15 (or -720 - 15 - 15),
+    # and every other point of these axes drops a term of 15 or more and stays inside.
+    EXTREME_LAWS = {
+        "overflow": CompressionLaw(690 / math.log(10), 15 / math.log1p(0.5), 15 / math.log(2), MetricKind.LOSS),
+        "underflow": CompressionLaw(-720 / math.log(10), -15 / math.log1p(0.5), -15 / math.log(2), MetricKind.LOSS),
+    }
+    EXTREME_AXES = {
+        "first": ((10.0, 1.0), (0.5, 0.0), (0.0, 1e9)),
+        "middle": ((1.0, 10.0, 2.0), (0.0, 0.5), (1e9, 0.0, 5.0)),
+        "last": ((1.0, 10.0), (0.0, 0.5), (1e9, 0.0)),
+    }
+
+    @pytest.mark.parametrize("where", sorted(EXTREME_AXES))
+    @pytest.mark.parametrize("kind", sorted(EXTREME_LAWS))
+    def test_the_one_point_out_of_range_raises_evaluates_error(self, kind, where):
+        law, axes = self.EXTREME_LAWS[kind], self.EXTREME_AXES[where]
+        with pytest.raises(DomainError) as expected:
+            evaluate(law, 10.0, 0.5, 0.0)
+        assert ("overflowed" if kind == "overflow" else "underflowed to zero") in str(expected.value)
+        others = [(l0, r, d) for l0 in axes[0] for r in axes[1] for d in axes[2] if (l0, r, d) != (10.0, 0.5, 0.0)]
+        assert all(0.0 < evaluate(law, *point) < math.inf for point in others)
+        with pytest.raises(DomainError) as caught:
+            emit_frontier_grid(law, *axes)
+        assert str(caught.value) == str(expected.value)
+        with pytest.raises(DomainError) as caught:
+            generate(SyntheticConfig(law, *axes))
+        assert str(caught.value) == str(expected.value)
 
 
 class TestLawJson:

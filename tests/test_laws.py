@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from compresslaw.errors import DomainError
 from compresslaw.laws import (
+    _checked_exp,
+    _checked_exps,
     CompressionLaw,
     MetricKind,
     RuntimeLaw,
@@ -63,6 +65,23 @@ class TestEvaluate:
         law = CompressionLaw(500.0, 0.0, 0.0, MetricKind.LOSS)
         with pytest.raises(DomainError):
             evaluate(law, 1e300, 0.0, 0.0)
+
+    @pytest.mark.parametrize("position", [0, 3, 6])
+    @pytest.mark.parametrize("bad", [710.0, 1e308, -746.0, -1e308, math.nan])
+    def test_bulk_exp_raises_the_first_offenders_error(self, bad, position):
+        """One offender among in-range logs, nan (which ``max`` skips) included, raises ``_checked_exp``'s error;
+        with two, the first one's."""
+        logs = [0.5, -700.0, 709.0, 1.0, -745.0, 2.0, 3.0]
+        assert _checked_exps(logs) == tuple(map(math.exp, logs))
+        with pytest.raises(DomainError) as expected:
+            _checked_exp(bad)
+        logs[position] = bad
+        with pytest.raises(DomainError) as caught:
+            _checked_exps(logs)
+        assert str(caught.value) == str(expected.value)
+        with pytest.raises(DomainError) as caught:
+            _checked_exps(logs[:position] + [bad, -800.0] + logs[position:])
+        assert str(caught.value) == str(expected.value)
 
 
 class TestAblations:
