@@ -18,7 +18,8 @@ read only as it is written: a number is a JSON number or one of those three
 strings (a bare ``NaN`` or ``Infinity`` token is an error), and an unknown
 field is an error.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
-malformed document.  The module imports no numpy.
+malformed document, bytes that are not UTF-8 included.  A path is read as
+bytes and decoded once.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -46,12 +47,17 @@ __all__ = [
 
 
 @contextmanager
-def _open_for_read(source):
-    if hasattr(source, "read"):
-        yield source
-    else:
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+def _open_for_read(source, context: str):
+    """``source`` if it is an open stream, else the path opened as UTF-8 text; undecodable bytes read in the
+    ``with`` block are a :class:`DataFormatError` that names ``context``."""
+    try:
+        if hasattr(source, "read"):
+            yield source
+        else:
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                yield fh
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc, context) from None
 
 
 @contextmanager
@@ -68,20 +74,38 @@ def _open_for_write(dest):
 # ---------------------------------------------------------------------------
 
 
-def _read_text(source) -> str:
-    with _open_for_read(source) as fh:
-        return fh.read()
+def _read_text(source, context: str) -> str:
+    """The text of an open stream, or of a path read as bytes and decoded once; undecodable bytes are a
+    :class:`DataFormatError` that names ``context``."""
+    try:
+        if hasattr(source, "read"):
+            return source.read()
+        with open(source, "rb", buffering=0) as fh:
+            return fh.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _undecodable(exc, context) from None
+
+
+def _undecodable(exc: UnicodeDecodeError, context: str) -> DataFormatError:
+    return DataFormatError(f"{context}: not {exc.encoding} text: {exc.reason}")
 
 
 def _reject_constant(token: str):  # json.loads meets a bare NaN, Infinity or -Infinity, which no writer emits
     raise DataFormatError(f"{token} is not a number; non-finite values are the strings 'inf', '-inf' and 'nan'")
 
 
+# One decoder for every document: json.loads builds a new one per call when given parse_constant.
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse_document(text: str, context: str, kind: str | None = None, *, versioned: bool = True) -> dict:
     """The top-level object of a JSON document, minus its checked ``schema_version`` (if
     ``versioned``) and ``kind`` (if given); every failure is a :class:`DataFormatError`."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        if isinstance(text, str) and not text.startswith("\ufeff"):
+            doc = _JSON_DECODER.decode(text)
+        else:  # bytes, whose encoding json.loads detects, or a byte order mark, which it rejects
+            doc = json.loads(text, parse_constant=_reject_constant)
     except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{context}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -150,9 +174,9 @@ def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], c
     missing = [k for k in required if k not in obj]
     if missing:
         raise DataFormatError(f"{context}: missing field(s) {missing}")
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    unknown = set(obj).difference(required, optional)
     if unknown:
-        raise DataFormatError(f"{context}: unknown field(s) {unknown}")
+        raise DataFormatError(f"{context}: unknown field(s) {sorted(unknown)}")
 
 
 _STATS_FLOAT_FIELDS = ("r_squared", "adj_r_squared", "f_statistic", "residual_std", "condition_number")
@@ -235,7 +259,7 @@ def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
 
 def load_law(source) -> CompressionLaw | RuntimeLaw:
     """The law of a law document or of a fit report, checked whole as :func:`report_from_json` checks it."""
-    doc = _parse_document(_read_text(source), "law document")
+    doc = _parse_document(_read_text(source, "law document"), "law document")
     kind = doc.get("kind")
     if kind == "fit_report":
         del doc["kind"]
@@ -447,7 +471,7 @@ def registry_from_json(text: str) -> LawRegistry:
 
 
 def load_registry(source) -> LawRegistry:
-    return registry_from_json(_read_text(source))
+    return registry_from_json(_read_text(source, "law registry"))
 
 
 def builtin_registry() -> LawRegistry:
@@ -470,7 +494,7 @@ def load_grid(source) -> dict:
     Returns the :class:`~compresslaw.synth.SyntheticConfig` keyword arguments
     it names: a tuple of floats per axis, and ``model_id`` when present.
     """
-    doc = _parse_document(_read_text(source), "grid", versioned=False)
+    doc = _parse_document(_read_text(source, "grid"), "grid", versioned=False)
     _check_fields(doc, _GRID_AXES, ("model_id",), "grid")
     grid: dict = {}
     for axis in _GRID_AXES:

@@ -26,7 +26,9 @@ once per distinct value, and the observed ``l`` one by one.
 "Long" is the one floor :data:`compresslaw.regression._DISTINCT_MIN_ROWS`
 that the design uses too.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
-malformed input.
+malformed input, bytes that are not UTF-8 included.  A failed read leaves
+no reference cycle for the garbage collector: no error it raises or keeps
+holds a frame whose locals hold that error.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[lis
                 if len(rows) == _CHUNK_ROWS:
                     break
         except csv.Error as exc:
-            error = exc  # the reader resumes at the next line, so a bad line costs one row
+            error = _frameless(exc)  # the reader resumes at the next line, so a bad line costs one row
         yield list(zip(*rows)) or [()] * len(positions), short, error
         if len(rows) < _CHUNK_ROWS and error is None:
             return
@@ -259,7 +261,7 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
     ``_DISTINCT_MIN_ROWS`` rows, each distinct text of ``l0``, ``r`` and
     ``d`` is parsed once; ``l`` is parsed row by row.
     """
-    with _open_for_read(source) as fh:
+    with _open_for_read(source, "records") as fh:
         try:
             header = next(csv.reader(fh), None)
         except csv.Error as exc:
@@ -284,9 +286,14 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
             if split_error is not None:
                 row_number += 1
                 errors.append(DataFormatError(f"row {row_number}: {split_error}"))
-            for error in errors:
-                if strict:
+            if errors and strict:
+                # The traceback holds this frame, so no local may name the error: that would be a cycle.
+                error, errors = errors[0], None
+                try:
                     raise error
+                finally:
+                    del error
+            for error in errors:
                 warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
     model_id, metric, *floats = zip(*parts) if parts else [()] * len(RECORD_COLUMNS)
     chain = itertools.chain.from_iterable

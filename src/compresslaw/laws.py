@@ -17,6 +17,14 @@ whole columns for the designs of :mod:`compresslaw.regression` and
 bit in their transforms.  The ``require_*`` validators are the one place
 each domain condition and its message are written.
 
+Fields are checked once, when a value is built.  A public function that
+takes plain numbers checks them, then runs an unchecked private core:
+:func:`evaluate` is the checks, then ``_evaluate``, and
+:func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  Code that
+holds fields a value type has already checked, such as the planner's
+candidates and request, calls the core directly.  Each formula is written
+once, and its result is the public function's bit for bit.
+
 The numpy-free value types that fits and documents exchange live here too:
 :class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
 :class:`FeasibilityWarning`.  This is their one home, so the commands that
@@ -347,15 +355,23 @@ def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     Raises:
         DomainError: On out-of-domain or non-finite inputs.
     """
-    x0, x1, x2 = log_features(
-        require_positive("l0", l0), require_ratio(r), require_nonnegative("d", d), law.epsilon
-    )
+    return _evaluate(law, require_positive("l0", l0), require_ratio(r), require_nonnegative("d", d))
+
+
+def _evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
+    """:func:`evaluate` of floats already in its domain, unchecked."""
+    x0, x1, x2 = log_features(l0, r, d, law.epsilon)
     return _checked_exp(law.alpha * x0 + law.beta * x1 + law.gamma * x2)
 
 
 def evaluate_runtime(law: RuntimeLaw, r: float) -> float:
     """Predicted inference runtime ``c * (1 + r)**beta`` at compression ratio ``r``."""
-    return _checked_exp(math.log(law.c) + law.beta * math.log1p(require_ratio(r)))
+    return _evaluate_runtime(law.c, law.beta, require_ratio(r))
+
+
+def _evaluate_runtime(c: float, beta: float, r: float) -> float:
+    """:func:`evaluate_runtime` of a :class:`RuntimeLaw`'s fields and a float ratio in ``[0, 1)``, unchecked."""
+    return _checked_exp(math.log(c) + beta * math.log1p(r))
 
 
 def check_feasibility(law: CompressionLaw) -> list[SignViolation]:

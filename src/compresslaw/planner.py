@@ -9,16 +9,25 @@ smaller required ratio breaking ties (less extrapolation risk).
 The default ratio cap of 0.9 mirrors the largest ratio the underlying
 experiments explored; anything above 0.9 that a raised cap lets through is
 flagged as an extrapolation.
+
+:class:`CandidateModel` and :class:`PlanRequest` check their fields once,
+when they are built, so :func:`plan` does not check them again: it runs the
+unchecked cores of :func:`required_ratio`,
+:func:`~compresslaw.laws.evaluate` and
+:func:`~compresslaw.laws.evaluate_runtime`.  Each entry therefore equals
+what those public functions return for its candidate, bit for bit, and each
+skip reason is the message of the error :func:`required_ratio` raises.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from operator import attrgetter
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
-    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _value_type, evaluate, evaluate_runtime,
+    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _value_type,
     require_nonnegative, require_positive, require_ratio
 )
 
@@ -101,6 +110,11 @@ def required_ratio(param_count: float, budget: float, max_ratio: float = OBSERVE
     """
     require_positive("param_count", param_count)
     require_positive("budget", budget)
+    return _required_ratio(param_count, budget, max_ratio)
+
+
+def _required_ratio(param_count: float, budget: float, max_ratio: float) -> float:
+    """:func:`required_ratio` of a positive ``param_count`` and ``budget``, unchecked."""
     if budget >= param_count:
         return 0.0
     ratio = 1.0 - budget / param_count
@@ -136,32 +150,29 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
                 f"request asks for {request.metric.value}"
             )
 
+    # The candidates and the request checked their fields when they were built: the cores take them as they are.
+    budget, max_ratio, rft_size = request.budget, request.max_ratio, float(request.rft_size)
     entries: list[PlanEntry] = []
     skipped: list[SkippedCandidate] = []
     for candidate in candidates:
         try:
-            ratio = required_ratio(candidate.param_count, request.budget, request.max_ratio)
+            ratio = _required_ratio(candidate.param_count, budget, max_ratio)
         except InfeasibleBudgetError as exc:
             skipped.append(SkippedCandidate(candidate.model_id, str(exc)))
             continue
-        predicted = evaluate(candidate.law, candidate.l0, ratio, request.rft_size)
-        runtime_factor = None
-        if candidate.runtime_law is not None:
-            runtime_factor = evaluate_runtime(RuntimeLaw(1.0, candidate.runtime_law.beta), ratio)
+        predicted = _evaluate(candidate.law, float(candidate.l0), ratio, rft_size)
+        runtime_law = candidate.runtime_law
+        # The runtime factor is the runtime law's prediction normalized to the uncompressed model: c = 1.
+        runtime_factor = None if runtime_law is None else _evaluate_runtime(1.0, runtime_law.beta, ratio)
         notes: tuple[str, ...] = ()
         if ratio > OBSERVED_RATIO_MAX:
             notes = (f"ratio {ratio:.4f} exceeds the observed range (<= {OBSERVED_RATIO_MAX}); extrapolation",)
         entries.append(PlanEntry(candidate.model_id, ratio, predicted, runtime_factor, notes))
 
-    descending = request.metric is MetricKind.ACCURACY
-    entries.sort(
-        key=lambda e: (
-            -e.predicted_performance if descending else e.predicted_performance,
-            e.required_ratio,
-            e.model_id,
-        )
-    )
-    skipped.sort(key=lambda s: s.model_id)
+    # Best first, ties to the smaller ratio, then to the model id: a sort is stable, reversed or not.
+    entries.sort(key=attrgetter("required_ratio", "model_id"))
+    entries.sort(key=attrgetter("predicted_performance"), reverse=request.metric is MetricKind.ACCURACY)
+    skipped.sort(key=attrgetter("model_id"))
     return PlanResult(entries=tuple(entries), skipped=tuple(skipped))
 
 

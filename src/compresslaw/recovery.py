@@ -124,8 +124,11 @@ def classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regi
     Returns:
         The regime and the boundary ``2**beta``.
     """
-    beta = _validate_beta(beta, metric)
-    sigma = _validate_sigma(sigma, metric)
+    return _classify_regime(_validate_beta(beta, metric), _validate_sigma(sigma, metric), metric)
+
+
+def _classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float]:
+    """:func:`classify_regime` of a float ``beta`` and ``sigma`` already valid for ``metric``, unchecked."""
     boundary = 2.0**beta
     if metric is MetricKind.ACCURACY:
         always = sigma < boundary
@@ -179,7 +182,13 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     large for a float compares as ``math.inf``.
     """
     sigma = _validate_sigma(sigma, law.metric)
-    _, x1, x2 = log_features(1.0, require_ratio(r), require_nonnegative("d", d), law.epsilon)
+    return _recoverable(law, sigma, require_ratio(r), require_nonnegative("d", d))
+
+
+def _recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
+    """:func:`recoverable` of a float ``sigma`` valid for the law's metric and a float ``r`` and ``d`` in their
+    domains, unchecked."""
+    _, x1, x2 = log_features(1.0, r, d, law.epsilon)
     try:
         ratio = math.exp(law.beta * x1 + law.gamma * x2)
     except OverflowError:
@@ -198,8 +207,8 @@ def min_rft_size(query: RecoveryQuery) -> float:
     :func:`recoverable` accepts it despite floating-point rounding at the
     exact boundary; callers round up to their own unit granularity.
     """
-    law = query.law
-    phi = recovery_margin(law.beta, law.gamma, query.sigma, query.r)
+    law, sigma, r = query.law, float(query.sigma), float(query.r)
+    phi = recovery_margin(law.beta, law.gamma, sigma, r)
     if phi <= 0.0:
         return math.inf
     d = 1.0 / phi - law.epsilon
@@ -207,7 +216,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
         return 0.0
     step = math.ulp(d)
     nudged = d
-    while not recoverable(law, query.sigma, query.r, nudged):
+    while not _recoverable(law, sigma, r, nudged):
         nudged = d + step
         step *= 2.0
         if step > max(d, 1.0) * 1e-9:
@@ -217,9 +226,11 @@ def min_rft_size(query: RecoveryQuery) -> float:
 
 def analyze(query: RecoveryQuery) -> RecoveryAnalysis:
     """Full recovery report: regime, boundary, critical ratio and minimum size."""
-    regime, boundary = classify_regime(query.law.beta, query.sigma, query.law.metric)
+    # The query checked the law's signs and sigma when it was built.
+    beta, sigma = float(query.law.beta), float(query.sigma)
+    regime, boundary = _classify_regime(beta, sigma, query.law.metric)
     if regime is Regime.CONDITIONALLY_RECOVERABLE:
-        r_critical = _critical_ratio(query.law.beta, query.sigma)
+        r_critical = _critical_ratio(beta, sigma)
     else:
         r_critical = None
     return RecoveryAnalysis(

@@ -19,6 +19,11 @@ intercept.
 Bulk paths pass records as a :class:`RecordBatch` of columns; :func:`build_design`
 turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over its
 grid columns ``l0``, ``r`` and ``d``, once per distinct value of a column of at least ``_DISTINCT_MIN_ROWS``.
+
+Records are checked once, when they are built, and only code that checked them builds a batch.  So
+:func:`build_design` checks only what the records do not: one metric kind, enough rows, and a finite design,
+which is one test of the sum of ``X`` and ``y``, since every entry is a log.  It writes the features into one
+C-contiguous array (the bits of ``X @ b`` depend on the layout) and ``y`` with ``math.log`` row by row.
 """
 
 from __future__ import annotations
@@ -158,22 +163,24 @@ def build_design(
     """
     epsilon = require_positive("epsilon", epsilon)
     names = _COLUMN_NAMES[form]
-    p = len(names)
-    if len(records) < p + 1:
-        raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {len(records)}")
+    n, p = len(records), len(names)
+    if n < p + 1:
+        raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {n}")
     batch = RecordBatch.from_records(records)
     # tuple.count compares by identity first; hashing an enum member runs Python code.
-    if batch.metric.count(batch.metric[0]) != len(batch):
+    if batch.metric.count(batch.metric[0]) != n:
         raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(batch.metric))}")
 
     features = _map_distinct(
         lambda *columns: log_feature_columns(*columns, epsilon), batch.l0, batch.r, batch.d, dtype=float
     )
-    x = np.column_stack(
-        [np.ones(len(batch)) if name == "intercept" else features[_FEATURE_INDEX[name]] for name in names]
-    )
-    y = np.array(list(map(math.log, batch.l.tolist())))
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+    # One C-contiguous array: the bits of x @ coef depend on the layout, which x.tobytes() does not show.
+    x = np.empty((n, p))
+    for j, name in enumerate(names):
+        x[:, j] = 1.0 if name == "intercept" else features[_FEATURE_INDEX[name]]
+    y = np.fromiter(map(math.log, batch.l.tolist()), float, n)
+    # The entries are logs of finite floats, so their sum overflows only if one of them is inf or nan.
+    if not math.isfinite(x.sum() + y.sum()):
         raise DomainError("log transform produced non-finite design entries")
     return x, y
 
@@ -283,15 +290,16 @@ def _fit(
     batch = RecordBatch.from_records(records)
     x, y = build_design(batch, epsilon=epsilon, form=form)
     coef, stats, residuals = _solve(x, y, form)
+    coef = coef.tolist()
     if form is DesignForm.RUNTIME:
-        return RuntimeLaw(c=math.exp(coef[0]), beta=float(coef[1]), stats=stats), [], residuals
+        return RuntimeLaw(c=math.exp(coef[0]), beta=coef[1], stats=stats), [], residuals
     metric = batch.metric[0]
     if form is DesignForm.FULL:
-        law = CompressionLaw(float(coef[0]), float(coef[1]), float(coef[2]), metric, epsilon, stats)
+        law = CompressionLaw(coef[0], coef[1], coef[2], metric, epsilon, stats)
     elif form is DesignForm.RATIO_ONLY:
-        law = CompressionLaw(float(coef[0]), float(coef[1]), 0.0, metric, epsilon, stats)
+        law = CompressionLaw(coef[0], coef[1], 0.0, metric, epsilon, stats)
     else:
-        law = CompressionLaw(float(coef[0]), 0.0, float(coef[1]), metric, epsilon, stats)
+        law = CompressionLaw(coef[0], 0.0, coef[1], metric, epsilon, stats)
     fitted = FITTED_SIGN_EXPONENTS[form]
     return law, [v for v in check_feasibility(law) if v.exponent in fitted], residuals
 

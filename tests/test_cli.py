@@ -335,6 +335,21 @@ class TestExitCodes:
         doc = json.loads(capsys.readouterr().out)
         assert "row 2" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_undecodable_input_is_one_validation_error(self, command, capsys, tmp_path):
+        path = tmp_path / "input"
+        if command == "fit":
+            path.write_bytes(b"model_id,metric,l0,r,d,l\nm\xff,loss,2.0,0.4,0,3\n")
+            argv, context = ["fit", "--input", str(path)], "records"
+        else:
+            path.write_bytes(b'{"\xff": 1}')
+            argv, context = ["predict", "--law", str(path), "--r", "0.5", "--l0", "1", "--d", "0"], "law document"
+        assert run(argv) == 1
+        out = capsys.readouterr().out
+        assert len(out.splitlines()) == 1
+        message = f"{context}: not utf-8 text: invalid start byte"
+        assert json.loads(out) == {"error": {"type": "DataFormatError", "message": message}}
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["fit", "--help"]) == 0

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compresslaw import frontier, io as lawio, regression
+from compresslaw import documents, frontier, io as lawio, regression
 from compresslaw.errors import DataFormatError, DomainError
 from compresslaw.io import (
     LawRegistry,
@@ -91,6 +91,20 @@ class TestReadRecords:
         finally:
             gc.enable()
         assert [r.model_id for r in records] == ["m1"]
+
+    @pytest.mark.parametrize("bad_row", ["m2,loss,2.0,1.5,0,6.9\n", f"m2,loss,{OVER_LIMIT},0.5,0,6.9\n"],
+                             ids=["out of domain", "over the csv limit"])
+    def test_a_failed_strict_read_leaves_no_reference_cycles(self, bad_row):
+        """Neither the raised error's traceback nor the reader it leaves suspended holds the error in a cycle."""
+        read_records(records_csv(["m1,loss,2.0,0.5,0,6.9\n"]))
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(DataFormatError, match="row 3"):
+                read_records(records_csv(["m1,loss,2.0,0.5,0,6.9\n", bad_row]))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_the_strict_error_keeps_its_message_and_cause(self):
         with pytest.raises(DataFormatError) as caught:
@@ -491,6 +505,44 @@ class TestWritersMatchReference:
         with pytest.raises(DomainError) as caught:
             generate(SyntheticConfig(law, *axes))
         assert str(caught.value) == str(expected.value)
+
+
+UNDECODABLE = b"\xff"
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are malformed input: every reader raises DataFormatError, from a path or a stream."""
+
+    LAW = json.dumps({"schema_version": "compresslaw/v1", **law_to_dict(EXTRINSIC)})
+    DOCUMENTS = {
+        "law document": (load_law, LAW),
+        "law registry": (documents.load_registry, registry_to_json(builtin_registry())),
+        "grid": (documents.load_grid, json.dumps({"l0_values": [1.0], "r_values": [0.5], "d_values": [0.0]})),
+    }
+
+    @pytest.mark.parametrize("context", sorted(DOCUMENTS))
+    def test_documents(self, context, tmp_path):
+        reader, text = self.DOCUMENTS[context]
+        path = tmp_path / "doc.json"
+        path.write_bytes(text.encode())
+        reader(path)  # the document itself is valid
+        data = text.encode().replace(b'"', UNDECODABLE + b'"', 3)
+        path.write_bytes(data)
+        for source in (path, str(path), stdio.TextIOWrapper(stdio.BytesIO(data), encoding="utf-8")):
+            with pytest.raises(DataFormatError) as caught:
+                reader(source)
+            assert str(caught.value) == f"{context}: not utf-8 text: invalid start byte"
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("row", [0, 1, 3 * lawio._CHUNK_ROWS], ids=["header", "first row", "later block"])
+    def test_records(self, tmp_path, strict, row):
+        lines = [CSV_HEADER.encode()] + [b"m,loss,2.0,0.5,10,6.9\n"] * (3 * lawio._CHUNK_ROWS + 5)
+        lines[row] = lines[row][:1] + UNDECODABLE + lines[row][1:]
+        path = tmp_path / "records.csv"
+        path.write_bytes(b"".join(lines))
+        for source in (path, stdio.TextIOWrapper(stdio.BytesIO(path.read_bytes()), encoding="utf-8", newline="")):
+            with pytest.raises(DataFormatError, match="^records: not utf-8 text: invalid start byte$"):
+                read_records(source, strict=strict)
 
 
 class TestLawJson:

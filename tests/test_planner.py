@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compresslaw.errors import DomainError, InfeasibleBudgetError
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
 from compresslaw.planner import (
     CandidateModel,
     PlanRequest,
@@ -111,6 +112,15 @@ class TestPlan:
         assert result.entries[0].required_ratio > 0.9
         assert any("extrapolation" in note for note in result.entries[0].notes)
 
+    @pytest.mark.parametrize("metric", [ACC, MetricKind.LOSS])
+    def test_equal_predictions_rank_the_smaller_ratio_then_the_model_id_first(self, metric):
+        flat = CompressionLaw(0.98, 0.0, 0.0, metric)  # the prediction does not depend on the ratio
+        candidates = [CandidateModel(name, params, 0.6, flat) for name, params in
+                      [("a", 8e9), ("b", 4e9), ("c", 6e9), ("d", 4e9)]]
+        result = plan(candidates, PlanRequest(budget=2e9, metric=metric))
+        assert len({e.predicted_performance for e in result.entries}) == 1
+        assert [e.model_id for e in result.entries] == ["b", "d", "c", "a"]
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(9)
         candidates = [
@@ -131,6 +141,56 @@ class TestPlan:
         result = plan(candidates, PlanRequest(budget=2e9, metric=ACC))
         ratios = [e.required_ratio for e in result.entries]
         assert ratios == sorted(ratios)
+
+
+def _numbers(low, high):
+    """Floats and ints in ``[low, high]``: a value type keeps the number it was given."""
+    return st.one_of(st.floats(low, high), st.integers(math.ceil(low), math.floor(high)))
+
+
+@st.composite
+def plan_cases(draw):
+    metric = draw(st.sampled_from([ACC, MetricKind.LOSS]))
+    sign = -1.0 if metric is ACC else 1.0
+    exponent = st.floats(-3.0, 3.0)
+    candidates = []
+    for i in range(draw(st.integers(1, 8))):
+        law = CompressionLaw(draw(exponent), sign * draw(exponent), sign * draw(exponent), metric,
+                             epsilon=draw(st.floats(1e-2, 10.0)))
+        runtime = draw(st.one_of(st.none(), st.builds(RuntimeLaw, st.floats(1e-3, 1e3), exponent)))
+        candidates.append(CandidateModel(f"m{i}", draw(_numbers(1e8, 1e11)), draw(_numbers(1.0, 5.0)), law, runtime))
+    request = PlanRequest(budget=draw(_numbers(1e7, 2e11)), metric=metric, rft_size=draw(_numbers(0.0, 1e6)),
+                          max_ratio=draw(st.floats(0.05, 1.0)))
+    return candidates, request
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=plan_cases())
+def test_plan_entries_are_the_public_functions_bit_for_bit(case):
+    """``plan`` runs the unchecked cores of the public functions: each entry is what they return, compared
+    with ``==``, each skip reason is the message of the error ``required_ratio`` raises, and the entries are
+    ranked best first, ties to the smaller ratio, then to the model id."""
+    candidates, request = case
+    result = plan(candidates, request)
+    by_id = {c.model_id: c for c in candidates}
+    assert sorted([e.model_id for e in result.entries] + [s.model_id for s in result.skipped]) == sorted(by_id)
+    for entry in result.entries:
+        candidate = by_id[entry.model_id]
+        ratio = required_ratio(candidate.param_count, request.budget, request.max_ratio)
+        assert entry.required_ratio == ratio
+        assert entry.predicted_performance == evaluate(candidate.law, candidate.l0, ratio, request.rft_size)
+        runtime = candidate.runtime_law
+        expected = None if runtime is None else evaluate_runtime(RuntimeLaw(1.0, runtime.beta), ratio)
+        assert entry.predicted_runtime_factor == expected
+    sign = -1.0 if request.metric is ACC else 1.0
+    keys = [(sign * e.predicted_performance, e.required_ratio, e.model_id) for e in result.entries]
+    assert keys == sorted(keys)
+    assert [s.model_id for s in result.skipped] == sorted(s.model_id for s in result.skipped)
+    for skip in result.skipped:
+        candidate = by_id[skip.model_id]
+        with pytest.raises(InfeasibleBudgetError) as caught:
+            required_ratio(candidate.param_count, request.budget, request.max_ratio)
+        assert skip.reason == str(caught.value)
 
 
 class TestPredictSpeedup:

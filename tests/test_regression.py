@@ -178,10 +178,15 @@ class TestDesignKernel:
                 tail = np.linspace(0.0, 0.999, n) if name == "r" else np.cumsum(rng.uniform(1e-3, 1.0, n))
                 column = np.concatenate([pool, tail])[:n]
             columns.append(column)
-        batch = RecordBatch(["m"] * n, [MetricKind.LOSS] * n, *columns, np.ones(n))
-        x, _ = build_design(batch, epsilon=epsilon)
+        observed = rng.uniform(1e-3, 1e3, n)
+        batch = RecordBatch(["m"] * n, [MetricKind.LOSS] * n, *columns, observed)
+        x, y = build_design(batch, epsilon=epsilon)
         expected = np.array([log_features(l0, r, d, epsilon) for l0, r, d in zip(*(c.tolist() for c in columns))])
         assert x.tobytes() == expected.tobytes()  # tells -0.0 from 0.0, which == does not
+        # The bits of x @ coef depend on the layout too, which tobytes() does not show.
+        assert x.flags.c_contiguous
+        # y is math.log row by row: np.log differs from it in the last bit on some values.
+        assert y.tobytes() == np.array(list(map(math.log, observed.tolist()))).tobytes()
 
 
 class TestOlsFit:
