@@ -1,24 +1,27 @@
 """Frontier tables: one row ``l0, r, d, predicted`` per point of an ``(l0, r, d)`` grid, in lexicographic order.
 
-:func:`emit_frontier_grid` returns the points as a read-only sequence built from the three axes and the
-predictions, not a ``list``.  The writers format each axis value once and repeat its text down the column, and
-each prediction once.  The CSV writer, which :func:`compresslaw.io.write_records` shares, joins each row's fields
-with ``","`` and a chunk's rows with ``"\r\n"`` plus the text of the constant fields every row starts with.  The
-bytes are what ``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write.  The module imports no numpy.
+:func:`emit_frontier_grid` returns the points as a :class:`~compresslaw.laws.Table` of the three axes with their
+runs and the predictions, not a ``list``.  Every table is written through one spread-and-chunk path, which
+:func:`compresslaw.io.write_records` shares: a column's texts are made once per value it holds (a float's
+``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer writes the
+leading label columns that hold one label once, into the text every row starts with, and joins each row's other
+fields with ``","`` and a chunk's rows with ``"\r\n"``.  The bytes are what ``csv.writer`` (``\r\n`` line ends)
+and ``json.dumps`` write.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from io import StringIO
-from itertools import chain, cycle, islice, repeat
-from typing import Iterable, Iterator, NamedTuple
+from itertools import islice, repeat
+from operator import attrgetter
+from typing import NamedTuple
 
 from .documents import _open_for_write
 from .errors import DomainError
-from .laws import SCHEMA_VERSION, CompressionLaw, _checked_exps, log_feature_columns
+from .laws import SCHEMA_VERSION, CompressionLaw, MetricKind, Table, _checked_exps, log_feature_columns
 from .laws import require_nonnegative, require_positive, require_ratio
 
 __all__ = ["FrontierPoint", "emit_frontier_grid", "write_frontier"]
@@ -39,58 +42,6 @@ def _grid_axes(l0_values, r_values, d_values) -> tuple[tuple[float, ...], ...]:
 FrontierPoint = NamedTuple("FrontierPoint", [("l0", float), ("r", float), ("d", float), ("predicted", float)])
 
 
-class _FrontierTable(Sequence):
-    """A read-only sequence of :class:`FrontierPoint` as four columns.  Column ``k`` holds each of its values
-    ``runs[k]`` times in a row and starts over after the last, so a grid keeps only its axes: row ``i`` is
-    ``(l0[i // (R*D)], r[(i // D) % R], d[i % D], predicted[i])``.  A slice is a table; it equals a list."""
-
-    __slots__ = ("_values", "_runs", "predicted")
-
-    def __init__(self, values: Sequence[Sequence[float]], runs: Sequence[int]) -> None:
-        self._values, self._runs, self.predicted = tuple(values), tuple(runs), values[-1]
-
-    @classmethod
-    def from_points(cls, points: Iterable[FrontierPoint]) -> _FrontierTable:
-        """``points`` itself if it is a table, else its fields as floats, each column run once."""
-        if isinstance(points, _FrontierTable):
-            return points
-        columns = list(zip(*map(FrontierPoint._make, points))) or [()] * len(FrontierPoint._fields)
-        return cls([tuple(map(float, column)) for column in columns], [1] * len(columns))
-
-    def __len__(self) -> int:
-        return len(self.predicted)
-
-    def _columns(self, transform=float) -> list[Iterator]:
-        """The columns, ``transform`` taken of each distinct value once and spread to every row."""
-        n, columns = len(self), []
-        for values, run in zip(self._values, self._runs):
-            items = map(transform, values)
-            if len(values) * run < n:
-                items = islice(cycle(items), n // run)
-            columns.append(items if run == 1 else chain.from_iterable(map(repeat, items, repeat(run))))
-        return columns
-
-    def _chunks(self) -> Iterator[list[list[str]]]:
-        """The rows' field texts, ``_CHUNK_ROWS`` rows at a time, as one list per column."""
-        columns = self._columns(repr)
-        while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
-            yield chunk
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self.from_points(map(self.__getitem__, range(len(self))[index]))
-        i = range(len(self))[index]  # an int in range, or IndexError
-        return FrontierPoint(*(values[i // run % len(values)] for values, run in zip(self._values, self._runs)))
-
-    def __iter__(self) -> Iterator[FrontierPoint]:
-        return map(FrontierPoint, *self._columns())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
 def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Sequence[float],
                        d_grid: Sequence[float]) -> Sequence[FrontierPoint]:
     """Predictions over the full grid, one point per row in lexicographic order, each equal to ``evaluate``'s.
@@ -107,7 +58,7 @@ def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Se
     a_terms, b_terms, c_terms = [law.alpha * x for x in x0], [law.beta * x for x in x1], [law.gamma * x for x in x2]
     log_predicted = [ab + c for a in a_terms for ab in [a + b for b in b_terms] for c in c_terms]
     predicted = _checked_exps(log_predicted)
-    return _FrontierTable((l0, r, d, predicted), (len(r) * len(d), len(d), 1, 1))
+    return Table(FrontierPoint, (l0, r, d, predicted), (len(r) * len(d), len(d), 1, 1))
 
 
 def _quote(text: str) -> str:
@@ -120,6 +71,25 @@ def _quote(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
+def _texts(values: Sequence) -> Iterable[str]:
+    """The field text of each value of a column: a float's ``repr``, and a label (a text or a metric) as
+    ``csv.writer`` writes it, quoted once per distinct label."""
+    if not values or isinstance(values[0], float):
+        return map(repr, values)
+    if isinstance(values[0], MetricKind):
+        values = list(map(attrgetter("_value_"), values))  # _value_ is .value without its descriptor call
+    quoted = {text: _quote(text) for text in set(values)}
+    return map(quoted.__getitem__, values)
+
+
+def _chunks(table: Table, start: int = 0) -> Iterator[list[list[str]]]:
+    """The field texts of the table's columns from ``start`` on, ``_CHUNK_ROWS`` rows at a time, one list per
+    column.  Each text is made once per value of its column and spread to the rows."""
+    columns = [table._spread(k, _texts(table.columns[k])) for k in range(start, len(table.columns))]
+    while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
+        yield chunk
+
+
 def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str]) -> Iterator[str]:
     """Each chunk (its columns of field texts) as JSON rows: ``layout[k]`` before field ``k``, ``layout[-1]``
     after."""
@@ -130,24 +100,37 @@ def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str
         yield "".join(map("".join, zip(*parts)))
 
 
-def _write_csv(dest, header: Sequence[str], chunks: Iterable[Sequence[Sequence[str]]], head: str = "") -> None:
-    """The one CSV writer: ``header``, then each row of ``chunks`` (columns of quoted field texts) as ``head``,
-    the text of the row's constant leading fields and their commas, and its own fields joined by commas."""
+def _write_csv(dest, header: Sequence[str], table: Table) -> None:
+    """The one CSV writer: ``header``, then each row of ``table``.  The leading label columns that hold one
+    label (``synth``'s model id and metric) are written once into ``head``, the text every row starts with."""
+    labels = 0
+    # tuple.count compares by identity first, so a column of one object costs no Python call per row.
+    while len(table) and not isinstance((values := table.columns[labels])[0], float) \
+            and values.count(values[0]) == len(values):
+        labels += 1
+    head = "".join(next(_texts(values[:1])) + "," for values in table.columns[:labels])
     with _open_for_write(dest) as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for columns in chunks:
-            if columns[0]:
-                fh.write(head + ("\r\n" + head).join(map(",".join, zip(*columns))) + "\r\n")
+        for columns in _chunks(table, labels):
+            fh.write(head + ("\r\n" + head).join(map(",".join, zip(*columns))) + "\r\n")
+
+
+def _points_table(points: Iterable[FrontierPoint]) -> Table:
+    """``points`` itself if it is a table, else its points' fields as floats, one value per row."""
+    if isinstance(points, Table):
+        return points
+    columns = [tuple(map(float, column)) for column in zip(*map(FrontierPoint._make, points))]
+    return Table(FrontierPoint, columns or [()] * len(FrontierPoint._fields))
 
 
 def write_frontier(points: Iterable[FrontierPoint], dest) -> None:
-    _write_csv(dest, FrontierPoint._fields, _FrontierTable.from_points(points)._chunks())
+    _write_csv(dest, FrontierPoint._fields, _points_table(points))
 
 
 def _write_frontier_json(points: Iterable[FrontierPoint], dest) -> None:
     """The ``frontier`` JSON document, byte for byte as ``json.dumps`` writes it with a dict per point.  Its
     values are finite, which json writes with ``float.__repr__``, so the rows are spliced in from the columns."""
-    chunks = _FrontierTable.from_points(points)._chunks()
+    chunks = _chunks(_points_table(points))
     head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "frontier", "rows": []})
     # Every row starts with the ", " that separates it from the one before; the first row drops it.
     layout = (', {"l0": ', ', "r": ', ', "d": ', ', "predicted": ', "}")

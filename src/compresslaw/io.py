@@ -10,21 +10,23 @@ import the row joiner when they run, so reading records loads no frontier.
 * experiment CSV: header ``model_id,metric,l0,r,d,l`` with metric one of
   ``loss``/``accuracy``/``runtime``; plain decimal numbers only (``d`` takes
   no unit suffixes).  It is read into, and written from, a
-  :class:`~compresslaw.regression.RecordBatch`.
+  :class:`~compresslaw.laws.Table` of records.
 
 Bulk input is read into columns: a block of plain lines (no quote, NUL or
 stray line-end character, the header's number of fields) is cut with
 ``str.split`` into the fields ``csv.reader`` would return, and from the first
-block that is not plain ``csv.reader`` reads the rest.  Bulk output is
-written from columns by the CSV writer of :mod:`compresslaw.frontier`, byte
-for byte what ``csv.writer`` (``\r\n`` line ends) writes for the same rows:
-a leading text column that holds one value (``synth``'s model id and metric)
-is quoted once into the text every row starts with, and each row's other
-fields are joined by ``","`` in one C-level pass per chunk.  Both ways, a
-long column of grid inputs ``l0``, ``r`` or ``d`` is parsed or formatted
-once per distinct value, and the observed ``l`` one by one.
-"Long" is the one floor :data:`compresslaw.regression._DISTINCT_MIN_ROWS`
-that the design uses too.  Every reader raises
+block that is not plain ``csv.reader`` reads the rest.  In a long block, each
+distinct text of ``l0``, ``r`` and ``d`` is parsed once, and the observed
+``l`` one by one; "long" is the one floor
+:data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
+The float columns of the table are read-only memoryviews of float64 arrays,
+which numpy takes back without a copy, so a read table does not pickle.
+Bulk output is written from a table's columns by the table writer of
+:mod:`compresslaw.frontier`, byte for byte what ``csv.writer`` (``\r\n``
+line ends) writes for the same rows: each value a column holds is formatted
+once (a grid axis value once, however many rows repeat it), and a leading
+label column that holds one label (``synth``'s model id and metric) is
+quoted once into the text every row starts with.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
 malformed input, bytes that are not UTF-8 included.  A failed read leaves
 no reference cycle for the garbage collector: no error it raises or keeps
@@ -48,8 +50,8 @@ from . import documents, regression
 from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport is used here)
 from .documents import _open_for_read
 from .errors import DataFormatError, DomainError
-from .laws import DesignForm, ExperimentRecord, MetricKind
-from .regression import RecordBatch, _fit, _map_distinct
+from .laws import DesignForm, ExperimentRecord, MetricKind, Table
+from .regression import _fit
 
 # compresslaw.frontier's public names, re-exported on first access.
 _FRONTIER_NAMES = ("FrontierPoint", "emit_frontier_grid", "write_frontier")
@@ -244,8 +246,8 @@ def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[lis
             return
 
 
-def read_records(source, *, strict: bool = True) -> RecordBatch:
-    """Read a :class:`~compresslaw.regression.RecordBatch` from CSV (path or open stream).
+def read_records(source, *, strict: bool = True) -> Table:
+    """Read records from CSV (path or open stream) as a :class:`~compresslaw.laws.Table`.
 
     Strict mode aborts on the first invalid row with a row-numbered error;
     lenient mode skips invalid rows, emitting a :class:`SkippedRowWarning`
@@ -297,40 +299,16 @@ def read_records(source, *, strict: bool = True) -> RecordBatch:
                 warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
     model_id, metric, *floats = zip(*parts) if parts else [()] * len(RECORD_COLUMNS)
     chain = itertools.chain.from_iterable
-    return RecordBatch(chain(model_id), chain(metric), *(np.concatenate((np.empty(0), *c)) for c in floats))
-
-
-def _format_column(column) -> list[str]:
-    """The fields of a float64 array of grid inputs (its values' ``repr``, once per distinct value of a long
-    array), or of a sequence of metrics or of text (quoted for CSV)."""
-    if isinstance(column, np.ndarray):
-        return _map_distinct(lambda values: [list(map(repr, values))], column)[0].tolist()
-    if column and isinstance(column[0], MetricKind):
-        column = list(map(operator.attrgetter("_value_"), column))  # _value_ is .value without its descriptor call
-    from .frontier import _quote
-    fields = {text: _quote(text) for text in set(column)}
-    return list(map(fields.__getitem__, column))
-
-
-def _record_chunks(columns: Sequence) -> Iterator[list[list[str]]]:
-    """The fields of ``columns``, ``_CHUNK_ROWS`` rows at a time; one ``repr`` per observed value of the last."""
-    for start in range(0, len(columns[0]), _CHUNK_ROWS):
-        *leading, values = (column[start : start + _CHUNK_ROWS] for column in columns)
-        yield [*map(_format_column, leading), list(map(repr, values.tolist()))]
+    # Read-only memoryviews of the float64 arrays: numpy takes them back without a copy.
+    floats = [memoryview(np.concatenate((np.empty(0), *c))).toreadonly() for c in floats]
+    return Table(ExperimentRecord, [tuple(chain(model_id)), tuple(chain(metric)), *floats])
 
 
 def write_records(records: Iterable[ExperimentRecord], dest) -> None:
-    """Write records as CSV with lossless (repr) float formatting.
-
-    Each leading text column that holds one value (``synth``'s model id and metric) is quoted once into the
-    text every row starts with; the other columns are formatted chunk by chunk."""
+    """Write records as CSV with lossless (repr) float formatting, through the table writer of
+    :mod:`compresslaw.frontier`."""
     from .frontier import _write_csv
-    records = RecordBatch.from_records(records if isinstance(records, Sequence) else list(records))
-    n, texts, head = len(records), [records.model_id, records.metric], ""
-    # tuple.count compares by identity first, so a column of one object costs no Python call per row.
-    while texts and n and texts[0].count(texts[0][0]) == n:
-        head += _format_column(texts.pop(0)[:1])[0] + ","
-    _write_csv(dest, RECORD_COLUMNS, _record_chunks([*texts, records.l0, records.r, records.d, records.l]), head)
+    _write_csv(dest, RECORD_COLUMNS, Table.of(ExperimentRecord, records))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ whole columns for the designs of :mod:`compresslaw.regression` and
 bit in their transforms.  The ``require_*`` validators are the one place
 each domain condition and its message are written.
 
-Fields are checked once, when a value is built.  A public function that
+Fields are checked once, when a value is built, and a float field stores
+the float its ``require_*`` validator returns.  A public function that
 takes plain numbers checks them, then runs an unchecked private core:
 :func:`evaluate` is the checks, then ``_evaluate``, and
 :func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  Code that
@@ -27,7 +28,9 @@ once, and its result is the public function's bit for bit.
 
 The numpy-free value types that fits and documents exchange live here too:
 :class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
-:class:`FeasibilityWarning`.  This is their one home, so the commands that
+:class:`FeasibilityWarning`, and the one table type, :class:`Table`, in
+which ``read_records``, ``generate`` and ``emit_frontier_grid`` return their
+rows as run-length columns.  This is their one home, so the commands that
 only evaluate laws never import numpy.  The private decorator
 ``_value_type`` builds every value type of the package: immutable, equal by
 class and fields, hashable, with a ``Name(field=value, ...)`` repr.  It
@@ -46,7 +49,9 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, cycle, islice, repeat
+from operator import attrgetter
 
 from .errors import DomainError
 
@@ -59,6 +64,7 @@ __all__ = [
     "DesignForm",
     "ExperimentRecord",
     "FeasibilityWarning",
+    "Table",
     "log_features",
     "require_finite",
     "require_positive",
@@ -144,7 +150,7 @@ def log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, 
 
 
 def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[float], epsilon: float) -> tuple:
-    """:func:`log_features` over lists of floats: element ``i`` of each returned list is that element of
+    """:func:`log_features` over sequences of floats: element ``i`` of each returned list is that element of
     ``log_features(l0[i], r[i], d[i], epsilon)`` bit for bit (``np.log`` could differ by an ulp)."""
     return list(map(math.log, l0)), list(map(math.log1p, r)), [_rft(v, epsilon) for v in d]
 
@@ -241,8 +247,8 @@ class CompressionLaw:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma"):
-            require_finite(name, getattr(self, name))
-        require_positive("epsilon", self.epsilon)
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
+        object.__setattr__(self, "epsilon", require_positive("epsilon", self.epsilon))
         if not isinstance(self.metric, MetricKind):
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
 
@@ -260,8 +266,8 @@ class RuntimeLaw:
     stats: FitStatistics | None = None
 
     def __post_init__(self) -> None:
-        require_positive("c", self.c)
-        require_finite("beta", self.beta)
+        object.__setattr__(self, "c", require_positive("c", self.c))
+        object.__setattr__(self, "beta", require_finite("beta", self.beta))
 
 
 @_value_type
@@ -303,14 +309,69 @@ class ExperimentRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.metric, MetricKind):
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
-        require_positive("l0", self.l0)
-        require_ratio(self.r)
-        require_nonnegative("d", self.d)
-        require_positive("l", self.l)
+        object.__setattr__(self, "l0", require_positive("l0", self.l0))
+        object.__setattr__(self, "r", require_ratio(self.r))
+        object.__setattr__(self, "d", require_nonnegative("d", self.d))
+        object.__setattr__(self, "l", require_positive("l", self.l))
 
 
 class FeasibilityWarning(UserWarning):
     """A fitted exponent has a sign the metric deems physically implausible."""
+
+
+class Table(Sequence):
+    """A read-only sequence of rows ``row(*fields)`` held as columns, each a tuple or a read-only memoryview.
+
+    Column ``k`` holds each of its values ``runs[k]`` times in a row and starts over after the last; the last
+    column holds one value per row.  So a grid keeps only its axes: row ``i`` of an ``(l0, r, d)`` grid of
+    ``R`` ratios and ``D`` sizes is ``(l0[i // (R*D)], r[i // D % R], d[i % D], ...)``, and a one-value column
+    is a constant.  A slice is a table, and a table equals any sequence of the same rows in the same order.
+    """
+
+    __slots__ = ("row", "columns", "runs")
+
+    def __init__(self, row, columns: Sequence[Sequence], runs: Sequence[int] | None = None) -> None:
+        self.row, self.columns = row, tuple(columns)
+        self.runs = (1,) * len(self.columns) if runs is None else tuple(runs)
+
+    @classmethod
+    def of(cls, row, rows: Iterable) -> Table:
+        """``rows`` itself if it is a table, else the fields of its rows, values of the value type ``row``, as
+        columns.  The rows checked their fields when they were built, so the fields are read as they are."""
+        if isinstance(rows, Table):
+            return rows
+        names = row._value_fields
+        return cls(row, list(zip(*map(attrgetter(*names), rows))) or [()] * len(names))
+
+    def __len__(self) -> int:
+        return len(self.columns[-1])
+
+    def _spread(self, k: int, items: Iterable | None = None) -> Iterator:
+        """``items``, one per value of column ``k`` (the values themselves by default), spread to one per row."""
+        values, run = self.columns[k], self.runs[k]
+        items = values if items is None else items
+        if len(values) * run < len(self):
+            items = islice(cycle(items), len(self) // run)  # cycle keeps the first pass: each item is made once
+        return iter(items) if run == 1 else chain.from_iterable(map(repeat, items, repeat(run)))
+
+    def column(self, k: int) -> Sequence:
+        """Column ``k`` with one value per row."""
+        values = self.columns[k]
+        return values if len(values) == len(self) else tuple(self._spread(k))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Table(self.row, [self.column(k)[index] for k in range(len(self.columns))])
+        i = range(len(self))[index]  # an int in range, or IndexError
+        return self.row(*(values[i // run % len(values)] for values, run in zip(self.columns, self.runs)))
+
+    def __iter__(self) -> Iterator:
+        return map(self.row, *map(self._spread, range(len(self.columns))))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _checked_exp(log_value: float) -> float:

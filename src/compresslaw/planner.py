@@ -54,8 +54,8 @@ class CandidateModel:
     runtime_law: RuntimeLaw | None = None
 
     def __post_init__(self) -> None:
-        require_positive("param_count", self.param_count)
-        require_positive("l0", self.l0)
+        object.__setattr__(self, "param_count", require_positive("param_count", self.param_count))
+        object.__setattr__(self, "l0", require_positive("l0", self.l0))
         if self.law.metric not in (MetricKind.LOSS, MetricKind.ACCURACY):
             raise DomainError("candidate laws must target loss or accuracy")
 
@@ -70,8 +70,8 @@ class PlanRequest:
     max_ratio: float = OBSERVED_RATIO_MAX
 
     def __post_init__(self) -> None:
-        require_positive("budget", self.budget)
-        require_nonnegative("rft_size", self.rft_size)
+        object.__setattr__(self, "budget", require_positive("budget", self.budget))
+        object.__setattr__(self, "rft_size", require_nonnegative("rft_size", self.rft_size))
         if not 0.0 < self.max_ratio <= 1.0:
             raise DomainError(f"max_ratio must lie in (0, 1], got {self.max_ratio}")
 
@@ -151,7 +151,7 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
             )
 
     # The candidates and the request checked their fields when they were built: the cores take them as they are.
-    budget, max_ratio, rft_size = request.budget, request.max_ratio, float(request.rft_size)
+    budget, max_ratio, rft_size = request.budget, request.max_ratio, request.rft_size
     entries: list[PlanEntry] = []
     skipped: list[SkippedCandidate] = []
     for candidate in candidates:
@@ -160,7 +160,7 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
         except InfeasibleBudgetError as exc:
             skipped.append(SkippedCandidate(candidate.model_id, str(exc)))
             continue
-        predicted = _evaluate(candidate.law, float(candidate.l0), ratio, rft_size)
+        predicted = _evaluate(candidate.law, candidate.l0, ratio, rft_size)
         runtime_law = candidate.runtime_law
         # The runtime factor is the runtime law's prediction normalized to the uncompressed model: c = 1.
         runtime_factor = None if runtime_law is None else _evaluate_runtime(1.0, runtime_law.beta, ratio)

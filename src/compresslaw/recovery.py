@@ -95,8 +95,8 @@ class RecoveryQuery:
             raise DomainError(
                 "recovery analysis needs a feasible law; " + "; ".join(str(v) for v in violations)
             )
-        _validate_sigma(self.sigma, self.law.metric)
-        require_ratio(self.r)
+        object.__setattr__(self, "sigma", _validate_sigma(self.sigma, self.law.metric))
+        object.__setattr__(self, "r", require_ratio(self.r))
 
 
 @_value_type
@@ -207,7 +207,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
     :func:`recoverable` accepts it despite floating-point rounding at the
     exact boundary; callers round up to their own unit granularity.
     """
-    law, sigma, r = query.law, float(query.sigma), float(query.r)
+    law, sigma, r = query.law, query.sigma, query.r
     phi = recovery_margin(law.beta, law.gamma, sigma, r)
     if phi <= 0.0:
         return math.inf
@@ -227,7 +227,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
 def analyze(query: RecoveryQuery) -> RecoveryAnalysis:
     """Full recovery report: regime, boundary, critical ratio and minimum size."""
     # The query checked the law's signs and sigma when it was built.
-    beta, sigma = float(query.law.beta), float(query.sigma)
+    beta, sigma = query.law.beta, query.sigma
     regime, boundary = _classify_regime(beta, sigma, query.law.metric)
     if regime is Regime.CONDITIONALLY_RECOVERABLE:
         r_critical = _critical_ratio(beta, sigma)

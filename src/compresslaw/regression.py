@@ -16,11 +16,13 @@ model degrees of freedom) for the intercept-free forms, centered (``p - 1``)
 for the runtime form.  A bare :func:`ols_fit` call without a form has no
 intercept.
 
-Bulk paths pass records as a :class:`RecordBatch` of columns; :func:`build_design`
-turns any other sequence into one and maps :func:`~compresslaw.laws.log_feature_columns` over its
-grid columns ``l0``, ``r`` and ``d``, once per distinct value of a column of at least ``_DISTINCT_MIN_ROWS``.
+Bulk paths pass records as a :class:`~compresslaw.laws.Table` of columns; :func:`build_design` turns any other
+sequence into one.  It takes the grid columns ``l0``, ``r`` and ``d`` with one value per row, whether a table
+holds them per row (read from CSV) or as grid axes (``generate``), and maps
+:func:`~compresslaw.laws.log_feature_columns` over them once per distinct value of a column of at least
+``_DISTINCT_MIN_ROWS`` rows.
 
-Records are checked once, when they are built, and only code that checked them builds a batch.  So
+Records are checked once, when they are built, and only code that checked them builds a table.  So
 :func:`build_design` checks only what the records do not: one metric kind, enough rows, and a finite design,
 which is one test of the sum of ``X`` and ``y``, since every entry is a log.  It writes the features into one
 C-contiguous array (the bits of ``X @ b`` depend on the layout) and ``y`` with ``math.log`` row by row.
@@ -43,6 +45,7 @@ from .laws import (
     FitStatistics,
     RuntimeLaw,
     SignViolation,
+    Table,
     check_feasibility,
     log_feature_columns,
     require_positive,
@@ -77,65 +80,21 @@ FITTED_SIGN_EXPONENTS: dict[DesignForm, tuple[str, ...]] = {
 }
 
 
-def _read_only(values) -> np.ndarray:
-    column = np.array(values, dtype=float)
-    column.flags.writeable = False
-    return column
-
-
-# The one dedup floor, shared with the CSV reader and write_records: shorter columns are mapped value by value.  Over
-# repeated values, np.unique or a dict of texts pays from ~128 rows; a 64k-character CSV block holds ~750 rows.
+# The one dedup floor, shared with the CSV reader: shorter columns are mapped value by value.  Over repeated
+# values, np.unique or a dict of texts pays from ~128 rows; a 64k-character CSV block holds ~750 rows.
 _DISTINCT_MIN_ROWS = 256
 
 
-def _map_distinct(transform, *columns: np.ndarray, dtype=object) -> list[np.ndarray]:
-    """``transform(*(column.tolist() for column in columns))`` for float64 ``columns`` of one length, each
-    list it returns as an array of ``dtype``.  Entry ``i`` of each list depends on entry ``i`` of its column
-    alone, so if the columns have at least ``_DISTINCT_MIN_ROWS`` values, ``transform`` is given each as its
-    distinct bit patterns (``-0.0`` apart from ``0.0``), and the results are gathered back to its length."""
+def _map_distinct(transform, *columns: Sequence[float]) -> list:
+    """``transform(*columns)`` for float ``columns`` of one length.  Entry ``i`` of each list it returns depends
+    on entry ``i`` of its column alone, so if the columns have at least ``_DISTINCT_MIN_ROWS`` values,
+    ``transform`` is given each as its distinct bit patterns (``-0.0`` apart from ``0.0``), and the results are
+    gathered back to its length as float64 arrays.  Shorter columns go straight to ``transform``."""
     if len(columns[0]) < _DISTINCT_MIN_ROWS:
-        return [np.array(result, dtype) for result in transform(*map(np.ndarray.tolist, columns))]
-    distinct = [np.unique(column.view(np.int64), return_inverse=True) for column in columns]
+        return transform(*columns)
+    distinct = [np.unique(np.asarray(column, float).view(np.int64), return_inverse=True) for column in columns]
     results = transform(*(bits.view(np.float64).tolist() for bits, _ in distinct))
-    return [np.array(result, dtype)[inverse] for result, (_, inverse) in zip(results, distinct)]
-
-
-class RecordBatch(Sequence):
-    """Records as columns (read-only float64 arrays ``l0, r, d, l``; tuples ``model_id, metric``) that only
-    code which validated them builds.  A read-only sequence of :class:`ExperimentRecord`: a slice is a batch,
-    and it equals any sequence of the same records in the same order."""
-
-    __slots__ = ("model_id", "metric", "l0", "r", "d", "l")
-
-    def __init__(self, model_id, metric, l0, r, d, l) -> None:
-        self.model_id, self.metric = tuple(model_id), tuple(metric)
-        self.l0, self.r, self.d, self.l = map(_read_only, (l0, r, d, l))
-
-    @classmethod
-    def from_records(cls, records: Sequence[ExperimentRecord]) -> RecordBatch:
-        """``records`` itself if it is a batch, else its fields as columns, read without validating again."""
-        if isinstance(records, RecordBatch):
-            return records
-        return cls(*([getattr(rec, name) for rec in records] for name in cls.__slots__))
-
-    def __len__(self) -> int:
-        return len(self.model_id)
-
-    def __getitem__(self, index):
-        columns = [getattr(self, name)[index] for name in self.__slots__]
-        if isinstance(index, slice):
-            return RecordBatch(*columns)
-        model_id, metric, *floats = columns
-        return ExperimentRecord(model_id, metric, *map(float, floats))
-
-    def __iter__(self):
-        floats = (column.tolist() for column in (self.l0, self.r, self.d, self.l))
-        return map(ExperimentRecord, self.model_id, self.metric, *floats)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+    return [np.array(result)[inverse] for result, (_, inverse) in zip(results, distinct)]
 
 
 def build_design(
@@ -147,7 +106,7 @@ def build_design(
 
     Args:
         records: Observations sharing one metric kind, as a
-            :class:`RecordBatch` or any sequence of records.
+            :class:`~compresslaw.laws.Table` or any sequence of records.
         epsilon: Smoothing constant for the RFT factor.
         form: Which columns to include; see :class:`DesignForm`.
 
@@ -166,19 +125,19 @@ def build_design(
     n, p = len(records), len(names)
     if n < p + 1:
         raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {n}")
-    batch = RecordBatch.from_records(records)
-    # tuple.count compares by identity first; hashing an enum member runs Python code.
-    if batch.metric.count(batch.metric[0]) != n:
-        raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(batch.metric))}")
+    table = Table.of(ExperimentRecord, records)
+    # Each value of a column is in some row.  tuple.count compares by identity first; hashing an enum member runs
+    # Python code.
+    metric = table.columns[1]
+    if metric.count(metric[0]) != len(metric):
+        raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(metric))}")
 
-    features = _map_distinct(
-        lambda *columns: log_feature_columns(*columns, epsilon), batch.l0, batch.r, batch.d, dtype=float
-    )
+    features = _map_distinct(lambda *columns: log_feature_columns(*columns, epsilon), *map(table.column, (2, 3, 4)))
     # One C-contiguous array: the bits of x @ coef depend on the layout, which x.tobytes() does not show.
     x = np.empty((n, p))
     for j, name in enumerate(names):
         x[:, j] = 1.0 if name == "intercept" else features[_FEATURE_INDEX[name]]
-    y = np.fromiter(map(math.log, batch.l.tolist()), float, n)
+    y = np.fromiter(map(math.log, table.columns[5]), float, n)
     # The entries are logs of finite floats, so their sum overflows only if one of them is inf or nan.
     if not math.isfinite(x.sum() + y.sum()):
         raise DomainError("log transform produced non-finite design entries")
@@ -287,13 +246,13 @@ def _fit(
     Violations are limited to the exponents the form estimates; the pinned
     zeros of the ablation forms are exempt.
     """
-    batch = RecordBatch.from_records(records)
-    x, y = build_design(batch, epsilon=epsilon, form=form)
+    table = Table.of(ExperimentRecord, records)
+    x, y = build_design(table, epsilon=epsilon, form=form)
     coef, stats, residuals = _solve(x, y, form)
     coef = coef.tolist()
     if form is DesignForm.RUNTIME:
         return RuntimeLaw(c=math.exp(coef[0]), beta=coef[1], stats=stats), [], residuals
-    metric = batch.metric[0]
+    metric = table.columns[1][0]
     if form is DesignForm.FULL:
         law = CompressionLaw(coef[0], coef[1], coef[2], metric, epsilon, stats)
     elif form is DesignForm.RATIO_ONLY:

@@ -10,7 +10,11 @@ predictions are one numpy sum over the meshed features, taken in
 :func:`~compresslaw.laws.evaluate`'s order, and their ``exp`` is one
 ``math.exp`` map checked at once, as the ``frontier`` grid's is: a noise-free
 ``l`` equals ``evaluate`` at its point bit for bit, and the first value out of
-range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.
+range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.  The
+records are a :class:`~compresslaw.laws.Table` of the grid, like the
+``frontier`` points: the three axes with their runs, the observed ``l``, and
+one-value columns of the model id and the metric.  Only the features are
+meshed, never the raw axis values.
 
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
@@ -24,8 +28,9 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .frontier import _grid_axes
-from .laws import CompressionLaw, _checked_exps, _value_type, log_feature_columns, require_nonnegative
-from .regression import CONDITION_NUMBER_LIMIT, RecordBatch
+from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _value_type, log_feature_columns
+from .laws import require_nonnegative
+from .regression import CONDITION_NUMBER_LIMIT
 
 __all__ = ["SyntheticConfig", "generate"]
 
@@ -48,11 +53,12 @@ class SyntheticConfig:
             object.__setattr__(self, name, axis)
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
-        require_nonnegative("noise_std", self.noise_std)
+        object.__setattr__(self, "noise_std", require_nonnegative("noise_std", self.noise_std))
 
 
-def generate(config: SyntheticConfig) -> RecordBatch:
-    """Draw one record per grid point from the truth law, as a :class:`~compresslaw.regression.RecordBatch`.
+def generate(config: SyntheticConfig) -> Table:
+    """Draw one record per grid point from the truth law, as a :class:`~compresslaw.laws.Table` of the three
+    axes, the observed ``l`` and one-value columns of the model id and the metric.
 
     The observed value is ``exp(alpha*log l0 + beta*log(1+r) +
     gamma*log(1 + 1/(d+epsilon)) + z)`` with ``z ~ N(0, noise_std**2)``.
@@ -65,14 +71,14 @@ def generate(config: SyntheticConfig) -> RecordBatch:
     """
     law, axes = config.truth, (config.l0_values, config.r_values, config.d_values)
     # Each feature is taken once per axis value, then spread like the axes.
-    meshes = np.meshgrid(*axes, indexing="ij") + np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij")
-    l0, r, d, x0, x1, x2 = (mesh.ravel() for mesh in meshes)
+    x0, x1, x2 = (mesh.ravel() for mesh in np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij"))
     log_l = law.alpha * x0 + law.beta * x1 + law.gamma * x2
-    n = len(l0)
+    n = len(log_l)
     # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
     if n < 3 or not np.linalg.cond(np.column_stack((x0, x1, x2))) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
     if config.noise_std > 0:
         log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)
-    l = np.array(_checked_exps(log_l.tolist()))
-    return RecordBatch([config.model_id] * n, [law.metric] * n, l0, r, d, l)
+    columns = ((config.model_id,), (law.metric,), *axes, _checked_exps(log_l.tolist()))
+    d_count = len(config.d_values)
+    return Table(ExperimentRecord, columns, (n, n, len(config.r_values) * d_count, d_count, 1, 1))

@@ -3,6 +3,7 @@
 import copy
 import csv
 import gc
+import hashlib
 import io as stdio
 import itertools
 import json
@@ -11,11 +12,12 @@ import pickle
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from compresslaw import documents, frontier, io as lawio, regression
-from compresslaw.errors import DataFormatError, DomainError
+from compresslaw.errors import DataFormatError, DomainError, SingularDesignError
 from compresslaw.io import (
     LawRegistry,
     RegistryEntry,
@@ -37,7 +39,7 @@ from compresslaw.io import (
     RECORD_COLUMNS,
     SkippedRowWarning,
 )
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, check_feasibility, evaluate
 from compresslaw.regression import DesignForm, ExperimentRecord, FitStatistics
 from compresslaw.synth import SyntheticConfig, generate
 
@@ -58,6 +60,16 @@ class TestReadRecords:
         rec = records[0]
         assert rec.model_id == "m1" and rec.metric is MetricKind.LOSS
         assert (rec.l0, rec.r, rec.d, rec.l) == (2.0, 0.5, 0.0, 6.9)
+
+    def test_float_columns_are_read_only_and_reach_numpy_without_a_copy(self):
+        records = read_records(records_csv(["m1,loss,2.0,0.5,0,6.9\n", "m2,loss,3.0,-0.0,1,7.5\n"]))
+        assert isinstance(records, Table) and records[1:] == [records[1]]
+        for k, name in enumerate(RECORD_COLUMNS[2:], 2):
+            column = records.columns[k]
+            assert list(column) == [getattr(rec, name) for rec in records] and type(column[0]) is float
+            with pytest.raises(TypeError):
+                column[0] = 1.0
+            assert np.shares_memory(np.asarray(column), np.asarray(column))
 
     def test_row_error_names_field_and_row(self):
         with pytest.raises(DataFormatError, match=r"row 2.*'r'|row 2.*r must"):
@@ -405,13 +417,12 @@ def written(write, *args):
 
 
 class TestWritersMatchReference:
-    """The columnar writers against ``csv.writer`` and ``json.dumps`` over the same rows, with 7-row chunks and
-    no shortest column to deduplicate: a chunk drawn from a pool of up to 3 values takes the deduplicating path."""
+    """The table writers against ``csv.writer`` and ``json.dumps`` over the same rows, in 7-row chunks of the
+    one chunk size the writers read: columns drawn from a pool of up to 3 values, or mostly distinct ones."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self):
-        with mock.patch.object(lawio, "_CHUNK_ROWS", 7), mock.patch.object(frontier, "_CHUNK_ROWS", 7), \
-                mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
+        with mock.patch.object(frontier, "_CHUNK_ROWS", 7):
             yield
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -475,8 +486,9 @@ class TestWritersMatchReference:
         assert written(write_records, records) == csv_reference(RECORD_COLUMNS, rows)
 
     def test_an_empty_chunk_writes_nothing(self):
-        assert written(lambda out: frontier._write_csv(out, ("a", "b"), [[[], []], [["1"], ["2"]]], "x,")) == \
-            "a,b\r\nx,1,2\r\n"
+        # 14 rows fill two 7-row chunks exactly: the empty chunk after them ends the rows and writes no line
+        records = [ExperimentRecord("x", MetricKind.LOSS, 1.0, 0.5, 0.0, 2.0)] * 14
+        assert written(write_records, records) == "model_id,metric,l0,r,d,l\r\n" + "x,loss,1.0,0.5,0.0,2.0\r\n" * 14
 
     # Only at (10, 0.5, 0) does the exponent leave the float range: there it is 690 + 15 + 15 (or -720 - 15 - 15),
     # and every other point of these axes drops a term of 15 or more and stays inside.
@@ -748,6 +760,16 @@ GRID_LAWS = st.builds(
 )
 
 
+def draw_signed_zero_grid(data):
+    """Axes of 3 to 5 ``l0`` values, one of them twice, and of 8 to 12 ``r`` and 11 to 15 ``d`` values, each with
+    ``0.0`` and ``-0.0`` among them: 264 to 900 grid points."""
+    l0 = data.draw(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=4))
+    l0.append(l0[0])
+    r, d = (data.draw(st.permutations(data.draw(st.lists(values, min_size=size, max_size=size + 4)) + [0.0, -0.0]))
+            for values, size in ((st.floats(0.0, 0.999), 6), (st.floats(0.0, 1e6), 9)))
+    return l0, r, d
+
+
 class TestFrontier:
     @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
     @given(
@@ -790,7 +812,7 @@ class TestFrontier:
         with pytest.raises(IndexError):
             points[8]
         with pytest.raises(TypeError):
-            points.predicted[0] = 1.0
+            points.columns[-1][0] = 1.0
         grid = list(itertools.product([0.5, 0.7], [0.1, 0.2], [0.0, 5.0]))
         for i in (len(points) // 2, -1):
             assert points[i] == (*grid[i], evaluate(EXTRINSIC, *grid[i]))
@@ -802,13 +824,10 @@ class TestFrontier:
     @settings(max_examples=20, deadline=None, derandomize=True, database=None)
     @given(law=GRID_LAWS, data=st.data())
     def test_large_grids_with_signed_zeros_match_a_reference(self, law, data):
-        """Grids of 264 to 840 rows, past the writers' old dedup floor, with ``0.0`` and ``-0.0`` in the ``r``
+        """Grids of 264 to 900 rows, past the writers' old dedup floor, with ``0.0`` and ``-0.0`` in the ``r``
         and ``d`` axes and a repeated ``l0``, in 7-row chunks, against ``csv.writer`` and ``json.dumps`` over
         ``itertools.product`` and ``evaluate``; the same points as a list are written the same."""
-        l0 = data.draw(st.lists(st.floats(0.01, 100.0), min_size=2, max_size=4))
-        l0.append(l0[0])
-        r, d = (data.draw(st.permutations(data.draw(st.lists(values, min_size=size, max_size=size + 4)) + [0.0, -0.0]))
-                for values, size in ((st.floats(0.0, 0.999), 6), (st.floats(0.0, 1e6), 9)))
+        l0, r, d = draw_signed_zero_grid(data)
         points = [lawio.FrontierPoint(*p, evaluate(law, *p)) for p in itertools.product(l0, r, d)]
         csv_text = csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
         json_text = json.dumps({"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier",
@@ -830,3 +849,76 @@ class TestFrontier:
         assert lines[0] == "l0,r,d,predicted"
         parsed = [tuple(float(tok) for tok in line.split(",")) for line in lines[1:]]
         assert parsed == [tuple(p) for p in points]
+
+
+class TestGeneratedRecordTable:
+    """``generate``'s records, a table of the grid's axes with one-value model id and metric columns: the
+    records twins of ``TestFrontier.test_large_grids_with_signed_zeros_match_a_reference``."""
+
+    MODEL_ID = 'a,"b"'
+
+    def generated(self, law, axes, **config):
+        assume(len(set(axes[1])) + len(set(axes[2])) >= 3)  # a config needs them for a full-rank design
+        try:
+            return generate(SyntheticConfig(law, *axes, model_id=self.MODEL_ID, **config))
+        except SingularDesignError:
+            assume(False)
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(law=GRID_LAWS, data=st.data())
+    def test_large_grids_with_signed_zeros_match_a_reference(self, law, data):
+        """In 7-row chunks, against ``csv.writer`` over ``itertools.product`` and ``evaluate``; the same records
+        as a list are written the same."""
+        axes = draw_signed_zero_grid(data)
+        records = self.generated(law, axes)
+        rows = [[self.MODEL_ID, law.metric.value, *map(repr, point), repr(evaluate(law, *point))]
+                for point in itertools.product(*axes)]
+        with mock.patch.object(frontier, "_CHUNK_ROWS", 7):
+            for table in (records, list(records)):
+                assert written(write_records, table) == csv_reference(RECORD_COLUMNS, rows)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(law=GRID_LAWS, data=st.data(), noise_std=st.sampled_from([0.0, 0.1]))
+    @pytest.mark.parametrize("cut", [False, True], ids=["past the dedup floor", "axes cut short"])
+    def test_design_equals_the_design_of_its_list_bit_for_bit(self, law, data, noise_std, cut):
+        """Grids of 264 to 900 rows, or with each axis cut to at most 4 values, so under the design's dedup
+        floor."""
+        axes = [axis[: data.draw(st.integers(1, 4))] if cut else axis for axis in draw_signed_zero_grid(data)]
+        records = self.generated(law, axes, noise_std=noise_std, seed=data.draw(st.integers(0, 9)))
+        for form in DesignForm:
+            x, y = regression.build_design(records, law.epsilon, form)
+            x_list, y_list = regression.build_design(list(records), law.epsilon, form)
+            assert x.tobytes() == x_list.tobytes() and y.tobytes() == y_list.tobytes()
+            assert x.flags.c_contiguous and x_list.flags.c_contiguous
+
+    def test_a_slice_is_a_table_equal_to_the_slice_of_its_list(self):
+        records = generate(SyntheticConfig(EXTRINSIC, (0.5, 0.7, 0.5), (0.1, -0.0, 0.0), (0.0, 5.0), noise_std=0.1))
+        as_list = list(records)
+        assert len(records) == 18 and records == as_list
+        for index in (slice(2, 5), slice(None, None, -1), slice(1, None, 7), slice(-4, None), slice(5, 2)):
+            part = records[index]
+            assert isinstance(part, Table) and part == as_list[index] and list(part) == as_list[index]
+
+
+def test_benchmark_scale_bytes_are_pinned(tmp_path):
+    """The byte contract at the benchmark's scale: 100k rows span 13 writer chunks.  One 20 x 50 x 100 grid with
+    ``-0.0`` in ``r``, noise 0.05 and seed 1.  The fit report is left out: its last digit can depend on the BLAS
+    thread count."""
+    law = CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS)
+    axes = ([1.2 + i * 2.8 / 19 for i in range(20)], [-0.0] + [0.01 + i * 0.89 / 48 for i in range(49)],
+            [0.0] + [10.0 ** (i * 5 / 98) for i in range(99)])
+    write_records(generate(SyntheticConfig(law, *axes, noise_std=0.05, seed=1)), tmp_path / "records.csv")
+    points = emit_frontier_grid(law, *axes)
+    write_frontier(points, tmp_path / "frontier.csv")
+    frontier._write_frontier_json(points, tmp_path / "frontier.json")
+    x, y = regression.build_design(read_records(tmp_path / "records.csv"))
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("records.csv", "frontier.csv", "frontier.json")}
+    digests.update(x=hashlib.sha256(x.tobytes()).hexdigest(), y=hashlib.sha256(y.tobytes()).hexdigest())
+    assert digests == {
+        "records.csv": "df4d0ee1eca7e00372a31b8d42dcd8891872e21d5d27ea02e1c49cb6fe28bd2d",
+        "frontier.csv": "43c92faa8a6c35a598349129eac6b9e353558a2bb2ac04fe6cc07c23dea33370",
+        "frontier.json": "f4092401b159b89244a69458a87916bb318cca73c2fc419367c3c8caa3a5cef1",
+        "x": "db2818a6096b475c71fe6c2ca4a690548e55063e4c7b3de12bde5ed338188fc4",
+        "y": "152ba82105386cc6811081a3a9b5f4295279bbd842f913afdefacbebf738dded",
+    }

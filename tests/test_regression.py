@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compresslaw.errors import DomainError, SingularDesignError
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, log_features
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, log_features
 from compresslaw.regression import (
     DesignForm,
     ExperimentRecord,
     FeasibilityWarning,
     FitStatistics,
-    RecordBatch,
     build_design,
     fit_law,
     ols_fit,
@@ -112,7 +111,7 @@ ANY_RECORD = st.builds(
 )
 
 
-class TestRecordBatch:
+class TestRecordTable:
     RECORDS = [
         ExperimentRecord("a", MetricKind.LOSS, 2.0, 0.5, 0.0, 6.9),
         ExperimentRecord("b", MetricKind.ACCURACY, 0.6, 0.1, 25.0, 0.55),
@@ -120,29 +119,29 @@ class TestRecordBatch:
     ]
 
     def test_is_a_read_only_sequence_of_records(self):
-        batch = RecordBatch.from_records(self.RECORDS)
+        batch = Table.of(ExperimentRecord, self.RECORDS)
         assert len(batch) == 3
         assert list(batch) == self.RECORDS
         assert batch[1] == self.RECORDS[1] and batch[-1] == self.RECORDS[-1]
         assert type(batch[0].l0) is float
-        assert batch[1:] == self.RECORDS[1:] and isinstance(batch[1:], RecordBatch)
+        assert batch[1:] == self.RECORDS[1:] and isinstance(batch[1:], Table)
         assert batch.index(self.RECORDS[2]) == 2
         with pytest.raises(IndexError):
             batch[3]
-        with pytest.raises(ValueError):
-            batch.l0[0] = 1.0
+        with pytest.raises(TypeError):
+            batch.columns[2][0] = 1.0
 
     def test_equality(self):
-        batch = RecordBatch.from_records(self.RECORDS)
+        batch = Table.of(ExperimentRecord, self.RECORDS)
         assert batch == self.RECORDS and self.RECORDS == batch
-        assert batch == RecordBatch.from_records(list(batch))
+        assert batch == Table.of(ExperimentRecord, list(batch))
         assert batch != self.RECORDS[:2] and batch != self.RECORDS[::-1]
-        assert batch != RecordBatch.from_records(self.RECORDS[::-1])
+        assert batch != Table.of(ExperimentRecord, self.RECORDS[::-1])
         assert batch != "abc" and batch != 3
 
     @given(records=st.lists(ANY_RECORD, min_size=4, max_size=12), epsilon=st.floats(1e-300, 1e300))
     def test_design_from_a_batch_equals_the_design_from_its_records(self, records, epsilon):
-        batch = RecordBatch.from_records(records)
+        batch = Table.of(ExperimentRecord, records)
         for form in DesignForm:
             x, y = build_design(batch, epsilon=epsilon, form=form)
             x_list, y_list = build_design(list(batch), epsilon=epsilon, form=form)
@@ -179,7 +178,8 @@ class TestDesignKernel:
                 column = np.concatenate([pool, tail])[:n]
             columns.append(column)
         observed = rng.uniform(1e-3, 1e3, n)
-        batch = RecordBatch(["m"] * n, [MetricKind.LOSS] * n, *columns, observed)
+        floats = [memoryview(column).toreadonly() for column in (*columns, observed)]
+        batch = Table(ExperimentRecord, [("m",) * n, (MetricKind.LOSS,) * n, *floats])
         x, y = build_design(batch, epsilon=epsilon)
         expected = np.array([log_features(l0, r, d, epsilon) for l0, r, d in zip(*(c.tolist() for c in columns))])
         assert x.tobytes() == expected.tobytes()  # tells -0.0 from 0.0, which == does not

@@ -57,7 +57,7 @@ class TestGenerate:
 
 def _assert_noise_free_equals_evaluate(config):
     records = generate(config)
-    for l0, r, d, l in zip(*(getattr(records, name).tolist() for name in ("l0", "r", "d", "l"))):
+    for l0, r, d, l in zip(*map(records.column, (2, 3, 4, 5))):
         assert l == evaluate(config.truth, l0, r, d)
 
 

@@ -137,6 +137,44 @@ def test_values_differing_in_one_field_are_unequal(name, other):
     assert law != changed and changed != law
 
 
+# The float fields each __post_init__ checks with a require_* validator.
+CHECKED_FLOATS = {
+    CompressionLaw: ("alpha", "beta", "gamma", "epsilon"),
+    RuntimeLaw: ("c", "beta"),
+    ExperimentRecord: ("l0", "r", "d", "l"),
+    RecoveryQuery: ("sigma", "r"),
+    CandidateModel: ("param_count", "l0"),
+    PlanRequest: ("budget", "rft_size"),
+    SyntheticConfig: ("noise_std",),
+}
+
+
+@pytest.mark.parametrize("cls", sorted(CHECKED_FLOATS, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_checked_fields_are_stored_as_the_float_they_check(cls):
+    for name in CHECKED_FLOATS[cls]:
+        value = FIELDS[cls][name]
+        for given in (repr(value), f" {value!r} ") + ((int(value),) if value == int(value) else ()):
+            field = getattr(cls(**{**FIELDS[cls], name: given}), name)
+            assert type(field) is float and field == value
+
+
+def test_an_int_field_reads_back_as_a_float():
+    law = CompressionLaw(1, 2, 0, MetricKind.LOSS, 3)
+    assert [type(getattr(law, name)) for name in ("alpha", "beta", "gamma", "epsilon")] == [float] * 4
+    assert repr(law) == "CompressionLaw(alpha=1.0, beta=2.0, gamma=0.0, metric=<MetricKind.LOSS: 'loss'>, " \
+                        "epsilon=3.0, stats=None)"
+
+
+def test_numeric_strings_are_read_as_their_float():
+    law = CompressionLaw(0.5, 1.0, 1.0, MetricKind.LOSS)
+    assert laws.evaluate(CompressionLaw("0.5", 1.0, 1.0, MetricKind.LOSS), 2.0, 0.5, 0.0) == \
+        laws.evaluate(law, 2.0, 0.5, 0.0) == laws.evaluate(law, "2.0", "0.5", "0")
+    request = PlanRequest("1e9", MetricKind.LOSS, "10")
+    result = planner.plan([CandidateModel("m", "4e9", 0.6, law)], request)
+    assert result == planner.plan([CandidateModel("m", 4e9, 0.6, law)], PlanRequest(1e9, MetricKind.LOSS, 10.0))
+    assert result.entries[0].predicted_performance == laws.evaluate(law, 0.6, 0.75, 10.0)
+
+
 def test_synthetic_config_normalizes_its_axes_to_tuples():
     config = SyntheticConfig(ACCURACY, [0.5, 0.7], [0.1, 0.5], iter([0, 10]))
     assert (config.l0_values, config.r_values, config.d_values) == ((0.5, 0.7), (0.1, 0.5), (0.0, 10.0))
