@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
+from .laws import _FORM_COEFFICIENTS
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -344,7 +345,8 @@ class RegistryEntry:
 
     ``param_count`` and ``l0`` are optional planner inputs; fixture entries
     quote ``reported_adj_r_squared``/``reported_f_statistic`` when the
-    source published them without full fit statistics.
+    source published them without full fit statistics.  A compression law
+    has 0 for each exponent its form does not fit, as a fit in that form does.
     """
 
     model_id: str
@@ -359,6 +361,8 @@ class RegistryEntry:
     reported_f_statistic: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.form, DesignForm):
+            raise DomainError(f"form must be a DesignForm, got {self.form!r}")
         if isinstance(self.law, CompressionLaw):
             if self.form is DesignForm.RUNTIME:
                 raise DomainError("a compression law cannot carry the runtime form")
@@ -366,6 +370,9 @@ class RegistryEntry:
                 raise DomainError(
                     f"entry metric {self.metric.value} disagrees with law metric {self.law.metric.value}"
                 )
+            for name in ("beta", "gamma"):
+                if name not in _FORM_COEFFICIENTS[self.form] and getattr(self.law, name) != 0.0:
+                    raise DomainError(f"the {self.form.value} form pins {name} to 0, got {getattr(self.law, name)}")
         else:
             if self.metric is not MetricKind.RUNTIME or self.form is not DesignForm.RUNTIME:
                 raise DomainError("runtime laws must use metric 'runtime' and form 'runtime'")

@@ -31,11 +31,14 @@ The numpy-free value types that fits and documents exchange live here too:
 :class:`FeasibilityWarning`, and the one table type, :class:`Table`, in
 which ``read_records``, ``generate`` and ``emit_frontier_grid`` return their
 rows as run-length columns.  This is their one home, so the commands that
-only evaluate laws never import numpy.  The private decorator
-``_value_type`` builds every value type of the package: immutable, equal by
-class and fields, hashable, with a ``Name(field=value, ...)`` repr.  It
-stands in for the standard library's frozen classes, whose import of
-``inspect`` costs a light command more than its own work.
+only evaluate laws never import numpy.  Beside :class:`DesignForm`,
+``_FORM_COEFFICIENTS`` is the one list of the coefficients each form fits:
+the regression's design and fitted law and the registry's check read it.
+The private decorator ``_value_type`` builds every value type of the
+package: immutable, equal by class and fields, hashable, with a
+``Name(field=value, ...)`` repr.  It stands in for the standard library's
+frozen classes, whose import of ``inspect`` costs a light command more than
+its own work.
 
 Sign conventions: a physically sensible law moves in the right direction as
 ``r`` and ``d`` grow.  For loss-like metrics (lower is better) that means
@@ -132,6 +135,12 @@ def require_ratio(r: float) -> float:
         require_finite("r", r)
         raise DomainError(f"r must lie in [0, 1), got {r}")
     return r
+
+
+def _require_text(name: str, value: str) -> None:
+    """:class:`DomainError` unless ``value`` is a ``str``: a model id, which a CSV writes and reads as text."""
+    if not isinstance(value, str):
+        raise DomainError(f"{name} must be text, got {value!r}")
 
 
 def _rft(d: float, epsilon: float) -> float:
@@ -291,6 +300,15 @@ class DesignForm(enum.Enum):
     RUNTIME = "runtime"
 
 
+# The coefficients each form fits, in design-column order.  An exponent that a compression form does not fit is 0.
+_FORM_COEFFICIENTS = {
+    DesignForm.FULL: ("alpha", "beta", "gamma"),
+    DesignForm.RATIO_ONLY: ("alpha", "beta"),
+    DesignForm.DATA_ONLY: ("alpha", "gamma"),
+    DesignForm.RUNTIME: ("log_c", "beta"),
+}
+
+
 @_value_type
 class ExperimentRecord:
     """One measured observation of a compressed model.
@@ -307,6 +325,7 @@ class ExperimentRecord:
     l: float
 
     def __post_init__(self) -> None:
+        _require_text("model_id", self.model_id)
         if not isinstance(self.metric, MetricKind):
             raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
         object.__setattr__(self, "l0", require_positive("l0", self.l0))

@@ -128,8 +128,12 @@ def classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regi
 
 
 def _classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float]:
-    """:func:`classify_regime` of a float ``beta`` and ``sigma`` already valid for ``metric``, unchecked."""
-    boundary = 2.0**beta
+    """:func:`classify_regime` of a float ``beta`` and ``sigma`` already valid for ``metric``, unchecked but for
+    a boundary too large for a float.  An accuracy law's ``2**beta`` underflows to 0 without an error."""
+    try:
+        boundary = 2.0**beta
+    except OverflowError:
+        raise DomainError(f"regime boundary 2**beta overflowed the finite positive range (beta = {beta:.6g})") from None
     if metric is MetricKind.ACCURACY:
         always = sigma < boundary
     else:

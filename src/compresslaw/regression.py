@@ -6,7 +6,10 @@ Taking logs turns the multiplicative law into a linear model
 
 with no intercept (the law carries no multiplicative constant).  The
 runtime law does carry a constant, so its design gets an intercept column
-and the fitted intercept becomes ``log c``.
+and the fitted intercept becomes ``log c``.  Each form's coefficients, in column order, are the one table
+``laws._FORM_COEFFICIENTS``, and ``_COLUMNS`` gives each coefficient its column: they decide the columns of
+:func:`build_design`, the column names and the intercept of :func:`ols_fit`, and the law :func:`fit_law` returns,
+in which an exponent the form does not fit is 0.
 
 Solving uses a QR decomposition rather than the normal equations, with a
 condition-number guard at 1e8 on ``cond(R) == cond(X)``.  R-squared follows
@@ -38,6 +41,7 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .laws import (
+    _FORM_COEFFICIENTS,
     CompressionLaw,
     DesignForm,
     ExperimentRecord,
@@ -52,7 +56,6 @@ from .laws import (
 )
 
 __all__ = [
-    "FITTED_SIGN_EXPONENTS",
     "build_design",
     "ols_fit",
     "fit_law",
@@ -60,24 +63,9 @@ __all__ = [
 
 CONDITION_NUMBER_LIMIT = 1e8
 
-_COLUMN_NAMES: dict[DesignForm, tuple[str, ...]] = {
-    DesignForm.FULL: ("log_l0", "log_ratio", "log_data"),
-    DesignForm.RATIO_ONLY: ("log_l0", "log_ratio"),
-    DesignForm.DATA_ONLY: ("log_l0", "log_data"),
-    DesignForm.RUNTIME: ("intercept", "log_ratio"),
-}
-
-# Position of each named column in a :func:`log_feature_columns` triple.
-_FEATURE_INDEX = {"log_l0": 0, "log_ratio": 1, "log_data": 2}
-
-# Exponents a given form actually estimates, for sign-feasibility warnings.
-# Pinned-to-zero exponents of the ablation forms are exempt.
-FITTED_SIGN_EXPONENTS: dict[DesignForm, tuple[str, ...]] = {
-    DesignForm.FULL: ("beta", "gamma"),
-    DesignForm.RATIO_ONLY: ("beta",),
-    DesignForm.DATA_ONLY: ("gamma",),
-    DesignForm.RUNTIME: (),
-}
+# Each coefficient's design column: its name in diagnostics, and its index in a log_feature_columns triple (None for
+# the intercept, a column of ones).
+_COLUMNS = {"alpha": ("log_l0", 0), "beta": ("log_ratio", 1), "gamma": ("log_data", 2), "log_c": ("intercept", None)}
 
 
 # The one dedup floor, shared with the CSV reader: shorter columns are mapped value by value.  Over repeated
@@ -121,8 +109,8 @@ def build_design(
             p + 1), or a non-finite transform.
     """
     epsilon = require_positive("epsilon", epsilon)
-    names = _COLUMN_NAMES[form]
-    n, p = len(records), len(names)
+    coefficients = _FORM_COEFFICIENTS[form]
+    n, p = len(records), len(coefficients)
     if n < p + 1:
         raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {n}")
     table = Table.of(ExperimentRecord, records)
@@ -135,8 +123,9 @@ def build_design(
     features = _map_distinct(lambda *columns: log_feature_columns(*columns, epsilon), *map(table.column, (2, 3, 4)))
     # One C-contiguous array: the bits of x @ coef depend on the layout, which x.tobytes() does not show.
     x = np.empty((n, p))
-    for j, name in enumerate(names):
-        x[:, j] = 1.0 if name == "intercept" else features[_FEATURE_INDEX[name]]
+    for j, name in enumerate(coefficients):
+        index = _COLUMNS[name][1]
+        x[:, j] = 1.0 if index is None else features[index]
     y = np.fromiter(map(math.log, table.columns[5]), float, n)
     # The entries are logs of finite floats, so their sum overflows only if one of them is inf or nan.
     if not math.isfinite(x.sum() + y.sum()):
@@ -167,7 +156,8 @@ def _solve(
     n, p = x.shape
     if n <= p:
         raise DomainError(f"need more rows than columns, got {n} x {p}")
-    names = _COLUMN_NAMES[form] if form is not None else [f"x{j}" for j in range(p)]
+    names = ([_COLUMNS[name][0] for name in _FORM_COEFFICIENTS[form]] if form is not None
+             else [f"x{j}" for j in range(p)])
     if len(names) != p:
         raise DomainError(f"the {form.value} form has {len(names)} columns, X has {p}")
 
@@ -185,8 +175,8 @@ def _solve(
     residuals = y - x @ coef
     # fsum is correctly rounded, so the sums do not depend on how a threaded BLAS splits a dot product.
     ssr = math.fsum((residuals * residuals).tolist())
-    # Only the runtime form has an intercept; it centers R^2 and is not a model degree of freedom.
-    intercepts = int(form is DesignForm.RUNTIME)
+    # Only a form that fits log c has an intercept; it centers R^2 and is not a model degree of freedom.
+    intercepts = names.count("intercept")
     centered = y - y.mean() if intercepts else y
     tss = math.fsum((centered * centered).tolist())
     if tss > 0.0:
@@ -243,23 +233,17 @@ def _fit(
 ) -> tuple[CompressionLaw | RuntimeLaw, list[SignViolation], np.ndarray]:
     """Build the design once, solve it and return the law, its sign violations and log-residuals.
 
-    Violations are limited to the exponents the form estimates; the pinned
-    zeros of the ablation forms are exempt.
+    An exponent the form does not fit is pinned to 0, and its sign is exempt
+    from the violations.
     """
     table = Table.of(ExperimentRecord, records)
     x, y = build_design(table, epsilon=epsilon, form=form)
     coef, stats, residuals = _solve(x, y, form)
-    coef = coef.tolist()
-    if form is DesignForm.RUNTIME:
-        return RuntimeLaw(c=math.exp(coef[0]), beta=coef[1], stats=stats), [], residuals
-    metric = table.columns[1][0]
-    if form is DesignForm.FULL:
-        law = CompressionLaw(coef[0], coef[1], coef[2], metric, epsilon, stats)
-    elif form is DesignForm.RATIO_ONLY:
-        law = CompressionLaw(coef[0], coef[1], 0.0, metric, epsilon, stats)
-    else:
-        law = CompressionLaw(coef[0], 0.0, coef[1], metric, epsilon, stats)
-    fitted = FITTED_SIGN_EXPONENTS[form]
+    fitted = dict(zip(_FORM_COEFFICIENTS[form], coef.tolist()))
+    if "log_c" in fitted:
+        return RuntimeLaw(math.exp(fitted["log_c"]), fitted["beta"], stats), [], residuals
+    law = CompressionLaw(fitted["alpha"], fitted.get("beta", 0.0), fitted.get("gamma", 0.0), table.columns[1][0],
+                         epsilon, stats)
     return law, [v for v in check_feasibility(law) if v.exponent in fitted], residuals
 
 

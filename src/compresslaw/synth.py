@@ -28,8 +28,8 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .frontier import _grid_axes
-from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _value_type, log_feature_columns
-from .laws import require_nonnegative
+from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _require_text, _value_type
+from .laws import log_feature_columns, require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT
 
 __all__ = ["SyntheticConfig", "generate"]
@@ -54,6 +54,7 @@ class SyntheticConfig:
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
         object.__setattr__(self, "noise_std", require_nonnegative("noise_std", self.noise_std))
+        _require_text("model_id", self.model_id)
 
 
 def generate(config: SyntheticConfig) -> Table:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from compresslaw.cli import build_parser, main, run
 from compresslaw.documents import load_law, report_to_json
@@ -350,6 +350,34 @@ class TestExitCodes:
         message = f"{context}: not utf-8 text: invalid start byte"
         assert json.loads(out) == {"error": {"type": "DataFormatError", "message": message}}
 
+    FLAG_ERRORS = {
+        "min-rft on a runtime law": (["min-rft", "--law", "{runtime}", "--sigma", "0.8", "--r", "0.19"],
+                                     "min-rft needs a compression law, not a runtime law"),
+        "synth on a runtime truth": (["synth", "--truth", "{runtime}", "--grid", "{grid}", "--seed", "0",
+                                      "--out", "{out}"], "synth needs a compression law as the truth"),
+        "frontier on a runtime law": (["frontier", "--law", "{runtime}", "--l0-list", "0.6", "--r-grid", "0.1",
+                                       "--d-grid", "0"], "frontier needs a compression law"),
+        "frontier with an empty --l0-list": (["frontier", "--law", "{law}", "--l0-list", " , ", "--r-grid", "0.1",
+                                              "--d-grid", "0"], "--l0-list must list at least one number"),
+        "frontier with a non-numeric --l0-list": (
+            ["frontier", "--law", "{law}", "--l0-list", "0.6,x", "--r-grid", "0.1", "--d-grid", "0"],
+            "--l0-list must be a comma-separated list of numbers, got '0.6,x'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FLAG_ERRORS))
+    def test_a_command_given_what_it_cannot_use_is_one_domain_error(self, case, capsys, tmp_path):
+        paths = {name: tmp_path / f"{name}.json" for name in ("runtime", "law", "grid")}
+        paths["runtime"].write_text(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "runtime", "c": 1.0,
+                                                "beta": -0.5}))
+        paths["law"].write_text(json.dumps(LAW))
+        paths["grid"].write_text(json.dumps(GRID))
+        argv, message = self.FLAG_ERRORS[case]
+        assert run([arg.format(out=tmp_path / "out.csv", **paths) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert len(out.splitlines()) == 1
+        assert json.loads(out) == {"error": {"type": "DomainError", "message": message}}
+        assert err == f"error: {message}\n"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["fit", "--help"]) == 0
@@ -472,12 +500,17 @@ def _argv(command, path, directory):
     return ["fit", "--input", str(path)] + (["--lenient"] if command == "fit-lenient" else [])
 
 
+def _run_streams(argv):
+    """``run(argv)`` with stdout and stderr captured; returns the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run_captured(argv):
     """``run(argv)`` with stdout captured; returns the exit code and stdout."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = run(argv)
-    return code, out.getvalue()
+    return _run_streams(argv)[:2]
 
 
 HUGE_FIELD_CSV = _csv_text(CSV_ROWS[:4] + [["x" * 200_000, "loss", "2", "0.1", "0", "2"]] + CSV_ROWS[4:])
@@ -501,6 +534,23 @@ MALFORMED = {
     "report residual not a number": ("min-rft", json.dumps(_changed(REPORT, ["residuals", 0], "0.0"))),
     # A --law flag reads a law or a fit report, not a registry.
     "predict on a law registry": ("predict", json.dumps(REGISTRY)),
+    "top level not an object": ("predict", json.dumps([LAW])),
+    "byte order mark": ("predict", "\ufeff" + json.dumps(LAW)),
+    "report warnings not a list": ("predict", json.dumps(_changed(REPORT, ["warnings"], "w"))),
+    "report residuals not a list": ("predict", json.dumps(_changed(REPORT, ["residuals"], 0.0))),
+    "registry compression law with the runtime form": (
+        "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "form"], "runtime"))),
+    # An entry's law has 0 for each exponent its form does not fit.
+    "registry ratio form with a gamma": ("plan", json.dumps(_changed(REGISTRY, ["entries", 1, "form"], "ratio"))),
+}
+# What the error message of a case says, where a test names it.
+MALFORMED_MESSAGES = {
+    "top level not an object": "law document: expected a JSON object, got list",
+    "byte order mark": "law document: invalid JSON: Unexpected UTF-8 BOM",
+    "report warnings not a list": "fit report: warnings must be a list",
+    "report residuals not a list": "fit report: residuals must be a list",
+    "registry compression law with the runtime form": "entry 0: a compression law cannot carry the runtime form",
+    "registry ratio form with a gamma": "entry 1: the ratio form pins gamma to 0, got -0.11",
 }
 # A number is read only as it is written: a JSON number, or one of the strings "inf", "-inf" and "nan".
 NUMBER_FIELDS = {"predict": (LAW, ["alpha"]), "synth": (GRID, ["d_values", 0]), "plan": (REGISTRY, ["entries", 0, "l0"])}
@@ -530,6 +580,7 @@ def test_malformed_document_is_one_data_format_error(case, tmp_path):
     doc = json.loads(out)
     assert list(doc) == ["error"]
     assert doc["error"]["type"] == "DataFormatError"
+    assert MALFORMED_MESSAGES.get(case, "") in doc["error"]["message"]
 
 
 def test_a_law_of_the_wrong_kind_is_told_every_kind_a_law_flag_reads(tmp_path):
@@ -672,30 +723,37 @@ OVERFLOW_REGISTRY = dict(REGISTRY, entries=REGISTRY["entries"] + [
     {"model_id": "b", "metric": "runtime", "method_tag": "t", "form": "runtime",
      "law": {"kind": "runtime", "c": 1.0, "beta": 5000.0}},
 ])
+# A loss law whose regime boundary 2**beta overflows a float.
+OVERFLOW_BOUNDARY = dict(LAW, metric="loss", beta=1024.0, gamma=0.14)
 OVERFLOW = {
     "synth": ["synth", "--truth", "{truth}", "--grid", "{grid}", "--seed", "0", "--out", "{out}"],
     "plan": ["plan", "--registry", "{registry}", "--budget", "3e9", "--metric", "accuracy"],
     "frontier": ["frontier", "--law", "{truth}", "--l0-list", "100", "--r-grid", "0.1,0.5", "--d-grid", "0,10"],
     "predict": ["predict", "--law", "{truth}", "--l0", "100", "--r", "0.1"],
+    "critical": ["critical", "--beta", "2000", "--sigma", "1.5", "--metric", "loss"],
+    "min-rft": ["min-rft", "--law", "{boundary}", "--sigma", "1.5", "--r", "0.5"],
 }
 UNDERFLOW = ("frontier", "predict", "synth")
 
 
 @pytest.mark.parametrize("command", sorted(OVERFLOW) + [f"{command}-underflow" for command in UNDERFLOW])
 def test_an_overflowing_prediction_is_one_domain_error(command, tmp_path):
-    command, _, underflow = command.partition("-")
-    paths = {"truth": tmp_path / "truth.json", "grid": tmp_path / "grid.json",
-             "registry": tmp_path / "registry.json", "out": tmp_path / "out.csv"}
+    underflow = command.endswith("-underflow")
+    command = command.removesuffix("-underflow")
+    paths = {"truth": tmp_path / "truth.json", "grid": tmp_path / "grid.json", "registry": tmp_path / "registry.json",
+             "out": tmp_path / "out.csv", "boundary": tmp_path / "boundary.json"}
     paths["truth"].write_text(json.dumps(UNDERFLOW_TRUTH if underflow else OVERFLOW_TRUTH))
     paths["grid"].write_text(json.dumps(dict(GRID, l0_values=[100.0])))
     paths["registry"].write_text(json.dumps(OVERFLOW_REGISTRY))
-    code, out = _run_captured([arg.format(**paths) for arg in OVERFLOW[command]])
+    paths["boundary"].write_text(json.dumps(OVERFLOW_BOUNDARY))
+    code, out, err = _run_streams([arg.format(**paths) for arg in OVERFLOW[command]])
     assert code == 1
     assert len(out.splitlines()) == 1
     assert list(json.loads(out)) == ["error"]
     error = json.loads(out)["error"]
     assert error["type"] == "DomainError"
     assert ("underflowed to zero" if underflow else "overflowed") in error["message"]
+    assert err == f"error: {error['message']}\n"
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -752,6 +810,20 @@ def test_an_overlong_bad_csv_field_is_quoted_short(field, tmp_path):
     assert len(err.getvalue()) < 1024
 
 
+def _reject_bare_constant(token):
+    raise ValueError(f"stdout holds a bare {token}, which is not JSON")
+
+
+def _assert_one_document(code, out, codes=(0, 1, 2)):
+    """The CLI contract: an exit code in ``codes`` and one JSON object on stdout, with no bare ``NaN`` or
+    ``Infinity``; an error is one ``{"error": ...}`` line."""
+    assert code in codes
+    result = json.loads(out, parse_constant=_reject_bare_constant)
+    assert isinstance(result, dict)
+    if code:
+        assert len(out.splitlines()) == 1 and list(result) == ["error"]
+
+
 FUZZ_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -801,11 +873,30 @@ def test_cli_contract_holds_for_mutated_documents(command, data):
         path = Path(directory) / "input"
         path.write_text(text)
         code, out = _run_captured(_argv(command, path, directory))
-    assert code in (0, 1, 2)
-    result = json.loads(out)
-    assert isinstance(result, dict)
-    if code:
-        assert len(out.splitlines()) == 1 and "error" in result
+    _assert_one_document(code, out)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from(["critical", "predict", "min-rft"]), metric=st.sampled_from(["accuracy", "loss"]),
+       x=FINITE, y=FINITE, z=FINITE)
+@example(command="critical", metric="loss", x=1024.0, y=1.5, z=0.0)  # 2**1024 overflows a float
+@example(command="predict", metric="loss", x=math.nan, y=math.inf, z=-math.inf)
+@example(command="min-rft", metric="loss", x=math.inf, y=math.nan, z=0.0)
+def test_cli_contract_holds_for_numeric_flags(command, metric, x, y, z):
+    """``critical`` with drawn ``--beta`` and ``--sigma`` for either metric, and ``predict`` and ``min-rft`` on
+    one fixture law with drawn numbers, each given as ``--flag=value``: exit 0 or 1 and one stdout line."""
+    law = f"--law={GOLDEN / 'truth.json'}"
+    argv = {
+        "critical": ["critical", f"--metric={metric}", f"--beta={x!r}", f"--sigma={y!r}"],
+        "predict": ["predict", law, f"--l0={x!r}", f"--r={y!r}", f"--d={z!r}"],
+        "min-rft": ["min-rft", law, f"--sigma={x!r}", f"--r={y!r}"],
+    }[command]
+    code, out = _run_captured(argv)
+    _assert_one_document(code, out, codes=(0, 1))
+    assert len(out.splitlines()) == 1
 
 
 MAIN_EXITS = {

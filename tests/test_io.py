@@ -730,6 +730,22 @@ class TestRegistry:
         with pytest.raises(DomainError):
             RegistryEntry("m", MetricKind.LOSS, "tag", RuntimeLaw(1.0, -0.5))
 
+    @pytest.mark.parametrize("form, pinned", [(DesignForm.RATIO_ONLY, "gamma"), (DesignForm.DATA_ONLY, "beta")])
+    def test_an_entry_has_0_for_each_exponent_its_form_does_not_fit(self, form, pinned):
+        def entry(value, form=form):
+            law = CompressionLaw(0.74, **{"beta": 2.02, "gamma": 1.46, pinned: value}, metric=MetricKind.LOSS)
+            return RegistryEntry("m", MetricKind.LOSS, "t", law, form=form)
+
+        message = f"the {form.value} form pins {pinned} to 0, got 0.5"
+        with pytest.raises(DomainError, match=message):
+            entry(0.5)
+        doc = json.loads(registry_to_json(LawRegistry([entry(0.0)])))
+        doc["entries"][0]["law"][pinned] = 0.5
+        with pytest.raises(DataFormatError, match=f"entry 0: {message}"):
+            registry_from_json(json.dumps(doc))
+        with pytest.raises(DomainError, match=f"form must be a DesignForm, got '{form.value}'"):
+            entry(0.0, form=form.value)
+
     def test_candidates_from_registry(self):
         registry = LawRegistry(
             [

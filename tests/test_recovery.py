@@ -97,6 +97,18 @@ class TestClassifyRegime:
         with pytest.raises(DomainError):
             classify_regime(2.0, sigma, MetricKind.LOSS)
 
+    @pytest.mark.parametrize("call", [
+        lambda: classify_regime(1024.0, 1.5, MetricKind.LOSS),
+        lambda: critical_ratio(1024.0, 1.5, MetricKind.LOSS),
+        lambda: analyze(RecoveryQuery(CompressionLaw(0.5, 1024.0, 1.0, MetricKind.LOSS), sigma=1.5, r=0.5)),
+    ], ids=["classify_regime", "critical_ratio", "analyze"])
+    def test_an_overflowing_boundary_is_a_domain_error_that_names_beta(self, call):
+        with pytest.raises(DomainError, match=r"boundary 2\*\*beta overflowed .* \(beta = 1024\)"):
+            call()
+
+    def test_an_underflowing_accuracy_boundary_is_zero(self):
+        assert classify_regime(-2000.0, 0.5, MetricKind.ACCURACY) == (Regime.CONDITIONALLY_RECOVERABLE, 0.0)
+
 
 class TestMinRftSize:
     def test_worked_point(self):

@@ -232,6 +232,18 @@ class TestOlsFit:
         with pytest.raises(DomainError):
             ols_fit(np.eye(3), np.ones(3))
 
+    @pytest.mark.parametrize("x, y, form, error, message", [
+        (np.ones((6, 2)), np.ones(5), None, DomainError, r"incompatible shapes X\(6, 2\), y\(5,\)"),
+        (np.ones((6, 2)), np.ones((6, 1)), None, DomainError, r"incompatible shapes X\(6, 2\), y\(6, 1\)"),
+        (np.column_stack([np.arange(1.0, 7.0), np.zeros(6)]), np.arange(1.0, 7.0), DesignForm.RATIO_ONLY,
+         SingularDesignError, r"\(cond = inf\); column\(s\) \['log_ratio'\] are numerically zero"),
+        (np.column_stack([np.ones(6), np.zeros(6)]), np.arange(1.0, 7.0), DesignForm.RUNTIME,
+         SingularDesignError, r"column\(s\) \['log_ratio'\] are numerically zero"),
+    ], ids=["rows", "y not a vector", "zero column", "zero runtime column"])
+    def test_a_problem_it_cannot_solve_is_named(self, x, y, form, error, message):
+        with pytest.raises(error, match=message):
+            ols_fit(x, y, form=form)
+
 
 class TestFitLaw:
     def test_identity_data(self):

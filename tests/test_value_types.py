@@ -54,18 +54,29 @@ DEFAULTED = {
     RegistryEntry: ("form", "provenance", "param_count", "l0", "reported_adj_r_squared", "reported_f_statistic"),
     SyntheticConfig: ("noise_std", "seed", "model_id"),
 }
-# One field value that each class's __post_init__ rejects; the other five classes have no __post_init__.
+# Field values that each class's __post_init__ rejects, and the start of its message; the other five classes have
+# no __post_init__.
 INVALID = {
-    FitStatistics: {"n": 3},
-    CompressionLaw: {"epsilon": 0.0},
-    RuntimeLaw: {"c": -1.0},
-    ExperimentRecord: {"r": 1.0},
-    RecoveryQuery: {"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
-    CandidateModel: {"l0": 0.0},
-    PlanRequest: {"max_ratio": 0.0},
-    FitReport: {"residuals": (0.0,)},
-    RegistryEntry: {"metric": MetricKind.LOSS},
-    SyntheticConfig: {"noise_std": -1.0},
+    FitStatistics: [({"n": 3}, "need n > p, got n=3, p=3"),
+                     ({"r_squared": 1.5}, r"r_squared must lie in \[0, 1\], got 1.5"),
+                     ({"r_squared": -0.1, "adj_r_squared": -0.2}, r"r_squared must lie in \[0, 1\], got -0.1"),
+                     ({"f_statistic": -1.0}, "f_statistic must be nonnegative"),
+                     ({"residual_std": -0.1}, "residual_std must be nonnegative"),
+                     ({"condition_number": 0.0}, "condition_number must be positive")],
+    CompressionLaw: [({"epsilon": 0.0}, "epsilon must be > 0")],
+    RuntimeLaw: [({"c": -1.0}, "c must be > 0")],
+    ExperimentRecord: [({"r": 1.0}, r"r must lie in \[0, 1\)"),
+                       ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
+                       ({"model_id": 5}, "model_id must be text, got 5"),
+                       ({"model_id": None}, "model_id must be text, got None")],
+    RecoveryQuery: [({"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
+                     "recovery analysis needs a feasible law")],
+    CandidateModel: [({"l0": 0.0}, "l0 must be > 0")],
+    PlanRequest: [({"max_ratio": 0.0}, r"max_ratio must lie in \(0, 1\]")],
+    FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10")],
+    RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy")],
+    SyntheticConfig: [({"noise_std": -1.0}, "noise_std must be >= 0"),
+                      ({"model_id": 5}, "model_id must be text, got 5")],
 }
 CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
 IDS = [cls.__name__ for cls in CLASSES]
@@ -125,8 +136,9 @@ def test_fields_cannot_be_assigned_or_deleted(cls):
 
 @pytest.mark.parametrize("cls", sorted(INVALID, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
 def test_post_init_still_validates(cls):
-    with pytest.raises(DomainError):
-        cls(**{**FIELDS[cls], **INVALID[cls]})
+    for fields, message in INVALID[cls]:
+        with pytest.raises(DomainError, match=message):
+            cls(**{**FIELDS[cls], **fields})
 
 
 @pytest.mark.parametrize("name, other", [("alpha", 0.64), ("beta", 1.73), ("gamma", 1.17), ("epsilon", 2.0),
