@@ -5,7 +5,7 @@ subcommand emits CSV); human diagnostics go to stderr.  A command imports
 what its handler calls: the module itself needs only ``errors`` and
 ``laws``, and each handler imports the modules it runs, so ``critical``
 loads no document codec and only ``fit`` and ``synth`` load numpy.  Exit codes:
-0 success, 1 validation or domain error, 2 I/O error, a closed stdout pipe
+0 success, 1 usage, validation or domain error, 2 I/O error, a closed stdout pipe
 included.  Input path flags accept ``-`` for stdin, and ``synth --out -``
 writes CSV to stdout.
 
@@ -27,6 +27,7 @@ import argparse
 import gc
 import json
 import os
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -85,10 +86,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
-    from .recovery import Regime, _critical_ratio, classify_regime
+    from .recovery import _regime, _validate_regime
     metric = MetricKind(args.metric)
-    regime, boundary = classify_regime(args.beta, args.sigma, metric)
-    r_critical = _critical_ratio(args.beta, args.sigma) if regime is Regime.CONDITIONALLY_RECOVERABLE else None
+    regime, boundary, r_critical = _regime(*_validate_regime(args.beta, args.sigma, metric), metric)
     _print_json(
         "critical_ratio",
         {
@@ -181,8 +181,21 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises a usage error, for :func:`run` to print as one error document, and reads
+    every token ``float`` reads as a negative number, such as ``-1e-3`` or ``-inf``, as a value, not an option:
+    argparse's own pattern takes only ``-1``- and ``-1.5``-style tokens for negative numbers."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d|-(inf|nan)", re.IGNORECASE)
+
+    def error(self, message: str):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="compresslaw",
         description="Fit compression power laws, analyze recovery feasibility and plan compression choices.",
     )
@@ -253,8 +266,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if not exc.code else 1
+    except SystemExit:  # --help
+        return 0
+    except argparse.ArgumentError as exc:
+        _emit_error(exc)
+        return 1
     try:
         return args.handler(args)
     except OSError as exc:

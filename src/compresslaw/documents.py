@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
-from .laws import _FORM_COEFFICIENTS
+from .laws import _FORM_COEFFICIENTS, _require_instance, _require_metric, _require_text
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -339,7 +339,8 @@ def _report_from_dict(doc: dict) -> FitReport:
 # ---------------------------------------------------------------------------
 
 
-@_value_type
+@_value_type(model_id=_require_text, metric=_require_metric, method_tag=_require_text,
+             form=_require_instance(DesignForm, "a DesignForm"), provenance=_require_text)
 class RegistryEntry:
     """One law in a registry, keyed by (model_id, metric, method_tag).
 
@@ -361,8 +362,6 @@ class RegistryEntry:
     reported_f_statistic: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.form, DesignForm):
-            raise DomainError(f"form must be a DesignForm, got {self.form!r}")
         if isinstance(self.law, CompressionLaw):
             if self.form is DesignForm.RUNTIME:
                 raise DomainError("a compression law cannot carry the runtime form")

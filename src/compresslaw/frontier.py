@@ -36,7 +36,7 @@ def _grid_axes(l0_values, r_values, d_values) -> tuple[tuple[float, ...], ...]:
     if not all(axes):
         raise DomainError("all three grid axes must be nonempty")
     l0 = tuple(require_positive("l0", v) for v in l0)
-    return l0, tuple(map(require_ratio, r)), tuple(require_nonnegative("d", v) for v in d)
+    return l0, tuple(require_ratio("r", v) for v in r), tuple(require_nonnegative("d", v) for v in d)
 
 
 FrontierPoint = NamedTuple("FrontierPoint", [("l0", float), ("r", float), ("d", float), ("predicted", float)])

@@ -21,8 +21,9 @@ Fields are checked once, when a value is built, and a float field stores
 the float its ``require_*`` validator returns.  A public function that
 takes plain numbers checks them, then runs an unchecked private core:
 :func:`evaluate` is the checks, then ``_evaluate``, and
-:func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  Code that
-holds fields a value type has already checked, such as the planner's
+:func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  So does a
+value type: a table builds its rows with the type's unchecked core.  Code
+that holds fields a value type has already checked, such as the planner's
 candidates and request, calls the core directly.  Each formula is written
 once, and its result is the public function's bit for bit.
 
@@ -128,19 +129,28 @@ def require_nonnegative(name: str, value: float) -> float:
     return value
 
 
-def require_ratio(r: float) -> float:
+def require_ratio(name: str, value: float) -> float:
     """A compression ratio in ``[0, 1)`` as a float."""
-    r = float(r)
-    if not 0.0 <= r < 1.0:
-        require_finite("r", r)
-        raise DomainError(f"r must lie in [0, 1), got {r}")
-    return r
+    value = float(value)
+    if not 0.0 <= value < 1.0:
+        require_finite(name, value)
+        raise DomainError(f"{name} must lie in [0, 1), got {value}")
+    return value
 
 
-def _require_text(name: str, value: str) -> None:
-    """:class:`DomainError` unless ``value`` is a ``str``: a model id, which a CSV writes and reads as text."""
-    if not isinstance(value, str):
-        raise DomainError(f"{name} must be text, got {value!r}")
+def _require_instance(kind: type, what: str):
+    """The check that a field is a ``kind`` (``what`` in its message), stored as it is."""
+
+    def check(name: str, value):
+        if not isinstance(value, kind):
+            raise DomainError(f"{name} must be {what}, got {value!r}")
+        return value
+
+    return check
+
+
+_require_text = _require_instance(str, "text")  # a model id: a CSV writes and reads it as text
+_require_metric = _require_instance(MetricKind, "a MetricKind")
 
 
 def _rft(d: float, epsilon: float) -> float:
@@ -184,19 +194,29 @@ def _frozen(self, name, *value):
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-def _value_type(cls):
+def _value_type(cls=None, /, **checks):
     """Make ``cls`` an immutable value type whose fields are the names annotated in its body, in order; a class
-    attribute of a field's name is its default.  The one generated ``__init__`` sets each field, then calls
-    ``__post_init__`` if the class has one.  Equality (of class and fields), hash, repr and the refusal to
-    assign or delete a field are shared by every value type."""
+    attribute of a field's name is its default, and ``@_value_type(field=check, ...)`` gives a field its check,
+    ``check(name, value) -> stored value``, kept in ``cls._checks``.  The one generated ``__init__`` stores each
+    field once, as its check returns it, then calls ``__post_init__``, for rules that span fields, if the class
+    has one.  The unchecked core ``cls._unchecked(*fields)`` makes the same stores without any check.  Equality
+    (of class and fields), hash, repr and the refusal to assign or delete a field are shared by every value type."""
+    if cls is None:
+        return lambda cls: _value_type(cls, **checks)
     cls._value_fields = fields = tuple(cls.__annotations__)
+    cls._checks = checks
     defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
     params = ", ".join(f"{name}=_defaults[{name!r}]" if name in defaults else name for name in fields)
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    values = [f"_check_{name}({name!r}, {name})" if name in checks else name for name in fields]
+    checked = "".join(f"\n    _set(self, {name!r}, {value})" for name, value in zip(fields, values))
     post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    namespace = {"_set": object.__setattr__, "_defaults": defaults}
-    exec(f"def __init__(self, {params}):{body}{post_init}", namespace)
-    cls.__init__ = namespace["__init__"]
+    stored = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls, "_defaults": defaults,
+                 **{f"_check_{name}": check for name, check in checks.items()}}
+    # One exec per class: each compiled function costs a light command's start-up.
+    exec(f"def __init__(self, {params}):{checked}{post_init}\n"
+         f"def _unchecked({', '.join(fields)}):\n    self = _new(_cls){stored}\n    return self", namespace)
+    cls.__init__, cls._unchecked = namespace["__init__"], staticmethod(namespace["_unchecked"])
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__eq__, cls.__hash__, cls.__repr__, cls.__setattr__, cls.__delattr__ = _eq, _hash, _repr, _frozen, _frozen
     return cls
@@ -232,7 +252,8 @@ class FitStatistics:
             raise DomainError("condition_number must be positive")
 
 
-@_value_type
+@_value_type(alpha=require_finite, beta=require_finite, gamma=require_finite, metric=_require_metric,
+             epsilon=require_positive)
 class CompressionLaw:
     """Fitted (or fixture) exponents of the compression power law.
 
@@ -254,15 +275,8 @@ class CompressionLaw:
     epsilon: float = 1.0
     stats: FitStatistics | None = None
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        object.__setattr__(self, "epsilon", require_positive("epsilon", self.epsilon))
-        if not isinstance(self.metric, MetricKind):
-            raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
 
-
-@_value_type
+@_value_type(c=require_positive, beta=require_finite)
 class RuntimeLaw:
     """Inference-runtime power law ``runtime = c * (1 + r)**beta``.
 
@@ -273,10 +287,6 @@ class RuntimeLaw:
     c: float
     beta: float
     stats: FitStatistics | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c", require_positive("c", self.c))
-        object.__setattr__(self, "beta", require_finite("beta", self.beta))
 
 
 @_value_type
@@ -309,7 +319,8 @@ _FORM_COEFFICIENTS = {
 }
 
 
-@_value_type
+@_value_type(model_id=_require_text, metric=_require_metric, l0=require_positive, r=require_ratio,
+             d=require_nonnegative, l=require_positive)
 class ExperimentRecord:
     """One measured observation of a compressed model.
 
@@ -324,15 +335,6 @@ class ExperimentRecord:
     d: float
     l: float
 
-    def __post_init__(self) -> None:
-        _require_text("model_id", self.model_id)
-        if not isinstance(self.metric, MetricKind):
-            raise DomainError(f"metric must be a MetricKind, got {self.metric!r}")
-        object.__setattr__(self, "l0", require_positive("l0", self.l0))
-        object.__setattr__(self, "r", require_ratio(self.r))
-        object.__setattr__(self, "d", require_nonnegative("d", self.d))
-        object.__setattr__(self, "l", require_positive("l", self.l))
-
 
 class FeasibilityWarning(UserWarning):
     """A fitted exponent has a sign the metric deems physically implausible."""
@@ -344,13 +346,14 @@ class Table(Sequence):
     Column ``k`` holds each of its values ``runs[k]`` times in a row and starts over after the last; the last
     column holds one value per row.  So a grid keeps only its axes: row ``i`` of an ``(l0, r, d)`` grid of
     ``R`` ratios and ``D`` sizes is ``(l0[i // (R*D)], r[i // D % R], d[i % D], ...)``, and a one-value column
-    is a constant.  A slice is a table, and a table equals any sequence of the same rows in the same order.
+    is a constant.  A slice is a table, and a table equals any sequence of the same rows in the same order.  The
+    columns hold fields as the row type checked and stored them, so a row is built by its unchecked core, if any.
     """
 
-    __slots__ = ("row", "columns", "runs")
+    __slots__ = ("row", "columns", "runs", "_make")
 
     def __init__(self, row, columns: Sequence[Sequence], runs: Sequence[int] | None = None) -> None:
-        self.row, self.columns = row, tuple(columns)
+        self.row, self.columns, self._make = row, tuple(columns), getattr(row, "_unchecked", row)
         self.runs = (1,) * len(self.columns) if runs is None else tuple(runs)
 
     @classmethod
@@ -382,10 +385,10 @@ class Table(Sequence):
         if isinstance(index, slice):
             return Table(self.row, [self.column(k)[index] for k in range(len(self.columns))])
         i = range(len(self))[index]  # an int in range, or IndexError
-        return self.row(*(values[i // run % len(values)] for values, run in zip(self.columns, self.runs)))
+        return self._make(*(values[i // run % len(values)] for values, run in zip(self.columns, self.runs)))
 
     def __iter__(self) -> Iterator:
-        return map(self.row, *map(self._spread, range(len(self.columns))))
+        return map(self._make, *map(self._spread, range(len(self.columns))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -435,7 +438,7 @@ def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     Raises:
         DomainError: On out-of-domain or non-finite inputs.
     """
-    return _evaluate(law, require_positive("l0", l0), require_ratio(r), require_nonnegative("d", d))
+    return _evaluate(law, require_positive("l0", l0), require_ratio("r", r), require_nonnegative("d", d))
 
 
 def _evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
@@ -446,7 +449,7 @@ def _evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
 
 def evaluate_runtime(law: RuntimeLaw, r: float) -> float:
     """Predicted inference runtime ``c * (1 + r)**beta`` at compression ratio ``r``."""
-    return _evaluate_runtime(law.c, law.beta, require_ratio(r))
+    return _evaluate_runtime(law.c, law.beta, require_ratio("r", r))
 
 
 def _evaluate_runtime(c: float, beta: float, r: float) -> float:

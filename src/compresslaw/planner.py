@@ -27,8 +27,8 @@ from operator import attrgetter
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
-    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _value_type,
-    require_nonnegative, require_positive, require_ratio
+    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _require_metric,
+    _require_text, _value_type, require_nonnegative, require_positive, require_ratio
 )
 
 __all__ = [
@@ -43,7 +43,14 @@ __all__ = [
 ]
 
 
-@_value_type
+def _require_cap(name: str, value: float) -> float:
+    """A compression ratio cap in ``(0, 1]``, stored as it is."""
+    if not 0.0 < value <= 1.0:
+        raise DomainError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
+@_value_type(model_id=_require_text, param_count=require_positive, l0=require_positive)
 class CandidateModel:
     """A base model that could be compressed down to the budget."""
 
@@ -54,13 +61,11 @@ class CandidateModel:
     runtime_law: RuntimeLaw | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "param_count", require_positive("param_count", self.param_count))
-        object.__setattr__(self, "l0", require_positive("l0", self.l0))
         if self.law.metric not in (MetricKind.LOSS, MetricKind.ACCURACY):
             raise DomainError("candidate laws must target loss or accuracy")
 
 
-@_value_type
+@_value_type(budget=require_positive, metric=_require_metric, rft_size=require_nonnegative, max_ratio=_require_cap)
 class PlanRequest:
     """Target budget (post-compression parameter count) and planning knobs."""
 
@@ -68,12 +73,6 @@ class PlanRequest:
     metric: MetricKind
     rft_size: float = 0.0
     max_ratio: float = OBSERVED_RATIO_MAX
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "budget", require_positive("budget", self.budget))
-        object.__setattr__(self, "rft_size", require_nonnegative("rft_size", self.rft_size))
-        if not 0.0 < self.max_ratio <= 1.0:
-            raise DomainError(f"max_ratio must lie in (0, 1], got {self.max_ratio}")
 
 
 @_value_type
@@ -182,7 +181,7 @@ def predict_speedup(runtime_law: RuntimeLaw, r: float) -> float:
     Assumes ``beta < 0`` (compression speeds inference up); for ``beta >= 0``
     a warning is emitted and 0.0 returned.
     """
-    r = require_ratio(r)
+    r = require_ratio("r", r)
     if runtime_law.beta >= 0.0:
         warnings.warn(
             f"runtime exponent beta = {runtime_law.beta:.6g} is nonnegative; no speedup predicted",

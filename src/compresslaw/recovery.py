@@ -56,7 +56,7 @@ class Regime(enum.Enum):
 
 
 def _validate_sigma(sigma: float, metric: MetricKind) -> float:
-    sigma = require_finite("sigma", sigma)
+    """``sigma``, a finite float, if it is a threshold of ``metric``, else :class:`DomainError`."""
     if metric is MetricKind.ACCURACY:
         if not 0.0 < sigma < 1.0:
             raise DomainError(f"accuracy thresholds live in (0, 1), got {sigma}")
@@ -68,16 +68,17 @@ def _validate_sigma(sigma: float, metric: MetricKind) -> float:
     return sigma
 
 
-def _validate_beta(beta: float, metric: MetricKind) -> float:
+def _validate_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[float, float]:
+    """``beta`` and ``sigma`` as floats valid for ``metric``, in that order, or :class:`DomainError`."""
     beta = require_finite("beta", beta)
     if metric is MetricKind.ACCURACY and beta >= 0.0:
         raise DomainError(f"accuracy analysis needs beta < 0, got {beta}")
     if metric is MetricKind.LOSS and beta <= 0.0:
         raise DomainError(f"loss analysis needs beta > 0, got {beta}")
-    return beta
+    return beta, _validate_sigma(require_finite("sigma", sigma), metric)
 
 
-@_value_type
+@_value_type(sigma=require_finite, r=require_ratio)
 class RecoveryQuery:
     """A recovery question: can this law reach threshold ``sigma`` at ratio ``r``?
 
@@ -95,8 +96,7 @@ class RecoveryQuery:
             raise DomainError(
                 "recovery analysis needs a feasible law; " + "; ".join(str(v) for v in violations)
             )
-        object.__setattr__(self, "sigma", _validate_sigma(self.sigma, self.law.metric))
-        object.__setattr__(self, "r", require_ratio(self.r))
+        _validate_sigma(self.sigma, self.law.metric)
 
 
 @_value_type
@@ -124,12 +124,13 @@ def classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regi
     Returns:
         The regime and the boundary ``2**beta``.
     """
-    return _classify_regime(_validate_beta(beta, metric), _validate_sigma(sigma, metric), metric)
+    return _regime(*_validate_regime(beta, sigma, metric), metric)[:2]
 
 
-def _classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float]:
-    """:func:`classify_regime` of a float ``beta`` and ``sigma`` already valid for ``metric``, unchecked but for
-    a boundary too large for a float.  An accuracy law's ``2**beta`` underflows to 0 without an error."""
+def _regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float, float | None]:
+    """The regime, the boundary ``2**beta`` and the critical ratio, ``None`` in the always-recoverable regime, of
+    a float ``beta`` and ``sigma`` already valid for ``metric``: unchecked but for a boundary too large for a
+    float.  An accuracy law's ``2**beta`` underflows to 0 without an error."""
     try:
         boundary = 2.0**beta
     except OverflowError:
@@ -138,7 +139,9 @@ def _classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Reg
         always = sigma < boundary
     else:
         always = sigma > boundary
-    return (Regime.ALWAYS_RECOVERABLE if always else Regime.CONDITIONALLY_RECOVERABLE), boundary
+    if always:
+        return Regime.ALWAYS_RECOVERABLE, boundary, None
+    return Regime.CONDITIONALLY_RECOVERABLE, boundary, math.expm1(math.log(sigma) / beta)
 
 
 def critical_ratio(beta: float, sigma: float, metric: MetricKind) -> float:
@@ -153,17 +156,13 @@ def critical_ratio(beta: float, sigma: float, metric: MetricKind) -> float:
         RegimeError: When ``sigma`` falls in the always-recoverable band;
             call :func:`classify_regime` first.
     """
-    regime, boundary = classify_regime(beta, sigma, metric)
-    if regime is Regime.ALWAYS_RECOVERABLE:
+    _, boundary, r_critical = _regime(*_validate_regime(beta, sigma, metric), metric)
+    if r_critical is None:
         raise RegimeError(
             f"sigma = {sigma} is in the always-recoverable band (boundary 2**beta = {boundary:.6g}); "
             "no critical ratio exists"
         )
-    return _critical_ratio(beta, sigma)
-
-
-def _critical_ratio(beta: float, sigma: float) -> float:
-    return math.expm1(math.log(sigma) / beta)
+    return r_critical
 
 
 def recovery_margin(beta: float, gamma: float, sigma: float, r: float) -> float:
@@ -185,8 +184,8 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     against ``sigma``: ``>=`` for accuracy, ``<=`` for loss.  A value too
     large for a float compares as ``math.inf``.
     """
-    sigma = _validate_sigma(sigma, law.metric)
-    return _recoverable(law, sigma, require_ratio(r), require_nonnegative("d", d))
+    sigma = _validate_sigma(require_finite("sigma", sigma), law.metric)
+    return _recoverable(law, sigma, require_ratio("r", r), require_nonnegative("d", d))
 
 
 def _recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
@@ -231,12 +230,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
 def analyze(query: RecoveryQuery) -> RecoveryAnalysis:
     """Full recovery report: regime, boundary, critical ratio and minimum size."""
     # The query checked the law's signs and sigma when it was built.
-    beta, sigma = query.law.beta, query.sigma
-    regime, boundary = _classify_regime(beta, sigma, query.law.metric)
-    if regime is Regime.CONDITIONALLY_RECOVERABLE:
-        r_critical = _critical_ratio(beta, sigma)
-    else:
-        r_critical = None
+    regime, boundary, r_critical = _regime(query.law.beta, query.sigma, query.law.metric)
     return RecoveryAnalysis(
         regime=regime,
         boundary=boundary,

@@ -25,10 +25,10 @@ holds them per row (read from CSV) or as grid axes (``generate``), and maps
 :func:`~compresslaw.laws.log_feature_columns` over them once per distinct value of a column of at least
 ``_DISTINCT_MIN_ROWS`` rows.
 
-Records are checked once, when they are built, and only code that checked them builds a table.  So
-:func:`build_design` checks only what the records do not: one metric kind, enough rows, and a finite design,
-which is one test of the sum of ``X`` and ``y``, since every entry is a log.  It writes the features into one
-C-contiguous array (the bits of ``X @ b`` depend on the layout) and ``y`` with ``math.log`` row by row.
+Records are checked once, when they are built, and only code that checked them builds a table; its rows are not
+checked again.  So :func:`build_design` checks only what the records do not: one metric kind, enough rows, and a
+finite design, which is one test of the sum of ``X`` and ``y``, since every entry is a log.  It writes the features
+into one C-contiguous array (the bits of ``X @ b`` depend on the layout) and ``y`` with ``math.log`` row by row.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from .regression import CONDITION_NUMBER_LIMIT
 __all__ = ["SyntheticConfig", "generate"]
 
 
-@_value_type
+@_value_type(noise_std=require_nonnegative, model_id=_require_text)
 class SyntheticConfig:
     """Grid, truth law, noise level and seed for one synthetic experiment."""
 
@@ -53,8 +53,6 @@ class SyntheticConfig:
             object.__setattr__(self, name, axis)
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
-        object.__setattr__(self, "noise_std", require_nonnegative("noise_std", self.noise_std))
-        _require_text("model_id", self.model_id)
 
 
 def generate(config: SyntheticConfig) -> Table:

@@ -381,6 +381,48 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert run(["fit", "--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: compresslaw [-h]") and "usage: compresslaw fit [-h]" in out and err == ""
+
+    USAGE_ERRORS = {
+        "unknown flag": (["critical", "--beta", "-1", "--sigma", "0.5", "--metric", "accuracy", "--bogus"],
+                         "unrecognized arguments: --bogus"),
+        "missing subcommand": ([], "the following arguments are required: command"),
+        "unknown subcommand": (["fly"], "argument command: invalid choice: 'fly'"),
+        "missing value": (["critical", "--sigma", "0.5", "--metric", "accuracy", "--beta"],
+                          "argument --beta: expected one argument"),
+        "missing flag": (["critical", "--beta", "-1"], "the following arguments are required: --sigma, --metric"),
+        "not a number": (["critical", "--beta", "x", "--sigma", "0.5", "--metric", "accuracy"],
+                         "argument --beta: invalid float value: 'x'"),
+        "not a choice": (["critical", "--beta", "-1", "--sigma", "0.5", "--metric", "runtime"],
+                         "argument --metric: invalid choice: 'runtime'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_a_usage_error_is_one_argument_error(self, case, capsys):
+        """argparse's message (how it lists the choices varies across Python versions) as one error document."""
+        argv, start = self.USAGE_ERRORS[case]
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        message = json.loads(out)["error"]["message"]
+        assert message.startswith(start)
+        assert out == json.dumps({"error": {"type": "ArgumentError", "message": message}}) + "\n"
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("beta", ["-1e-3", "-1E+300", "-.5e1", "-inf", "-Infinity", "-nan"])
+    def test_a_negative_number_after_a_numeric_flag_is_its_value(self, beta, capsys):
+        """As one token or two: ``--beta -1e-3`` is ``--beta=-1e-3``, not an unknown option."""
+        streams = []
+        for argv in (["--beta", beta], [f"--beta={beta}"]):
+            code = run(["critical", *argv, "--sigma", "0.5", "--metric", "accuracy"])
+            streams.append((code, *capsys.readouterr()))
+        assert streams[0] == streams[1]
+        code, out, err = streams[0]
+        if math.isfinite(float(beta)):
+            assert (code, err) == (0, "") and json.loads(out)["beta"] == float(beta)
+        else:
+            message = f"beta must be finite, got {float(beta)!r}"
+            assert code == 1 and json.loads(out) == {"error": {"type": "DomainError", "message": message}}
 
 
 class TestHelpGolden:
@@ -881,20 +923,25 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(command=st.sampled_from(["critical", "predict", "min-rft"]), metric=st.sampled_from(["accuracy", "loss"]),
-       x=FINITE, y=FINITE, z=FINITE)
-@example(command="critical", metric="loss", x=1024.0, y=1.5, z=0.0)  # 2**1024 overflows a float
-@example(command="predict", metric="loss", x=math.nan, y=math.inf, z=-math.inf)
-@example(command="min-rft", metric="loss", x=math.inf, y=math.nan, z=0.0)
-def test_cli_contract_holds_for_numeric_flags(command, metric, x, y, z):
+       x=FINITE, y=FINITE, z=FINITE, split=st.booleans())
+@example(command="critical", metric="loss", x=1024.0, y=1.5, z=0.0, split=False)  # 2**1024 overflows a float
+@example(command="predict", metric="loss", x=math.nan, y=math.inf, z=-math.inf, split=False)
+@example(command="min-rft", metric="loss", x=math.inf, y=math.nan, z=0.0, split=False)
+@example(command="critical", metric="accuracy", x=-1e-3, y=0.5, z=0.0, split=True)  # argparse reads -1e-3 as a flag
+@example(command="predict", metric="loss", x=-1e300, y=-math.inf, z=-5e-324, split=True)
+def test_cli_contract_holds_for_numeric_flags(command, metric, x, y, z, split):
     """``critical`` with drawn ``--beta`` and ``--sigma`` for either metric, and ``predict`` and ``min-rft`` on
-    one fixture law with drawn numbers, each given as ``--flag=value``: exit 0 or 1 and one stdout line."""
+    one fixture law with drawn numbers, each given as ``--flag=value`` or as the two tokens ``--flag value``:
+    exit 0 or 1 and one stdout line."""
     law = f"--law={GOLDEN / 'truth.json'}"
-    argv = {
-        "critical": ["critical", f"--metric={metric}", f"--beta={x!r}", f"--sigma={y!r}"],
-        "predict": ["predict", law, f"--l0={x!r}", f"--r={y!r}", f"--d={z!r}"],
-        "min-rft": ["min-rft", law, f"--sigma={x!r}", f"--r={y!r}"],
+    flags = {
+        "critical": [("beta", x), ("sigma", y)],
+        "predict": [("l0", x), ("r", y), ("d", z)],
+        "min-rft": [("sigma", x), ("r", y)],
     }[command]
-    code, out = _run_captured(argv)
+    numbers = [token for flag, value in flags for token in ([f"--{flag}", repr(value)] if split
+                                                            else [f"--{flag}={value!r}"])]
+    code, out = _run_captured([command, f"--metric={metric}" if command == "critical" else law, *numbers])
     _assert_one_document(code, out, codes=(0, 1))
     assert len(out.splitlines()) == 1
 

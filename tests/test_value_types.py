@@ -63,18 +63,41 @@ INVALID = {
                      ({"f_statistic": -1.0}, "f_statistic must be nonnegative"),
                      ({"residual_std": -0.1}, "residual_std must be nonnegative"),
                      ({"condition_number": 0.0}, "condition_number must be positive")],
-    CompressionLaw: [({"epsilon": 0.0}, "epsilon must be > 0")],
-    RuntimeLaw: [({"c": -1.0}, "c must be > 0")],
+    CompressionLaw: [({"epsilon": 0.0}, "epsilon must be > 0"),
+                     ({"alpha": math.nan}, "alpha must be finite, got nan"),
+                     ({"beta": math.inf}, "beta must be finite, got inf"),
+                     ({"gamma": -math.inf}, "gamma must be finite, got -inf"),
+                     ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'")],
+    RuntimeLaw: [({"c": -1.0}, "c must be > 0"),
+                 ({"beta": math.nan}, "beta must be finite, got nan")],
     ExperimentRecord: [({"r": 1.0}, r"r must lie in \[0, 1\)"),
                        ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
                        ({"model_id": 5}, "model_id must be text, got 5"),
-                       ({"model_id": None}, "model_id must be text, got None")],
+                       ({"model_id": None}, "model_id must be text, got None"),
+                       ({"l0": 0.0}, "l0 must be > 0, got 0.0"),
+                       ({"d": -1.0}, "d must be >= 0, got -1.0"),
+                       ({"l": math.inf}, "l must be finite, got inf")],
     RecoveryQuery: [({"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
-                     "recovery analysis needs a feasible law")],
-    CandidateModel: [({"l0": 0.0}, "l0 must be > 0")],
-    PlanRequest: [({"max_ratio": 0.0}, r"max_ratio must lie in \(0, 1\]")],
+                     "recovery analysis needs a feasible law"),
+                    ({"sigma": math.nan}, "sigma must be finite, got nan"),
+                    ({"sigma": 1.5}, r"accuracy thresholds live in \(0, 1\), got 1.5"),
+                    ({"r": -0.1}, r"r must lie in \[0, 1\), got -0.1")],
+    CandidateModel: [({"l0": 0.0}, "l0 must be > 0"),
+                     ({"param_count": -3e9}, "param_count must be > 0, got -3000000000.0"),
+                     ({"model_id": 5}, "model_id must be text, got 5"),
+                     ({"law": CompressionLaw(1.0, 1.0, 1.0, MetricKind.RUNTIME)},
+                      "candidate laws must target loss or accuracy")],
+    PlanRequest: [({"max_ratio": 0.0}, r"max_ratio must lie in \(0, 1\]"),
+                  ({"budget": 0.0}, "budget must be > 0, got 0.0"),
+                  ({"metric": "accuracy"}, "metric must be a MetricKind, got 'accuracy'"),
+                  ({"rft_size": -1.0}, "rft_size must be >= 0, got -1.0")],
     FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10")],
-    RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy")],
+    RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
+                    ({"model_id": 5}, "model_id must be text, got 5"),
+                    ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
+                    ({"method_tag": 7}, "method_tag must be text, got 7"),
+                    ({"form": "ratio"}, "form must be a DesignForm, got 'ratio'"),
+                    ({"provenance": None}, "provenance must be text, got None")],
     SyntheticConfig: [({"noise_std": -1.0}, "noise_std must be >= 0"),
                       ({"model_id": 5}, "model_id must be text, got 5")],
 }
@@ -139,6 +162,55 @@ def test_post_init_still_validates(cls):
     for fields, message in INVALID[cls]:
         with pytest.raises(DomainError, match=message):
             cls(**{**FIELDS[cls], **fields})
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=IDS)
+def test_every_checked_field_has_an_invalid_case(cls):
+    """Each field a class declares a check for is the one bad field of at least one ``INVALID`` case."""
+    covered = {name for fields, _ in INVALID.get(cls, ()) if len(fields) == 1 for name in fields}
+    assert set(cls._checks) <= covered
+
+
+def test_a_value_type_stores_each_field_once_as_its_check_returns_it():
+    calls = []
+
+    def counted(name, value):
+        calls.append((name, value))
+        return laws.require_positive(name, value)
+
+    @laws._value_type(x=counted)
+    class Point:
+        label: str
+        x: float
+        y: float = 0
+
+    assert Point("a", "2.5") == Point._unchecked("a", 2.5, 0) and calls == [("x", "2.5")]
+    assert Point._checks == {"x": counted}
+    with pytest.raises(DomainError, match="x must be > 0, got -1.0"):
+        Point("b", -1)
+
+
+def test_table_rows_are_built_without_the_checks():
+    """A table's columns were checked when they were read or generated: its rows are its row type's unchecked
+    core, equal to what the checked constructor builds."""
+    calls = []
+
+    def counted(name, value):
+        calls.append(name)
+        return laws.require_positive(name, value)
+
+    @laws._value_type(x=counted)
+    class Point:
+        label: str
+        x: float
+
+    rows = [Point("a", 1), Point("a", 2.5), Point("a", 4)]
+    table = laws.Table(Point, [("a",), (1.0, 2.5, 4.0)], (3, 1))
+    calls.clear()
+    assert list(table) == rows and [table[i] for i in range(-3, 3)] == rows * 2 and list(table[1:]) == rows[1:]
+    assert calls == []
+    assert [type(row.x) for row in table] == [float] * 3
+    assert table == laws.Table.of(Point, rows) and calls == []
 
 
 @pytest.mark.parametrize("name, other", [("alpha", 0.64), ("beta", 1.73), ("gamma", 1.17), ("epsilon", 2.0),
