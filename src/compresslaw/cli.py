@@ -86,9 +86,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
-    from .recovery import _regime, _validate_regime
+    from .recovery import _checked_regime
     metric = MetricKind(args.metric)
-    regime, boundary, r_critical = _regime(*_validate_regime(args.beta, args.sigma, metric), metric)
+    regime, boundary, r_critical = _checked_regime(args.beta, args.sigma, metric)
     _print_json(
         "critical_ratio",
         {

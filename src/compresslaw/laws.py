@@ -22,9 +22,9 @@ the float its ``require_*`` validator returns.  A public function that
 takes plain numbers checks them, then runs an unchecked private core:
 :func:`evaluate` is the checks, then ``_evaluate``, and
 :func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  So does a
-value type: a table builds its rows with the type's unchecked core.  Code
-that holds fields a value type has already checked, such as the planner's
-candidates and request, calls the core directly.  Each formula is written
+value type, whose core ``_unchecked`` is shared by all: a table builds its
+rows with it.  Code that holds fields a value type has already checked,
+such as the planner's candidates and request, calls the core directly.  Each formula is written
 once, and its result is the public function's bit for bit.
 
 The numpy-free value types that fits and documents exchange live here too:
@@ -54,6 +54,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Iterable, Iterator, Sequence
+from functools import partial
 from itertools import chain, cycle, islice, repeat
 from operator import attrgetter
 
@@ -199,8 +200,8 @@ def _value_type(cls=None, /, **checks):
     attribute of a field's name is its default, and ``@_value_type(field=check, ...)`` gives a field its check,
     ``check(name, value) -> stored value``, kept in ``cls._checks``.  The one generated ``__init__`` stores each
     field once, as its check returns it, then calls ``__post_init__``, for rules that span fields, if the class
-    has one.  The unchecked core ``cls._unchecked(*fields)`` makes the same stores without any check.  Equality
-    (of class and fields), hash, repr and the refusal to assign or delete a field are shared by every value type."""
+    has one.  Equality (of class and fields), hash, repr and the refusal to assign or delete a field are shared
+    by every value type, and so is the unchecked core, :func:`_unchecked`."""
     if cls is None:
         return lambda cls: _value_type(cls, **checks)
     cls._value_fields = fields = tuple(cls.__annotations__)
@@ -210,16 +211,20 @@ def _value_type(cls=None, /, **checks):
     values = [f"_check_{name}({name!r}, {name})" if name in checks else name for name in fields]
     checked = "".join(f"\n    _set(self, {name!r}, {value})" for name, value in zip(fields, values))
     post_init = "\n    self.__post_init__()" if hasattr(cls, "__post_init__") else ""
-    stored = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
-    namespace = {"_set": object.__setattr__, "_new": object.__new__, "_cls": cls, "_defaults": defaults,
+    namespace = {"_set": object.__setattr__, "_defaults": defaults,
                  **{f"_check_{name}": check for name, check in checks.items()}}
-    # One exec per class: each compiled function costs a light command's start-up.
-    exec(f"def __init__(self, {params}):{checked}{post_init}\n"
-         f"def _unchecked({', '.join(fields)}):\n    self = _new(_cls){stored}\n    return self", namespace)
-    cls.__init__, cls._unchecked = namespace["__init__"], staticmethod(namespace["_unchecked"])
+    exec(f"def __init__(self, {params}):{checked}{post_init}", namespace)
+    cls.__init__ = namespace["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__eq__, cls.__hash__, cls.__repr__, cls.__setattr__, cls.__delattr__ = _eq, _hash, _repr, _frozen, _frozen
     return cls
+
+
+def _unchecked(cls, *values):
+    """``cls(*values)`` without its checks or ``__post_init__``, for fields checked when read or generated."""
+    self = object.__new__(cls)
+    vars(self).update(zip(cls._value_fields, values))
+    return self
 
 
 @_value_type
@@ -347,13 +352,15 @@ class Table(Sequence):
     column holds one value per row.  So a grid keeps only its axes: row ``i`` of an ``(l0, r, d)`` grid of
     ``R`` ratios and ``D`` sizes is ``(l0[i // (R*D)], r[i // D % R], d[i % D], ...)``, and a one-value column
     is a constant.  A slice is a table, and a table equals any sequence of the same rows in the same order.  The
-    columns hold fields as the row type checked and stored them, so a row is built by its unchecked core, if any.
+    columns hold fields as the row type checked and stored them: the constructor trusts them, and a value
+    type's row is built by :func:`_unchecked`.
     """
 
     __slots__ = ("row", "columns", "runs", "_make")
 
     def __init__(self, row, columns: Sequence[Sequence], runs: Sequence[int] | None = None) -> None:
-        self.row, self.columns, self._make = row, tuple(columns), getattr(row, "_unchecked", row)
+        self.row, self.columns = row, tuple(columns)
+        self._make = partial(_unchecked, row) if hasattr(row, "_value_fields") else row
         self.runs = (1,) * len(self.columns) if runs is None else tuple(runs)
 
     @classmethod

@@ -68,14 +68,14 @@ def _validate_sigma(sigma: float, metric: MetricKind) -> float:
     return sigma
 
 
-def _validate_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[float, float]:
-    """``beta`` and ``sigma`` as floats valid for ``metric``, in that order, or :class:`DomainError`."""
+def _checked_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float, float | None]:
+    """:func:`_regime` once ``beta``, then ``sigma``, is checked valid for ``metric``, or :class:`DomainError`."""
     beta = require_finite("beta", beta)
     if metric is MetricKind.ACCURACY and beta >= 0.0:
         raise DomainError(f"accuracy analysis needs beta < 0, got {beta}")
     if metric is MetricKind.LOSS and beta <= 0.0:
         raise DomainError(f"loss analysis needs beta > 0, got {beta}")
-    return beta, _validate_sigma(require_finite("sigma", sigma), metric)
+    return _regime(beta, _validate_sigma(require_finite("sigma", sigma), metric), metric)
 
 
 @_value_type(sigma=require_finite, r=require_ratio)
@@ -124,7 +124,7 @@ def classify_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regi
     Returns:
         The regime and the boundary ``2**beta``.
     """
-    return _regime(*_validate_regime(beta, sigma, metric), metric)[:2]
+    return _checked_regime(beta, sigma, metric)[:2]
 
 
 def _regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float, float | None]:
@@ -156,7 +156,7 @@ def critical_ratio(beta: float, sigma: float, metric: MetricKind) -> float:
         RegimeError: When ``sigma`` falls in the always-recoverable band;
             call :func:`classify_regime` first.
     """
-    _, boundary, r_critical = _regime(*_validate_regime(beta, sigma, metric), metric)
+    _, boundary, r_critical = _checked_regime(beta, sigma, metric)
     if r_critical is None:
         raise RegimeError(
             f"sigma = {sigma} is in the always-recoverable band (boundary 2**beta = {boundary:.6g}); "
