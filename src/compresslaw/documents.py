@@ -1,7 +1,7 @@
 """The ``compresslaw/v1`` JSON documents: laws, fit reports, law registries and ``synth`` grids.
 
 * law JSON: a single compression or runtime law, optionally with fit stats
-  (``n`` and ``p`` are JSON integers).
+  (``n`` and ``p`` are JSON integers ``>= 0``).
 * fit-report JSON (``fit`` output): law + stats + feasibility warnings +
   per-record log-residuals; serialization is byte-stable for identical
   inputs, and the law's copy of the stats equals the report's.
@@ -16,10 +16,13 @@ lossless; non-finite statistics (an exact fit has an infinite F-statistic)
 are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.  Each document is
 read only as it is written: a number is a JSON number or one of those three
 strings (a bare ``NaN`` or ``Infinity`` token is an error), and an unknown
-field is an error.  Every reader raises
-:class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
-malformed document, bytes that are not UTF-8 included.  A path is read as
-bytes and decoded once.  The module imports no numpy.
+field is an error.  A reader only turns JSON tokens into Python values (a
+number, an enum member from its string) and passes every other field as
+read: the value type it builds checks its own fields, and the reader reports
+that :class:`~compresslaw.errors.DomainError` with where it was found.  Every
+reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
+else, on any malformed document, bytes that are not UTF-8 included.  A path
+is read as bytes and decoded once.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
-from .laws import _FORM_COEFFICIENTS, _require_instance, _require_metric, _require_text
+from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _require_instance, _require_metric, _require_text
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -146,19 +149,6 @@ def _decode_num(value, context: str) -> float:
     raise DataFormatError(f"{context}: expected a number, got {reprlib.repr(value)}")
 
 
-def _decode_int(obj: dict, field: str, context: str) -> int:
-    value = obj[field]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise DataFormatError(f"{context}.{field}: expected an integer, got {reprlib.repr(value)}")
-
-
-def _decode_str(value, context: str) -> str:
-    if isinstance(value, str):
-        return value
-    raise DataFormatError(f"{context}: expected a string, got {reprlib.repr(value)}")
-
-
 def _decode_enum(enum_type, obj: dict, field: str, context: str):
     value = obj[field]
     if isinstance(value, str):
@@ -193,11 +183,8 @@ def _stats_to_dict(stats: FitStatistics) -> dict:
 def _stats_from_dict(obj: dict, context: str) -> FitStatistics:
     _check_fields(obj, ("n", "p", *_STATS_FLOAT_FIELDS), (), context)
     try:
-        return FitStatistics(
-            n=_decode_int(obj, "n", context),
-            p=_decode_int(obj, "p", context),
-            **{name: _decode_num(obj[name], f"{context}.{name}") for name in _STATS_FLOAT_FIELDS},
-        )
+        floats = {name: _decode_num(obj[name], f"{context}.{name}") for name in _STATS_FLOAT_FIELDS}
+        return FitStatistics(n=obj["n"], p=obj["p"], **floats)
     except DomainError as exc:
         raise DataFormatError(f"{context}: {exc}") from exc
 
@@ -303,8 +290,6 @@ def report_to_json(report: FitReport) -> str:
             "residuals": [],
         }
     )
-    if not report.residuals:
-        return text
     # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
     # document, are spliced in one per line as indent=2 lays them out.
     sep = ",\n    "
@@ -442,12 +427,12 @@ def _entry_from_dict(obj: dict, context: str) -> RegistryEntry:
     _check_fields(reported, (), ("adj_r_squared", "f_statistic"), f"{context}.reported")
     try:
         return RegistryEntry(
-            model_id=_decode_str(obj["model_id"], f"{context}.model_id"),
+            model_id=obj["model_id"],
             metric=_decode_enum(MetricKind, obj, "metric", context),
-            method_tag=_decode_str(obj["method_tag"], f"{context}.method_tag"),
+            method_tag=obj["method_tag"],
             law=law_from_dict(obj["law"], f"{context}.law"),
             form=_decode_enum(DesignForm, obj, "form", context),
-            provenance=_decode_str(obj.get("provenance", ""), f"{context}.provenance"),
+            provenance=obj.get("provenance", ""),
             param_count=_decode_num(obj["param_count"], f"{context}.param_count") if "param_count" in obj else None,
             l0=_decode_num(obj["l0"], f"{context}.l0") if "l0" in obj else None,
             reported_adj_r_squared=(
@@ -491,8 +476,6 @@ def builtin_registry() -> LawRegistry:
 # synthesis grids
 # ---------------------------------------------------------------------------
 
-_GRID_AXES = ("l0_values", "r_values", "d_values")
-
 
 def load_grid(source) -> dict:
     """Read a ``synth`` grid: ``{l0_values, r_values, d_values, model_id?}``.
@@ -508,7 +491,10 @@ def load_grid(source) -> dict:
             raise DataFormatError(f"grid: {axis} must be a list of numbers")
         grid[axis] = tuple(_decode_num(v, f"grid.{axis}") for v in doc[axis])
     if "model_id" in doc:
-        grid["model_id"] = _decode_str(doc["model_id"], "grid.model_id")
+        try:
+            grid["model_id"] = _require_text("model_id", doc["model_id"])
+        except DomainError as exc:
+            raise DataFormatError(f"grid: {exc}") from exc
     return grid
 
 

@@ -1,7 +1,8 @@
 """Frontier tables: one row ``l0, r, d, predicted`` per point of an ``(l0, r, d)`` grid, in lexicographic order.
 
-:func:`emit_frontier_grid` returns the points as a :class:`~compresslaw.laws.Table` of the three axes with their
-runs and the predictions, not a ``list``.  Every table is written through one spread-and-chunk path, which
+:func:`emit_frontier_grid` checks each axis with the ``laws`` check that ``SyntheticConfig`` declares for it and
+returns the points as a :class:`~compresslaw.laws.Table` of the three axes with their runs and the predictions, not a
+``list``.  Every table is written through one spread-and-chunk path, which
 :func:`compresslaw.io.write_records` shares: a column's texts are made once per value it holds (a float's
 ``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer writes the
 leading label columns that hold one label once, into the text every row starts with, and joins each row's other
@@ -20,23 +21,13 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .documents import _open_for_write
-from .errors import DomainError
-from .laws import SCHEMA_VERSION, CompressionLaw, MetricKind, Table, _checked_exps, log_feature_columns
-from .laws import require_nonnegative, require_positive, require_ratio
+from .laws import _GRID_AXES, SCHEMA_VERSION, CompressionLaw, MetricKind, Table, _checked_exps, _require_axis
+from .laws import _require_law, log_feature_columns
 
 __all__ = ["FrontierPoint", "emit_frontier_grid", "write_frontier"]
 
 # Rows joined per chunk of text: memory holds at most this many rows of text at once.
 _CHUNK_ROWS = 8192
-
-
-def _grid_axes(l0_values, r_values, d_values) -> tuple[tuple[float, ...], ...]:
-    """The three grid axes as tuples of floats, each nonempty and every value in its domain."""
-    l0, r, d = axes = tuple(map(tuple, (l0_values, r_values, d_values)))
-    if not all(axes):
-        raise DomainError("all three grid axes must be nonempty")
-    l0 = tuple(require_positive("l0", v) for v in l0)
-    return l0, tuple(require_ratio("r", v) for v in r), tuple(require_nonnegative("d", v) for v in d)
 
 
 FrontierPoint = NamedTuple("FrontierPoint", [("l0", float), ("r", float), ("d", float), ("predicted", float)])
@@ -51,9 +42,8 @@ def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Se
     :class:`~compresslaw.errors.DomainError` for the first point out of range, before any point is returned.
     The points are a read-only sequence that equals a list of the same points.
     """
-    if not isinstance(law, CompressionLaw):
-        raise DomainError("frontier grids need a compression law")
-    l0, r, d = axes = _grid_axes(l0_list, r_grid, d_grid)
+    _require_law("law", law)
+    l0, r, d = axes = tuple(map(_require_axis, _GRID_AXES, (l0_list, r_grid, d_grid)))
     x0, x1, x2 = log_feature_columns(*axes, law.epsilon)
     a_terms, b_terms, c_terms = [law.alpha * x for x in x0], [law.beta * x for x in x1], [law.gamma * x for x in x2]
     log_predicted = [ab + c for a in a_terms for ab in [a + b for b in b_terms] for c in c_terms]

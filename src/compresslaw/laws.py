@@ -15,7 +15,11 @@ also uses.  :func:`log_feature_columns` maps the same scalar functions over
 whole columns for the designs of :mod:`compresslaw.regression` and
 :mod:`compresslaw.synth`, so predictions and the regression agree bit for
 bit in their transforms.  The ``require_*`` validators are the one place
-each domain condition and its message are written.
+each domain condition and its message are written.  Beside them are the
+private checks a value type names for its fields: ``_require_instance``
+(the field's type), ``_require_count`` (an ``int >= 0``, not a ``bool``),
+``_require_that`` (a test of a float) and the grid-axis checks that
+``SyntheticConfig`` and ``emit_frontier_grid`` share.
 
 Fields are checked once, when a value is built, and a float field stores
 the float its ``require_*`` validator returns.  A public function that
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import enum
 import math
+import reprlib
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, cycle, islice, repeat
@@ -139,12 +144,18 @@ def require_ratio(name: str, value: float) -> float:
     return value
 
 
-def _require_instance(kind: type, what: str):
+# A check quotes a bad value with _quote: reprlib bounds the strings and containers of a decoded document however
+# deeply they nest, and maxother lets an object of the wrong type, such as a law of the other kind, be quoted whole.
+_quote = reprlib.Repr()
+_quote.maxother = 400
+
+
+def _require_instance(kind: type | tuple[type, ...], what: str):
     """The check that a field is a ``kind`` (``what`` in its message), stored as it is."""
 
     def check(name: str, value):
         if not isinstance(value, kind):
-            raise DomainError(f"{name} must be {what}, got {value!r}")
+            raise DomainError(f"{name} must be {what}, got {_quote.repr(value)}")
         return value
 
     return check
@@ -152,6 +163,40 @@ def _require_instance(kind: type, what: str):
 
 _require_text = _require_instance(str, "text")  # a model id: a CSV writes and reads it as text
 _require_metric = _require_instance(MetricKind, "a MetricKind")
+
+
+def _require_count(name: str, value: int) -> int:
+    """An ``int >= 0`` that is not a ``bool`` (sample and parameter counts, seeds), stored as it is."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise DomainError(f"{name} must be an integer >= 0, got {_quote.repr(value)}")
+    return value
+
+
+def _require_that(test, what: str):
+    """The check that ``test`` holds for a float field, stored as the float; ``what``, formatted with the float,
+    ends its message."""
+
+    def check(name: str, value: float) -> float:
+        value = float(value)
+        if not test(value):
+            raise DomainError(f"{name} must {what.format(value)}")
+        return value
+
+    return check
+
+
+# Each grid axis field, in grid order, and the name and validator of its values: read by the grid document too.
+_GRID_AXES = {"l0_values": ("l0", require_positive), "r_values": ("r", require_ratio),
+              "d_values": ("d", require_nonnegative)}
+
+
+def _require_axis(name: str, values) -> tuple[float, ...]:
+    """The grid axis ``name`` as a nonempty tuple of floats, each checked under its value's name (``l0``)."""
+    value_name, require = _GRID_AXES[name]
+    values = tuple([require(value_name, value) for value in values])
+    if not values:
+        raise DomainError("all three grid axes must be nonempty")
+    return values
 
 
 def _rft(d: float, epsilon: float) -> float:
@@ -227,11 +272,18 @@ def _unchecked(cls, *values):
     return self
 
 
-@_value_type
+_require_not_negative = _require_that(lambda value: not value < 0.0, "be nonnegative")  # inf and nan pass
+
+
+@_value_type(n=_require_count, p=_require_count,
+             r_squared=_require_that(lambda value: 0.0 <= value <= 1.0, "lie in [0, 1], got {}"),
+             f_statistic=_require_not_negative, residual_std=_require_not_negative,
+             condition_number=_require_that(lambda value: value > 0.0, "be positive"))
 class FitStatistics:
     """Goodness-of-fit summary for one least-squares solve.
 
-    ``f_statistic`` is ``math.inf`` for an exact (zero-residual) fit.
+    ``f_statistic`` is ``math.inf`` for an exact (zero-residual) fit.  A document may carry a nan statistic,
+    which only ``r_squared`` and ``condition_number`` reject.
     """
 
     n: int
@@ -245,20 +297,15 @@ class FitStatistics:
     def __post_init__(self) -> None:
         if self.n <= self.p:
             raise DomainError(f"need n > p, got n={self.n}, p={self.p}")
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise DomainError(f"r_squared must lie in [0, 1], got {self.r_squared}")
         if self.adj_r_squared > self.r_squared + 1e-12:
             raise DomainError("adj_r_squared cannot exceed r_squared")
-        if self.f_statistic < 0.0:
-            raise DomainError("f_statistic must be nonnegative")
-        if self.residual_std < 0.0:
-            raise DomainError("residual_std must be nonnegative")
-        if not self.condition_number > 0.0:
-            raise DomainError("condition_number must be positive")
+
+
+_require_stats = _require_instance((FitStatistics, type(None)), "a FitStatistics or None")
 
 
 @_value_type(alpha=require_finite, beta=require_finite, gamma=require_finite, metric=_require_metric,
-             epsilon=require_positive)
+             epsilon=require_positive, stats=_require_stats)
 class CompressionLaw:
     """Fitted (or fixture) exponents of the compression power law.
 
@@ -281,7 +328,10 @@ class CompressionLaw:
     stats: FitStatistics | None = None
 
 
-@_value_type(c=require_positive, beta=require_finite)
+_require_law = _require_instance(CompressionLaw, "a CompressionLaw")
+
+
+@_value_type(c=require_positive, beta=require_finite, stats=_require_stats)
 class RuntimeLaw:
     """Inference-runtime power law ``runtime = c * (1 + r)**beta``.
 

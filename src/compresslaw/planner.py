@@ -27,8 +27,9 @@ from operator import attrgetter
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
-    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _require_metric,
-    _require_text, _value_type, require_nonnegative, require_positive, require_ratio
+    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _require_instance,
+    _require_law, _require_metric, _require_text, _require_that, _value_type, require_nonnegative, require_positive,
+    require_ratio
 )
 
 __all__ = [
@@ -43,14 +44,8 @@ __all__ = [
 ]
 
 
-def _require_cap(name: str, value: float) -> float:
-    """A compression ratio cap in ``(0, 1]``, stored as it is."""
-    if not 0.0 < value <= 1.0:
-        raise DomainError(f"{name} must lie in (0, 1], got {value}")
-    return value
-
-
-@_value_type(model_id=_require_text, param_count=require_positive, l0=require_positive)
+@_value_type(model_id=_require_text, param_count=require_positive, l0=require_positive, law=_require_law,
+             runtime_law=_require_instance((RuntimeLaw, type(None)), "a RuntimeLaw or None"))
 class CandidateModel:
     """A base model that could be compressed down to the budget."""
 
@@ -65,7 +60,8 @@ class CandidateModel:
             raise DomainError("candidate laws must target loss or accuracy")
 
 
-@_value_type(budget=require_positive, metric=_require_metric, rft_size=require_nonnegative, max_ratio=_require_cap)
+@_value_type(budget=require_positive, metric=_require_metric, rft_size=require_nonnegative,
+             max_ratio=_require_that(lambda value: 0.0 < value <= 1.0, "lie in (0, 1], got {}"))
 class PlanRequest:
     """Target budget (post-compression parameter count) and planning knobs."""
 

@@ -33,8 +33,8 @@ import math
 
 from .errors import DomainError, RegimeError
 from .laws import (
-    CompressionLaw, MetricKind, _value_type, check_feasibility, log_features, require_finite, require_nonnegative,
-    require_ratio
+    _FEASIBLE_SIGN, CompressionLaw, MetricKind, _require_law, _value_type, check_feasibility, log_features,
+    require_finite, require_nonnegative, require_ratio
 )
 
 __all__ = [
@@ -71,14 +71,13 @@ def _validate_sigma(sigma: float, metric: MetricKind) -> float:
 def _checked_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float, float | None]:
     """:func:`_regime` once ``beta``, then ``sigma``, is checked valid for ``metric``, or :class:`DomainError`."""
     beta = require_finite("beta", beta)
-    if metric is MetricKind.ACCURACY and beta >= 0.0:
-        raise DomainError(f"accuracy analysis needs beta < 0, got {beta}")
-    if metric is MetricKind.LOSS and beta <= 0.0:
-        raise DomainError(f"loss analysis needs beta > 0, got {beta}")
+    sign = _FEASIBLE_SIGN.get(metric)  # None for runtime, which _validate_sigma rejects
+    if sign is not None and sign * beta <= 0.0:
+        raise DomainError(f"{metric.value} analysis needs beta {'>' if sign > 0 else '<'} 0, got {beta}")
     return _regime(beta, _validate_sigma(require_finite("sigma", sigma), metric), metric)
 
 
-@_value_type(sigma=require_finite, r=require_ratio)
+@_value_type(law=_require_law, sigma=require_finite, r=require_ratio)
 class RecoveryQuery:
     """A recovery question: can this law reach threshold ``sigma`` at ratio ``r``?
 

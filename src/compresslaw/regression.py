@@ -220,10 +220,18 @@ def ols_fit(
         The coefficient vector and a :class:`FitStatistics`.
 
     Raises:
+        DomainError: A design with no columns, a non-finite entry in ``x``
+            or ``y``, or shapes that do not fit.
         SingularDesignError: Rank deficiency, i.e. condition number above
             ``CONDITION_NUMBER_LIMIT``; the message names the offending
             columns.
     """
+    # A design built by build_design is finite and has columns, so fit solves it without these checks.
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim == 2 and not x.shape[1]:
+        raise DomainError("the design has no columns")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("design entries must be finite")
     coef, stats, _ = _solve(x, y, form)
     return coef, stats
 

@@ -5,8 +5,9 @@ d_values`` (in that lexicographic order) from a known truth law, with
 optional Gaussian noise added in log space (multiplicative on the observed
 value), matching the regression's noise model.
 
-The grid is checked as the ``frontier`` tables check theirs.  Its log
-predictions are one numpy sum over the meshed features, taken in
+Each grid axis is checked, when the config is built, by the ``laws`` check that
+also checks the ``frontier`` grid's axis.  The grid's log predictions are one
+numpy sum over the meshed features, taken in
 :func:`~compresslaw.laws.evaluate`'s order, and their ``exp`` is one
 ``math.exp`` map checked at once, as the ``frontier`` grid's is: a noise-free
 ``l`` equals ``evaluate`` at its point bit for bit, and the first value out of
@@ -18,7 +19,8 @@ meshed, never the raw axis values.
 
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
-grid point in row order.  Identical ``SyntheticConfig`` values therefore
+grid point in row order.  The seed is an ``int >= 0``, never ``None`` (which
+would draw from OS entropy), so identical ``SyntheticConfig`` values
 produce bit-identical records.
 """
 
@@ -27,17 +29,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .frontier import _grid_axes
-from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _require_text, _value_type
-from .laws import log_feature_columns, require_nonnegative
+from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _require_axis, _require_count, _require_law
+from .laws import _require_text, _value_type, log_feature_columns, require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT
 
 __all__ = ["SyntheticConfig", "generate"]
 
 
-@_value_type(noise_std=require_nonnegative, model_id=_require_text)
+@_value_type(truth=_require_law, l0_values=_require_axis, r_values=_require_axis, d_values=_require_axis,
+             noise_std=require_nonnegative, seed=_require_count, model_id=_require_text)
 class SyntheticConfig:
-    """Grid, truth law, noise level and seed for one synthetic experiment."""
+    """Grid, truth law, noise level and seed for one synthetic experiment.
+
+    Each axis is stored as a nonempty tuple of floats in its domain, and the seed is an ``int >= 0``, so equal
+    configs draw equal noise.
+    """
 
     truth: CompressionLaw
     l0_values: tuple[float, ...]
@@ -48,9 +54,6 @@ class SyntheticConfig:
     model_id: str = "synthetic"
 
     def __post_init__(self) -> None:
-        axes = _grid_axes(self.l0_values, self.r_values, self.d_values)
-        for name, axis in zip(("l0_values", "r_values", "d_values"), axes):
-            object.__setattr__(self, name, axis)
         if len(set(self.r_values)) + len(set(self.d_values)) < 3:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
 

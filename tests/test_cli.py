@@ -499,6 +499,7 @@ CSV_ROWS = [["model_id", "metric", "l0", "r", "d", "l"]] + [
 ]
 # Deeper than any JSON parser recursion limit.
 DEEP = "[" * 100_000 + "]" * 100_000
+NO_SAMPLES = {**STATS, "n": 0, "p": -1}
 
 
 def _changed(doc, path, value):
@@ -568,6 +569,13 @@ MALFORMED = {
     "grid null value": ("synth", json.dumps(_changed(GRID, ["l0_values"], [None]))),
     "grid nested value": ("synth", json.dumps(_changed(GRID, ["l0_values"], [[1]]))),
     "grid model_id null": ("synth", json.dumps(_changed(GRID, ["model_id"], None))),
+    # At n = 0 the report has no residuals, and n > p holds.
+    "report stats n 0 and p -1": ("predict", json.dumps({**REPORT, "stats": NO_SAMPLES, "residuals": [],
+                                                         "law": {**REPORT["law"], "stats": NO_SAMPLES}})),
+    "registry model_id a number": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "model_id"], 5))),
+    "registry method_tag null": ("plan", json.dumps(_changed(REGISTRY, ["entries", 1, "method_tag"], None))),
+    "registry provenance a list": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "provenance"], ["x"]))),
+    "registry law not an object": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "law"], [1]))),
     "csv field over the size limit": ("fit", HUGE_FIELD_CSV),
     # A fit report is read as its law only if the whole report is valid.
     "report stats disagree with its law's": ("predict", json.dumps(_changed(REPORT, ["stats", "r_squared"], 0.5))),
@@ -587,6 +595,13 @@ MALFORMED = {
 }
 # What the error message of a case says, where a test names it.
 MALFORMED_MESSAGES = {
+    "n fractional": "law.stats: n must be an integer >= 0, got 16.7",
+    "grid model_id null": "grid: model_id must be text, got None",
+    "report stats n 0 and p -1": "fit report.law.stats: p must be an integer >= 0, got -1",
+    "registry model_id a number": "entry 0: model_id must be text, got 5",
+    "registry method_tag null": "entry 1: method_tag must be text, got None",
+    "registry provenance a list": "entry 0: provenance must be text, got ['x']",
+    "registry law not an object": "entry 0.law: expected an object, got list",
     "top level not an object": "law document: expected a JSON object, got list",
     "byte order mark": "law document: invalid JSON: Unexpected UTF-8 BOM",
     "report warnings not a list": "fit report: warnings must be a list",

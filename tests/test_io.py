@@ -676,6 +676,17 @@ class TestFitReport:
         with pytest.raises(DataFormatError, match=f"invalid JSON: {token} is not a number"):
             report_from_json(json.dumps(doc).replace('"@RAW@"', token))
 
+    @pytest.mark.parametrize("n, p, message", [(0, -1, "p must be an integer >= 0, got -1"),
+                                               (16.7, 3, "n must be an integer >= 0, got 16.7"),
+                                               (10, True, "p must be an integer >= 0, got True")])
+    def test_stats_counts_are_integers_at_least_0(self, n, p, message):
+        doc = json.loads(report_to_json(build_fit_report(self.identity_records())))
+        for stats in (doc["stats"], doc["law"]["stats"]):
+            stats.update(n=n, p=p)
+        doc["residuals"] = doc["residuals"][:int(n)]
+        with pytest.raises(DataFormatError, match=f"^fit report.law.stats: {message}$"):
+            load_law(stdio.StringIO(json.dumps(doc)))
+
     def test_the_two_copies_of_the_stats_must_agree(self):
         report = build_fit_report(self.identity_records())
         doc = json.loads(report_to_json(report))

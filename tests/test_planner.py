@@ -233,3 +233,15 @@ class TestValidation:
     def test_request_max_ratio_interval(self):
         with pytest.raises(DomainError):
             PlanRequest(budget=1e9, metric=ACC, max_ratio=1.5)
+        with pytest.raises(DomainError, match=r"max_ratio must lie in \(0, 1\], got 0.0"):
+            PlanRequest(budget=1e9, metric=ACC, max_ratio=0)
+
+    def test_request_max_ratio_is_stored_as_a_float(self):
+        assert PlanRequest(1e9, MetricKind.LOSS, 0.0, "0.5").max_ratio == 0.5
+        cap = PlanRequest(1e9, ACC, max_ratio=1).max_ratio
+        assert type(cap) is float and cap == 1.0
+
+    def test_runtime_law_must_be_a_runtime_law(self):
+        """A compression law's beta is no runtime exponent: the candidate refuses it rather than plan with it."""
+        with pytest.raises(DomainError, match="runtime_law must be a RuntimeLaw or None, got CompressionLaw"):
+            CandidateModel("m", 4e9, 0.6, EXTRINSIC, runtime_law=CompressionLaw(1.0, -0.67, 0.0, ACC))

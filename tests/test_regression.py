@@ -1,6 +1,7 @@
 """Design construction, QR least squares and law fitting."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,12 @@ class TestBuildDesign:
         records = make_records(1.0, 1.0, 1.0, MetricKind.LOSS)
         with pytest.raises(DomainError):
             build_design(records, epsilon=0.0)
+
+    def test_an_overflowing_rft_feature_is_rejected(self):
+        """At ``d = 0`` a subnormal epsilon makes ``1/(d + epsilon)`` overflow, and its log is inf."""
+        records = make_records(1.0, 1.0, 1.0, MetricKind.LOSS)
+        with pytest.raises(DomainError, match="log transform produced non-finite design entries"):
+            fit_law(records, epsilon=1e-320)
 
 
 ANY_RECORD = st.builds(
@@ -239,10 +246,17 @@ class TestOlsFit:
          SingularDesignError, r"\(cond = inf\); column\(s\) \['log_ratio'\] are numerically zero"),
         (np.column_stack([np.ones(6), np.zeros(6)]), np.arange(1.0, 7.0), DesignForm.RUNTIME,
          SingularDesignError, r"column\(s\) \['log_ratio'\] are numerically zero"),
-    ], ids=["rows", "y not a vector", "zero column", "zero runtime column"])
+        (np.ones((6, 0)), np.ones(6), None, DomainError, "the design has no columns"),
+        (np.column_stack([np.arange(1.0, 7.0), [1.0, 2.0, math.nan, 4.0, 5.0, 6.0]]), np.arange(1.0, 7.0), None,
+         DomainError, "design entries must be finite"),
+        (np.column_stack([np.arange(1.0, 7.0), np.arange(1.0, 7.0) ** 2]), [1.0, 2.0, math.inf, 4.0, 5.0, 6.0],
+         None, DomainError, "design entries must be finite"),
+    ], ids=["rows", "y not a vector", "zero column", "zero runtime column", "no columns", "nan in X", "inf in y"])
     def test_a_problem_it_cannot_solve_is_named(self, x, y, form, error, message):
-        with pytest.raises(error, match=message):
-            ols_fit(x, y, form=form)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning before the error
+            with pytest.raises(error, match=message):
+                ols_fit(x, y, form=form)
 
 
 class TestFitLaw:
@@ -281,6 +295,14 @@ class TestFitLaw:
         assert isinstance(law, RuntimeLaw)
         assert law.c == pytest.approx(100.0, abs=1e-6)
         assert law.beta == pytest.approx(-0.67, abs=1e-6)
+
+    def test_runtime_fit_of_a_constant_runtime_is_exact(self):
+        """A constant runtime leaves nothing to explain after the intercept: the centered total sum of squares is
+        0, and the exact fit has R^2 = 1 and an infinite F statistic."""
+        records = [ExperimentRecord("m", MetricKind.RUNTIME, 1.0, r, 0.0, 5.0) for r in (0.1, 0.3, 0.5, 0.7, 0.9)]
+        law = fit_law(records, form=DesignForm.RUNTIME)
+        assert law.c == pytest.approx(5.0, rel=1e-12) and law.beta == pytest.approx(0.0, abs=1e-12)
+        assert law.stats.r_squared == 1.0 and law.stats.f_statistic == math.inf
 
     def test_ablation_forms_pin_missing_exponent(self):
         records = make_records(0.74, 2.02, 0.0, MetricKind.LOSS)

@@ -1,7 +1,9 @@
 """The contract every compresslaw value type keeps: construction, validation, equality, hashing, repr and
 immutability, checked on one instance of each of the 15 classes."""
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 
@@ -54,10 +56,19 @@ DEFAULTED = {
     RegistryEntry: ("form", "provenance", "param_count", "l0", "reported_adj_r_squared", "reported_f_statistic"),
     SyntheticConfig: ("noise_std", "seed", "model_id"),
 }
-# Field values that each class's __post_init__ rejects, and the start of its message; the other five classes have
-# no __post_init__.
+RUNTIME = RuntimeLaw(1.0, -0.5)
+NESTED = []
+for _ in range(5000):  # deeper than repr can go: a check quotes a bad value short, however deeply it nests
+    NESTED = [NESTED]
+# Field values that each class's field checks or __post_init__ reject, and the start of the message; the other five
+# classes check nothing.
 INVALID = {
     FitStatistics: [({"n": 3}, "need n > p, got n=3, p=3"),
+                     ({"n": 2.5, "p": 1.5}, "n must be an integer >= 0, got 2.5"),
+                     ({"n": True}, "n must be an integer >= 0, got True"),
+                     ({"p": -1}, "p must be an integer >= 0, got -1"),
+                     ({"p": None}, "p must be an integer >= 0, got None"),
+                     ({"adj_r_squared": 0.95}, "adj_r_squared cannot exceed r_squared"),
                      ({"r_squared": 1.5}, r"r_squared must lie in \[0, 1\], got 1.5"),
                      ({"r_squared": -0.1, "adj_r_squared": -0.2}, r"r_squared must lie in \[0, 1\], got -0.1"),
                      ({"f_statistic": -1.0}, "f_statistic must be nonnegative"),
@@ -67,9 +78,11 @@ INVALID = {
                      ({"alpha": math.nan}, "alpha must be finite, got nan"),
                      ({"beta": math.inf}, "beta must be finite, got inf"),
                      ({"gamma": -math.inf}, "gamma must be finite, got -inf"),
-                     ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'")],
+                     ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
+                     ({"stats": "x"}, "stats must be a FitStatistics or None, got 'x'")],
     RuntimeLaw: [({"c": -1.0}, "c must be > 0"),
-                 ({"beta": math.nan}, "beta must be finite, got nan")],
+                 ({"beta": math.nan}, "beta must be finite, got nan"),
+                 ({"stats": {"n": 10}}, "stats must be a FitStatistics or None, got {'n': 10}")],
     ExperimentRecord: [({"r": 1.0}, r"r must lie in \[0, 1\)"),
                        ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
                        ({"model_id": 5}, "model_id must be text, got 5"),
@@ -79,6 +92,9 @@ INVALID = {
                        ({"l": math.inf}, "l must be finite, got inf")],
     RecoveryQuery: [({"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
                      "recovery analysis needs a feasible law"),
+                    ({"law": RUNTIME}, r"law must be a CompressionLaw, got RuntimeLaw\("),
+                    ({"law": CompressionLaw(1.0, 1.0, 1.0, MetricKind.RUNTIME)},
+                     "recovery analysis is defined for loss and accuracy laws, not runtime"),
                     ({"sigma": math.nan}, "sigma must be finite, got nan"),
                     ({"sigma": 1.5}, r"accuracy thresholds live in \(0, 1\), got 1.5"),
                     ({"r": -0.1}, r"r must lie in \[0, 1\), got -0.1")],
@@ -86,7 +102,9 @@ INVALID = {
                      ({"param_count": -3e9}, "param_count must be > 0, got -3000000000.0"),
                      ({"model_id": 5}, "model_id must be text, got 5"),
                      ({"law": CompressionLaw(1.0, 1.0, 1.0, MetricKind.RUNTIME)},
-                      "candidate laws must target loss or accuracy")],
+                      "candidate laws must target loss or accuracy"),
+                     ({"law": RUNTIME}, r"law must be a CompressionLaw, got RuntimeLaw\("),
+                     ({"runtime_law": ACCURACY}, r"runtime_law must be a RuntimeLaw or None, got CompressionLaw\(")],
     PlanRequest: [({"max_ratio": 0.0}, r"max_ratio must lie in \(0, 1\]"),
                   ({"budget": 0.0}, "budget must be > 0, got 0.0"),
                   ({"metric": "accuracy"}, "metric must be a MetricKind, got 'accuracy'"),
@@ -94,12 +112,23 @@ INVALID = {
     FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10")],
     RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
                     ({"model_id": 5}, "model_id must be text, got 5"),
+                    ({"model_id": NESTED}, r"^model_id must be text, got \[+\.\.\.\]+$"),
                     ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
                     ({"method_tag": 7}, "method_tag must be text, got 7"),
                     ({"form": "ratio"}, "form must be a DesignForm, got 'ratio'"),
                     ({"provenance": None}, "provenance must be text, got None")],
     SyntheticConfig: [({"noise_std": -1.0}, "noise_std must be >= 0"),
-                      ({"model_id": 5}, "model_id must be text, got 5")],
+                      ({"model_id": 5}, "model_id must be text, got 5"),
+                      ({"truth": RUNTIME}, r"truth must be a CompressionLaw, got RuntimeLaw\("),
+                      ({"l0_values": (0.5, 0.0)}, "l0 must be > 0, got 0.0"),
+                      ({"r_values": (0.1, 1.0)}, r"r must lie in \[0, 1\), got 1.0"),
+                      ({"d_values": ()}, "all three grid axes must be nonempty"),
+                      ({"d_values": (0.0, -1.0)}, "d must be >= 0, got -1.0"),
+                      ({"seed": None}, "seed must be an integer >= 0, got None"),
+                      ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+                      ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+                      ({"seed": True}, "seed must be an integer >= 0, got True"),
+                      ({"r_values": (0.1,), "d_values": (0.0,)}, "need at least 3 distinct values")],
 }
 CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
 IDS = [cls.__name__ for cls in CLASSES]
@@ -171,6 +200,18 @@ def test_every_checked_field_has_an_invalid_case(cls):
     assert set(cls._checks) <= covered
 
 
+def test_only_the_value_type_decorator_sets_fields():
+    """A field is stored once, by the constructor ``_value_type`` generates, as its declared check returns it: no
+    other code in the package restores or normalizes a field with ``object.__setattr__``."""
+    found = []
+    for path in sorted(Path(laws.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            found += [(path.name, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                      and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == [("laws.py", "_value_type")]
+
+
 def test_a_value_type_stores_each_field_once_as_its_check_returns_it():
     calls = []
 
@@ -221,14 +262,15 @@ def test_values_differing_in_one_field_are_unequal(name, other):
     assert law != changed and changed != law
 
 
-# The float fields each __post_init__ checks with a require_* validator.
+# The float fields each class checks as floats.
 CHECKED_FLOATS = {
+    FitStatistics: ("r_squared", "f_statistic", "residual_std", "condition_number"),
     CompressionLaw: ("alpha", "beta", "gamma", "epsilon"),
     RuntimeLaw: ("c", "beta"),
     ExperimentRecord: ("l0", "r", "d", "l"),
     RecoveryQuery: ("sigma", "r"),
     CandidateModel: ("param_count", "l0"),
-    PlanRequest: ("budget", "rft_size"),
+    PlanRequest: ("budget", "rft_size", "max_ratio"),
     SyntheticConfig: ("noise_std",),
 }
 
