@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
-from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _require_instance, _require_metric, _require_text
+from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _optional, _require_instance, _require_metric, _require_not_negative
+from .laws import _require_text, _require_that, require_positive
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -325,14 +326,19 @@ def _report_from_dict(doc: dict) -> FitReport:
 
 
 @_value_type(model_id=_require_text, metric=_require_metric, method_tag=_require_text,
-             form=_require_instance(DesignForm, "a DesignForm"), provenance=_require_text)
+             form=_require_instance(DesignForm, "a DesignForm"), provenance=_require_text,
+             param_count=_optional(require_positive), l0=_optional(require_positive),
+             reported_adj_r_squared=_optional(_require_that(lambda value: not value > 1.0, "be at most 1, got {}")),
+             reported_f_statistic=_optional(_require_not_negative))
 class RegistryEntry:
     """One law in a registry, keyed by (model_id, metric, method_tag).
 
-    ``param_count`` and ``l0`` are optional planner inputs; fixture entries
-    quote ``reported_adj_r_squared``/``reported_f_statistic`` when the
-    source published them without full fit statistics.  A compression law
-    has 0 for each exponent its form does not fit, as a fit in that form does.
+    ``param_count`` and ``l0`` are optional planner inputs, each positive;
+    fixture entries quote ``reported_adj_r_squared`` (at most 1) and
+    ``reported_f_statistic`` (nonnegative), either of which may be nan as a
+    fit's may, when the source published them without full fit statistics.
+    A compression law has 0 for each exponent its form does not fit, as a
+    fit in that form does.
     """
 
     model_id: str

@@ -1,8 +1,8 @@
 """Frontier tables: one row ``l0, r, d, predicted`` per point of an ``(l0, r, d)`` grid, in lexicographic order.
 
 :func:`emit_frontier_grid` checks each axis with the ``laws`` check that ``SyntheticConfig`` declares for it and
-returns the points as a :class:`~compresslaw.laws.Table` of the three axes with their runs and the predictions, not a
-``list``.  Every table is written through one spread-and-chunk path, which
+returns the table of ``laws``' one grid predictor, which ``generate`` shares: the three axes with their runs and the
+predictions, not a ``list``.  Every table is written through one spread-and-chunk path, which
 :func:`compresslaw.io.write_records` shares: a column's texts are made once per value it holds (a float's
 ``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer writes the
 leading label columns that hold one label once, into the text every row starts with, and joins each row's other
@@ -21,8 +21,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .documents import _open_for_write
-from .laws import _GRID_AXES, SCHEMA_VERSION, CompressionLaw, MetricKind, Table, _checked_exps, _require_axis
-from .laws import _require_law, log_feature_columns
+from .laws import _GRID_AXES, SCHEMA_VERSION, CompressionLaw, MetricKind, Table, _grid_table, _require_axis
+from .laws import _grid_log_predictions, _require_law
 
 __all__ = ["FrontierPoint", "emit_frontier_grid", "write_frontier"]
 
@@ -37,18 +37,13 @@ def emit_frontier_grid(law: CompressionLaw, l0_list: Sequence[float], r_grid: Se
                        d_grid: Sequence[float]) -> Sequence[FrontierPoint]:
     """Predictions over the full grid, one point per row in lexicographic order, each equal to ``evaluate``'s.
 
-    Each axis value's term of the exponent is taken once, and each point sums them in ``evaluate``'s order.  The
-    ``exp`` of every sum is one map, checked at once: an overflow or underflow is ``evaluate``'s
+    The points are the grid predictor's table, which ``generate`` shares, of the checked axes: a read-only
+    sequence that equals a list of the same points.  An overflow or underflow is ``evaluate``'s
     :class:`~compresslaw.errors.DomainError` for the first point out of range, before any point is returned.
-    The points are a read-only sequence that equals a list of the same points.
     """
     _require_law("law", law)
-    l0, r, d = axes = tuple(map(_require_axis, _GRID_AXES, (l0_list, r_grid, d_grid)))
-    x0, x1, x2 = log_feature_columns(*axes, law.epsilon)
-    a_terms, b_terms, c_terms = [law.alpha * x for x in x0], [law.beta * x for x in x1], [law.gamma * x for x in x2]
-    log_predicted = [ab + c for a in a_terms for ab in [a + b for b in b_terms] for c in c_terms]
-    predicted = _checked_exps(log_predicted)
-    return Table(FrontierPoint, (l0, r, d, predicted), (len(r) * len(d), len(d), 1, 1))
+    axes = tuple(map(_require_axis, _GRID_AXES, (l0_list, r_grid, d_grid)))
+    return _grid_table(FrontierPoint, axes, _grid_log_predictions(law, axes))
 
 
 def _quote(text: str) -> str:

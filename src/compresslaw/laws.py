@@ -12,11 +12,14 @@ two-parameter analogue ``c * (1 + r)**beta`` for inference runtime.
 All evaluation goes through ``exp`` of the log-linear form built by
 :func:`log_features`, the one transform that :mod:`compresslaw.recovery`
 also uses.  :func:`log_feature_columns` maps the same scalar functions over
-whole columns for the designs of :mod:`compresslaw.regression` and
-:mod:`compresslaw.synth`, so predictions and the regression agree bit for
-bit in their transforms.  The ``require_*`` validators are the one place
-each domain condition and its message are written.  Beside them are the
-private checks a value type names for its fields: ``_require_instance``
+whole columns for the designs of :mod:`compresslaw.regression` and for the
+one grid predictor, ``_grid_log_predictions``, which takes each axis value's
+term once and sums each grid point's terms in :func:`evaluate`'s order.
+``generate`` (with its noise added) and ``emit_frontier_grid`` both return
+its ``exp`` as ``_grid_table``'s table, so predictions and the regression
+agree bit for bit in their transforms.  The ``require_*`` validators are the
+one place each domain condition and its message are written.  Beside them are
+the private checks a value type names for its fields: ``_require_instance``
 (the field's type), ``_require_count`` (an ``int >= 0``, not a ``bool``),
 ``_require_that`` (a test of a float) and the grid-axis checks that
 ``SyntheticConfig`` and ``emit_frontier_grid`` share.
@@ -183,6 +186,11 @@ def _require_that(test, what: str):
         return value
 
     return check
+
+
+def _optional(check):
+    """``check`` for a field that may be ``None``, which is stored as it is."""
+    return lambda name, value: value if value is None else check(name, value)
 
 
 # Each grid axis field, in grid order, and the name and validator of its values: read by the grid document too.
@@ -465,6 +473,15 @@ def _checked_exp(log_value: float) -> float:
     return value
 
 
+def _grid_log_predictions(law: CompressionLaw, axes: Sequence[Sequence[float]]) -> list[float]:
+    """The one grid predictor: ``law``'s log prediction at each point of the grid of the checked ``axes``, in
+    lexicographic order.  Each axis value's term is taken once, and each point sums its terms in :func:`evaluate`'s
+    order."""
+    x0, x1, x2 = log_feature_columns(*axes, law.epsilon)
+    a_terms, b_terms, c_terms = [law.alpha * x for x in x0], [law.beta * x for x in x1], [law.gamma * x for x in x2]
+    return [ab + c for a in a_terms for ab in [a + b for b in b_terms] for c in c_terms]
+
+
 def _checked_exps(log_values: Sequence[float]) -> tuple[float, ...]:
     """``_checked_exp`` of each value, from one ``map(math.exp, ...)``: an overflow, 0, inf or nan sends every
     value through ``_checked_exp``, so the first offender raises its error.  ``sum`` sees a nan that ``max``
@@ -476,6 +493,14 @@ def _checked_exps(log_values: Sequence[float]) -> tuple[float, ...]:
     except OverflowError:
         pass
     return tuple(map(_checked_exp, log_values))
+
+
+def _grid_table(row, axes: Sequence[tuple], log_values: Sequence[float], labels: Sequence[tuple] = ()) -> Table:
+    """The grid of ``axes`` as a :class:`Table` of ``row``: the one-value ``labels`` columns, the axes with their
+    runs, and the :func:`_checked_exps` of the points' log values."""
+    d_count = len(axes[2])
+    runs = (len(log_values),) * len(labels) + (len(axes[1]) * d_count, d_count, 1, 1)
+    return Table(row, (*labels, *axes, _checked_exps(log_values)), runs)
 
 
 def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:

@@ -17,7 +17,8 @@ the convention of standard statistics packages and is decided by the design
 form, never by the data values: uncentered (``1 - SSR/sum(y**2)``, ``p``
 model degrees of freedom) for the intercept-free forms, centered (``p - 1``)
 for the runtime form.  A bare :func:`ols_fit` call without a form has no
-intercept.
+intercept.  A sum of squares within rounding of 0 for the scale of ``y`` is 0,
+so a fit that leaves nothing to explain has R-squared 1 at any scale.
 
 Bulk paths pass records as a :class:`~compresslaw.laws.Table` of columns; :func:`build_design` turns any other
 sequence into one.  It takes the grid columns ``l0``, ``r`` and ``d`` with one value per row, whether a table
@@ -177,12 +178,16 @@ def _solve(
     ssr = math.fsum((residuals * residuals).tolist())
     # Only a form that fits log c has an intercept; it centers R^2 and is not a model degree of freedom.
     intercepts = names.count("intercept")
-    centered = y - y.mean() if intercepts else y
+    mean = float(y.mean()) if intercepts else 0.0
+    centered = y - mean if intercepts else y
     tss = math.fsum((centered * centered).tolist())
-    if tss > 0.0:
+    # Rounding leaves up to ~n * eps * |y| in each residual of an exact fit, as the solve's dot products have n
+    # terms, and in each centred entry of a constant y: a sum of squares below (n * p * eps)**2 * sum(y**2) is 0.
+    zero = (n * p * math.ulp(1.0)) ** 2 * (tss + n * mean * mean)
+    if tss > zero:
         r_squared = min(max(1.0 - ssr / tss, 0.0), 1.0)
     else:
-        r_squared = 1.0 if ssr <= 1e-30 else 0.0
+        r_squared = 1.0 if ssr <= zero else 0.0
     adj = 1.0 - (1.0 - r_squared) * (n - intercepts) / (n - p)
     dof_model = p - intercepts
     if r_squared < 1.0 and dof_model > 0:

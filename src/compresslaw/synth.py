@@ -6,16 +6,17 @@ optional Gaussian noise added in log space (multiplicative on the observed
 value), matching the regression's noise model.
 
 Each grid axis is checked, when the config is built, by the ``laws`` check that
-also checks the ``frontier`` grid's axis.  The grid's log predictions are one
-numpy sum over the meshed features, taken in
-:func:`~compresslaw.laws.evaluate`'s order, and their ``exp`` is one
-``math.exp`` map checked at once, as the ``frontier`` grid's is: a noise-free
+also checks the ``frontier`` grid's axis.  Nothing is meshed: the grid's log
+predictions come from ``laws._grid_log_predictions``, the one grid predictor
+that ``frontier`` shares, in :func:`~compresslaw.laws.evaluate`'s order, and
+the records are the grid table that both build, with one-value columns of the
+model id and the metric before the axes and the observed ``l``.  A noise-free
 ``l`` equals ``evaluate`` at its point bit for bit, and the first value out of
-range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.  The
-records are a :class:`~compresslaw.laws.Table` of the grid, like the
-``frontier`` points: the three axes with their runs, the observed ``l``, and
-one-value columns of the model id and the metric.  Only the features are
-meshed, never the raw axis values.
+range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.  Noise is
+one IEEE addition per grid point, of a deviate drawn for it.  The rank check
+of the grid's three-column design reads only the axes' features: a
+Cartesian grid's design has the singular values of a ``4 x 3`` matrix of the
+axes' means and spreads.
 
 Determinism contract: the generator is NumPy's PCG64 via
 ``numpy.random.default_rng(seed)``, drawing one standard-normal deviate per
@@ -29,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, SingularDesignError
-from .laws import CompressionLaw, ExperimentRecord, Table, _checked_exps, _require_axis, _require_count, _require_law
-from .laws import _require_text, _value_type, log_feature_columns, require_nonnegative
+from .laws import CompressionLaw, ExperimentRecord, Table, _grid_log_predictions, _grid_table, _require_axis
+from .laws import _require_count, _require_law, _require_text, _value_type, log_feature_columns, require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT
 
 __all__ = ["SyntheticConfig", "generate"]
@@ -58,6 +59,17 @@ class SyntheticConfig:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
 
 
+def _grid_condition(features: tuple) -> float:
+    """``cond`` of the meshed ``N x 3`` design of a grid whose axes have these features, from the axes alone.
+    Centred, the design's columns are orthogonal to each other and to the ones vector, so its singular values are
+    ``sqrt(N)`` times those of each axis's mean feature over the diagonal of their standard deviations.  An RFT
+    feature is inf when ``d + epsilon`` is subnormal, and no design has it."""
+    columns = [np.array(feature) for feature in features]
+    if not np.isfinite(sum([c.sum() for c in columns])):
+        return np.inf
+    return float(np.linalg.cond(np.vstack(([c.mean() for c in columns], np.diag([c.std() for c in columns])))))
+
+
 def generate(config: SyntheticConfig) -> Table:
     """Draw one record per grid point from the truth law, as a :class:`~compresslaw.laws.Table` of the three
     axes, the observed ``l`` and one-value columns of the model id and the metric.
@@ -72,15 +84,10 @@ def generate(config: SyntheticConfig) -> Table:
         DomainError: When a value overflows or underflows the finite positive range.
     """
     law, axes = config.truth, (config.l0_values, config.r_values, config.d_values)
-    # Each feature is taken once per axis value, then spread like the axes.
-    x0, x1, x2 = (mesh.ravel() for mesh in np.meshgrid(*log_feature_columns(*axes, law.epsilon), indexing="ij"))
-    log_l = law.alpha * x0 + law.beta * x1 + law.gamma * x2
-    n = len(log_l)
-    # With fewer than 3 rows cond() measures only the rows' span, not all three columns.
-    if n < 3 or not np.linalg.cond(np.column_stack((x0, x1, x2))) <= CONDITION_NUMBER_LIMIT:
+    if not _grid_condition(log_feature_columns(*axes, law.epsilon)) <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError("grid is rank deficient for the full three-column design")
+    log_l = _grid_log_predictions(law, axes)
     if config.noise_std > 0:
-        log_l = log_l + np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=n)
-    columns = ((config.model_id,), (law.metric,), *axes, _checked_exps(log_l.tolist()))
-    d_count = len(config.d_values)
-    return Table(ExperimentRecord, columns, (n, n, len(config.r_values) * d_count, d_count, 1, 1))
+        noise = np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=len(log_l))
+        log_l = (np.fromiter(log_l, float, len(log_l)) + noise).tolist()
+    return _grid_table(ExperimentRecord, axes, log_l, ((config.model_id,), (law.metric,)))

@@ -576,6 +576,13 @@ MALFORMED = {
     "registry method_tag null": ("plan", json.dumps(_changed(REGISTRY, ["entries", 1, "method_tag"], None))),
     "registry provenance a list": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "provenance"], ["x"]))),
     "registry law not an object": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "law"], [1]))),
+    # The planner reads an entry's numbers only after the whole registry is read, so each names its entry.
+    "registry param_count negative": ("plan", json.dumps(_changed(REGISTRY, ["entries", 1, "param_count"], -3e9))),
+    "registry l0 0": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "l0"], 0))),
+    "registry reported adj_r_squared 7.5": (
+        "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "reported", "adj_r_squared"], 7.5))),
+    "registry reported f_statistic negative": (
+        "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "reported", "f_statistic"], -1))),
     "csv field over the size limit": ("fit", HUGE_FIELD_CSV),
     # A fit report is read as its law only if the whole report is valid.
     "report stats disagree with its law's": ("predict", json.dumps(_changed(REPORT, ["stats", "r_squared"], 0.5))),
@@ -602,6 +609,10 @@ MALFORMED_MESSAGES = {
     "registry method_tag null": "entry 1: method_tag must be text, got None",
     "registry provenance a list": "entry 0: provenance must be text, got ['x']",
     "registry law not an object": "entry 0.law: expected an object, got list",
+    "registry param_count negative": "entry 1: param_count must be > 0, got -3000000000.0",
+    "registry l0 0": "entry 0: l0 must be > 0, got 0.0",
+    "registry reported adj_r_squared 7.5": "entry 0: reported_adj_r_squared must be at most 1, got 7.5",
+    "registry reported f_statistic negative": "entry 0: reported_f_statistic must be nonnegative",
     "top level not an object": "law document: expected a JSON object, got list",
     "byte order mark": "law document: invalid JSON: Unexpected UTF-8 BOM",
     "report warnings not a list": "fit report: warnings must be a list",

@@ -39,7 +39,8 @@ from compresslaw.io import (
     RECORD_COLUMNS,
     SkippedRowWarning,
 )
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, check_feasibility, evaluate
+from compresslaw.laws import _FORM_COEFFICIENTS, CompressionLaw, MetricKind, RuntimeLaw, Table, check_feasibility
+from compresslaw.laws import evaluate
 from compresslaw.regression import DesignForm, ExperimentRecord, FitStatistics
 from compresslaw.synth import SyntheticConfig, generate
 
@@ -716,6 +717,29 @@ class TestRegistry:
                 continue
             violations = [v for v in check_feasibility(entry.law) if v.exponent in fitted[entry.form]]
             assert violations == [], f"{entry.key}: {violations}"
+
+    def test_builtin_reported_statistics_fit_some_sample_count(self):
+        """Each fixture entry that reports both adjusted R^2 and F agrees with some integer ``n > p`` under its
+        form's R^2 convention (uncentered for the intercept-free forms), within half a unit of the last printed
+        digit of each: at each ``n``, F fixes R^2 and so adjusted R^2."""
+
+        def half_printed_unit(value):  # a whole number was printed without decimals
+            return 0.5 if value == int(value) else 0.5 * 10.0 ** -len(repr(value).split(".")[1])
+
+        checked = 0
+        for entry in builtin_registry():
+            adj, f = entry.reported_adj_r_squared, entry.reported_f_statistic
+            if adj is None or f is None:
+                continue
+            p, intercepts = len(_FORM_COEFFICIENTS[entry.form]), int(entry.form is DesignForm.RUNTIME)
+            n = np.arange(p + 1, 100_001, dtype=float)
+            # 1 - R^2 = 1 / (1 + F (p - intercepts) / (n - p)), and adjusted R^2 = 1 - (1 - R^2) (n - intercepts) /
+            # (n - p) grows with F: its range at each n is that of F's printed interval.
+            adj_half, f_half = half_printed_unit(adj), half_printed_unit(f)
+            low, high = (1.0 - (n - intercepts) / (n - p + (f + f_half * side) * (p - intercepts)) for side in (-1, 1))
+            assert ((high >= adj - adj_half) & (low <= adj + adj_half)).any(), entry.key
+            checked += 1
+        assert checked == 19
 
     def test_builtin_round_trip(self):
         registry = builtin_registry()

@@ -304,6 +304,18 @@ class TestFitLaw:
         assert law.c == pytest.approx(5.0, rel=1e-12) and law.beta == pytest.approx(0.0, abs=1e-12)
         assert law.stats.r_squared == 1.0 and law.stats.f_statistic == math.inf
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(exponent=st.integers(-1074, 1023), rows=st.integers(3, 60))
+    def test_a_constant_runtime_fits_exactly_at_any_scale(self, exponent, rows):
+        """Whether a sum of squares is 0 is decided relative to the scale of ``log runtime``: rounding leaves a
+        residual and a centred spread of about eps * |log runtime| per row, which an absolute threshold called
+        real at 3.7e12 and at 1e-300 (R^2 0, adjusted R^2 -0.33, F 0) but not at 5.0."""
+        ratios = np.linspace(0.05, 0.95, rows).tolist()
+        for runtime in (5.0, 3.7e12, 1e-300, 2.0 ** exponent):
+            records = [ExperimentRecord("m", MetricKind.RUNTIME, 1.0, r, 0.0, runtime) for r in ratios]
+            stats = fit_law(records, form=DesignForm.RUNTIME).stats
+            assert (stats.r_squared, stats.adj_r_squared, stats.f_statistic) == (1.0, 1.0, math.inf), runtime
+
     def test_ablation_forms_pin_missing_exponent(self):
         records = make_records(0.74, 2.02, 0.0, MetricKind.LOSS)
         law = fit_law(records, form=DesignForm.RATIO_ONLY)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from compresslaw.errors import DomainError, SingularDesignError
-from compresslaw.laws import CompressionLaw, MetricKind, evaluate
-from compresslaw.regression import fit_law
-from compresslaw.synth import SyntheticConfig, generate
+from compresslaw.laws import CompressionLaw, MetricKind, evaluate, log_feature_columns
+from compresslaw.regression import CONDITION_NUMBER_LIMIT, fit_law
+from compresslaw.synth import SyntheticConfig, _grid_condition, generate
 
 INTRINSIC = CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS)
 
@@ -90,6 +90,43 @@ class TestEqualsEvaluate:
             _assert_noise_free_equals_evaluate(config)
         except SingularDesignError:
             assume(False)
+
+
+class TestRankCheck:
+    """``generate``'s rank check reads the axes alone; it agrees with ``np.linalg.cond`` of the meshed design."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        l0_values=st.lists(st.one_of(st.just(1.0), st.floats(0.01, 100.0)), min_size=1, max_size=4),
+        r_values=st.lists(st.one_of(st.just(-0.0), st.floats(0.0, 0.999)), min_size=1, max_size=4),
+        d_values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=4),
+        epsilon=st.floats(0.01, 10.0),
+    )
+    def test_axes_condition_equals_the_meshed_designs(self, l0_values, r_values, d_values, epsilon):
+        features = log_feature_columns(l0_values, r_values, d_values, epsilon)
+        design = np.column_stack([mesh.ravel() for mesh in np.meshgrid(*features, indexing="ij")])
+        meshed, axes = np.linalg.cond(design), _grid_condition(features)
+        # The SVD of the meshed design finds its smallest singular value to eps times its largest, so its cond is
+        # good to eps * cond relative (l0 = [1, 2] with r = [-0.0, 1e-12] is off by 9e-6 at cond 1.6e12).
+        rel = max(1e-12, 64 * np.finfo(float).eps * meshed)
+        # With fewer than 3 rows the meshed cond measures only the rows' span; such a grid is singular.
+        full_rank = len(design) >= 3 and meshed < 1e12
+        if full_rank:
+            assert axes == pytest.approx(meshed, rel=rel)
+        if not math.isclose(meshed, CONDITION_NUMBER_LIMIT, rel_tol=rel):
+            assert (axes <= CONDITION_NUMBER_LIMIT) == (full_rank and meshed <= CONDITION_NUMBER_LIMIT)
+
+    def test_a_grid_of_two_points_is_singular(self):
+        config = SyntheticConfig(truth=INTRINSIC, l0_values=(2.0,), r_values=(0.1,), d_values=(0.0, 5.0))
+        with pytest.raises(SingularDesignError):
+            generate(config)
+
+    def test_an_infinite_rft_feature_is_singular_without_lapack_output(self, capfd):
+        config = SyntheticConfig(truth=CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS, 1e-320),
+                                 l0_values=(2.0, 3.0), r_values=(0.1, 0.5), d_values=(0.0, 5.0))
+        with pytest.raises(SingularDesignError):
+            generate(config)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestRoundTrip:

@@ -116,7 +116,11 @@ INVALID = {
                     ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
                     ({"method_tag": 7}, "method_tag must be text, got 7"),
                     ({"form": "ratio"}, "form must be a DesignForm, got 'ratio'"),
-                    ({"provenance": None}, "provenance must be text, got None")],
+                    ({"provenance": None}, "provenance must be text, got None"),
+                    ({"param_count": -3e9}, "param_count must be > 0, got -3000000000.0"),
+                    ({"l0": 0.0}, "l0 must be > 0, got 0.0"),
+                    ({"reported_adj_r_squared": 7.5}, "reported_adj_r_squared must be at most 1, got 7.5"),
+                    ({"reported_f_statistic": -1.0}, "reported_f_statistic must be nonnegative")],
     SyntheticConfig: [({"noise_std": -1.0}, "noise_std must be >= 0"),
                       ({"model_id": 5}, "model_id must be text, got 5"),
                       ({"truth": RUNTIME}, r"truth must be a CompressionLaw, got RuntimeLaw\("),
@@ -299,6 +303,15 @@ def test_numeric_strings_are_read_as_their_float():
     result = planner.plan([CandidateModel("m", "4e9", 0.6, law)], request)
     assert result == planner.plan([CandidateModel("m", 4e9, 0.6, law)], PlanRequest(1e9, MetricKind.LOSS, 10.0))
     assert result.entries[0].predicted_performance == laws.evaluate(law, 0.6, 0.75, 10.0)
+
+
+def test_registry_numbers_are_optional_and_checked_as_floats():
+    """A registry entry's numbers are ``None`` or checked floats; a reported statistic may be nan, as a fit's may."""
+    fields = dict(param_count=3, l0="0.6", reported_adj_r_squared=math.nan, reported_f_statistic=math.inf)
+    entry = RegistryEntry(**{**FIELDS[RegistryEntry], **fields})
+    assert (entry.param_count, entry.l0, entry.reported_f_statistic) == (3.0, 0.6, math.inf)
+    assert type(entry.param_count) is float and math.isnan(entry.reported_adj_r_squared)
+    assert _instance(RegistryEntry).param_count is None
 
 
 def test_synthetic_config_normalizes_its_axes_to_tuples():
