@@ -11,18 +11,21 @@
 * grid JSON (``synth`` input, not versioned): lists of numbers ``l0_values``,
   ``r_values``, ``d_values`` and an optional string ``model_id``.
 
-Floats are written with ``repr`` (shortest exact form), so round trips are
-lossless; non-finite statistics (an exact fit has an infinite F-statistic)
-are encoded as the strings ``"inf"``/``"-inf"``/``"nan"``.  Each document is
-read only as it is written: a number is a JSON number or one of those three
-strings (a bare ``NaN`` or ``Infinity`` token is an error), and an unknown
-field is an error.  A reader only turns JSON tokens into Python values (a
-number, an enum member from its string) and passes every other field as
-read: the value type it builds checks its own fields, and the reader reports
-that :class:`~compresslaw.errors.DomainError` with where it was found.  Every
-reader raises :class:`~compresslaw.errors.DataFormatError`, and nothing
-else, on any malformed document, bytes that are not UTF-8 included.  A path
-is read as bytes and decoded once.  The module imports no numpy.
+Each object of a document (statistics, either law, a fit report, a registry entry with its ``reported`` part, a
+grid) has one field table, ``_Object``: a row per JSON key, in the order written, naming the value type's
+attribute, whether the key is required and the token kind (number, enum, as-is text or count, nested object or
+list).  One encoder, ``_encode``, and one decoder, ``_decode``, read every table, and the tables hold no rules:
+the value type a table builds checks its own fields, and the decoder reports its
+:class:`~compresslaw.errors.DomainError` with where it was found.  The encoder leaves out a ``None`` value and an
+empty part, so ``reported`` is written only when it holds a number, but writes a law's ``None`` stats as
+``null``.  The decoder checks an object's keys, missing then unknown, before it decodes any value, and names a
+bad token by its JSON path (``entry 0.law.alpha``); a missing optional key takes the value type's default.
+
+Floats are written with ``repr`` (shortest exact form), so round trips are lossless; non-finite values (an exact
+fit has an infinite F-statistic) are the strings ``"inf"``, ``"-inf"`` and ``"nan"``, the only strings read as
+numbers (a bare ``NaN`` or ``Infinity`` token is an error).  Every reader raises
+:class:`~compresslaw.errors.DataFormatError`, and nothing else, on any malformed document, bytes that are not
+UTF-8 included.  A path is read as bytes and decoded once.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from __future__ import annotations
 import json
 import math
 import reprlib
+from collections import namedtuple
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
@@ -105,7 +110,7 @@ _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 def _parse_document(text: str, context: str, kind: str | None = None, *, versioned: bool = True) -> dict:
     """The top-level object of a JSON document, minus its checked ``schema_version`` (if
-    ``versioned``) and ``kind`` (if given); every failure is a :class:`DataFormatError`."""
+    ``versioned``), with its ``kind`` checked (if given); every failure is a :class:`DataFormatError`."""
     try:
         if isinstance(text, str) and not text.startswith("\ufeff"):
             doc = _JSON_DECODER.decode(text)
@@ -119,10 +124,8 @@ def _parse_document(text: str, context: str, kind: str | None = None, *, version
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise DataFormatError(f"{context}: schema_version must be {SCHEMA_VERSION!r}, got {reprlib.repr(version)}")
-    if kind is not None:
-        found = doc.pop("kind", None)
-        if found != kind:
-            raise DataFormatError(f"{context}: kind must be {kind!r}, got {reprlib.repr(found)}")
+    if kind is not None and doc.get("kind") != kind:
+        raise DataFormatError(f"{context}: kind must be {kind!r}, got {reprlib.repr(doc.get('kind'))}")
     return doc
 
 
@@ -150,95 +153,123 @@ def _decode_num(value, context: str) -> float:
     raise DataFormatError(f"{context}: expected a number, got {reprlib.repr(value)}")
 
 
-def _decode_enum(enum_type, obj: dict, field: str, context: str):
-    value = obj[field]
-    if isinstance(value, str):
-        try:
-            return enum_type(value)
-        except ValueError:
-            pass
-    raise DataFormatError(f"{context}: unknown {field} {reprlib.repr(value)}")
+# A token kind: encode(value) is a field's JSON token, and decode(token, context, key) its value or an error that
+# names the object's path context and the key.  A nullable kind writes None as null and reads null as None.
+_Kind = namedtuple("_Kind", "encode decode nullable", defaults=(False,))
 
 
-def _check_fields(obj: dict, required: Sequence[str], optional: Sequence[str], context: str) -> None:
-    if not isinstance(obj, dict):
-        raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise DataFormatError(f"{context}: missing field(s) {missing}")
-    unknown = set(obj).difference(required, optional)
-    if unknown:
-        raise DataFormatError(f"{context}: unknown field(s) {sorted(unknown)}")
+class _Object:
+    """One document object's field table: ``rows`` of ``(key, attr, required, kind)`` in key order, the ``build``
+    callable that takes the fields as keyword arguments, and the ``kind`` tag written first, if any.  A row whose
+    attr is ``None`` holds a part whose fields are the object's own.  The key lists are worked out once, here."""
+
+    def __init__(self, build, rows, kind: str | None = None):
+        self.build, self.rows, self.kind = build, tuple(rows), kind
+        self.required = ["kind"] * (kind is not None) + [key for key, _, required, _ in self.rows if required]
+        self.keys = frozenset([*self.required, *(key for key, *_ in self.rows)])
 
 
-_STATS_FLOAT_FIELDS = ("r_squared", "adj_r_squared", "f_statistic", "residual_std", "condition_number")
-
-
-def _stats_to_dict(stats: FitStatistics) -> dict:
-    doc: dict = {"n": stats.n, "p": stats.p}
-    for name in _STATS_FLOAT_FIELDS:
-        doc[name] = _encode_num(getattr(stats, name))
+def _encode(table: _Object, value) -> dict:
+    """``value`` as ``table``'s JSON object: a ``None`` field and an empty part are left out, unless nullable."""
+    doc = {} if table.kind is None else {"kind": table.kind}
+    for key, attr, _, (encode, _, nullable) in table.rows:
+        field = value if attr is None else getattr(value, attr)
+        token = None if field is None else encode(field)
+        if token is not None or nullable:
+            doc[key] = token
     return doc
 
 
-def _stats_from_dict(obj: dict, context: str) -> FitStatistics:
-    _check_fields(obj, ("n", "p", *_STATS_FLOAT_FIELDS), (), context)
+def _decode(table: _Object, obj, context: str):
+    """What ``table.build`` makes of the JSON object ``obj`` at path ``context``.  Its keys are checked, missing
+    then unknown, before any value is decoded, and a missing optional key is not passed to ``build``.  A
+    :class:`DomainError` of a value or of ``build`` is a :class:`DataFormatError` at ``context``."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
+    missing = [key for key in table.required if key not in obj]
+    if missing:
+        raise DataFormatError(f"{context}: missing field(s) {missing}")
+    unknown = obj.keys() - table.keys
+    if unknown:
+        raise DataFormatError(f"{context}: unknown field(s) {sorted(unknown)}")
+    fields = {}
     try:
-        floats = {name: _decode_num(obj[name], f"{context}.{name}") for name in _STATS_FLOAT_FIELDS}
-        return FitStatistics(n=obj["n"], p=obj["p"], **floats)
+        for key, attr, _, (_, decode, nullable) in table.rows:
+            if key in obj:
+                token = obj[key]
+                fields[attr] = None if token is None and nullable else decode(token, context, key)
+        fields.update(fields.pop(None, {}))  # a part's fields are the object's own
+        return table.build(**fields)
     except DomainError as exc:
         raise DataFormatError(f"{context}: {exc}") from exc
+
+
+def _enum(enum_type) -> _Kind:
+    members = {member.value: member for member in enum_type}
+
+    def decode(token, context: str, key: str):
+        if isinstance(token, str) and token in members:
+            return members[token]
+        raise DataFormatError(f"{context}: unknown {key} {reprlib.repr(token)}")
+
+    return _Kind(attrgetter("value"), decode)
+
+
+def _nested(table: _Object, nullable: bool = False) -> _Kind:
+    """An object of ``table``, left out when it encodes as empty."""
+    return _Kind(lambda value: _encode(table, value) or None,
+                 lambda token, context, key: _decode(table, token, f"{context}.{key}"), nullable)
+
+
+def _list(what: str, decode_item=None) -> _Kind:
+    """A list, read as a tuple: of ``decode_item(item, path)`` of its items, or of its items as they are if they
+    are strings and ``decode_item`` is None.  Any other token is an error that says it must be ``what``."""
+
+    def decode(token, context: str, key: str):
+        if isinstance(token, list) and (decode_item or all([isinstance(item, str) for item in token])):
+            path = f"{context}.{key}"
+            return tuple(token) if decode_item is None else tuple([decode_item(item, path) for item in token])
+        raise DataFormatError(f"{context}: {key} must be {what}")
+
+    return _Kind(list, decode)
+
+
+_AS_IS = _Kind(lambda value: value, lambda token, context, key: token)  # text and counts, which value types check
+_NUMBER = _Kind(_encode_num, lambda token, context, key: _decode_num(token, f"{context}.{key}"))
+_METRIC = _enum(MetricKind)
+_STATS = _Object(FitStatistics, [("n", "n", True, _AS_IS), ("p", "p", True, _AS_IS), *(
+    (name, name, True, _NUMBER) for name in ("r_squared", "adj_r_squared", "f_statistic", "residual_std",
+                                             "condition_number"))])
+_LAW_STATS = ("stats", "stats", False, _nested(_STATS, nullable=True))
+_COMPRESSION = _Object(CompressionLaw, [
+    ("metric", "metric", True, _METRIC), ("alpha", "alpha", True, _NUMBER), ("beta", "beta", True, _NUMBER),
+    ("gamma", "gamma", True, _NUMBER), ("epsilon", "epsilon", False, _NUMBER), _LAW_STATS], "compression")
+_RUNTIME = _Object(RuntimeLaw, [("c", "c", True, _NUMBER), ("beta", "beta", True, _NUMBER), _LAW_STATS], "runtime")
+_LAWS = {table.kind: table for table in (_COMPRESSION, _RUNTIME)}
 
 
 def law_to_dict(law: CompressionLaw | RuntimeLaw) -> dict:
     """Serialize a law to a plain dict (no schema_version wrapper)."""
-    stats = _stats_to_dict(law.stats) if law.stats is not None else None
-    if isinstance(law, CompressionLaw):
-        return {
-            "kind": "compression",
-            "metric": law.metric.value,
-            "alpha": _encode_num(law.alpha),
-            "beta": _encode_num(law.beta),
-            "gamma": _encode_num(law.gamma),
-            "epsilon": _encode_num(law.epsilon),
-            "stats": stats,
-        }
-    if isinstance(law, RuntimeLaw):
-        return {"kind": "runtime", "c": _encode_num(law.c), "beta": _encode_num(law.beta), "stats": stats}
+    for table in _LAWS.values():
+        if isinstance(law, table.build):
+            return _encode(table, law)
     raise DomainError(f"cannot serialize {type(law).__name__}")
 
 
 def law_from_dict(obj: dict, context: str = "law") -> CompressionLaw | RuntimeLaw:
-    """Parse a law dict as :func:`law_to_dict` writes it, enforcing type invariants.
+    """Parse a law dict as :func:`law_to_dict` writes it, into the law type that checks its fields."""
+    return _decode(_law_table(obj, context), obj, context)
 
-    Numbers are JSON numbers or the strings ``"inf"``, ``"-inf"`` and ``"nan"``; unknown fields are rejected.
-    """
+
+def _law_table(obj, context: str, kinds: Sequence[str] = tuple(_LAWS)) -> _Object:
+    """The law table of ``obj``'s ``kind``; an error names ``kinds`` as the kinds it may be."""
     if not isinstance(obj, dict):
         raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
     kind = obj.get("kind")
-    stats_obj = obj.get("stats")
-    stats = _stats_from_dict(stats_obj, f"{context}.stats") if stats_obj is not None else None
-    try:
-        if kind == "compression":
-            _check_fields(obj, ("kind", "metric", "alpha", "beta", "gamma"), ("epsilon", "stats"), context)
-            return CompressionLaw(
-                alpha=_decode_num(obj["alpha"], f"{context}.alpha"),
-                beta=_decode_num(obj["beta"], f"{context}.beta"),
-                gamma=_decode_num(obj["gamma"], f"{context}.gamma"),
-                metric=_decode_enum(MetricKind, obj, "metric", context),
-                epsilon=_decode_num(obj.get("epsilon", 1.0), f"{context}.epsilon"),
-                stats=stats,
-            )
-        if kind == "runtime":
-            _check_fields(obj, ("kind", "c", "beta"), ("stats",), context)
-            return RuntimeLaw(
-                c=_decode_num(obj["c"], f"{context}.c"),
-                beta=_decode_num(obj["beta"], f"{context}.beta"),
-                stats=stats,
-            )
-    except DomainError as exc:
-        raise DataFormatError(f"{context}: {exc}") from exc
-    raise DataFormatError(f"{context}: kind must be 'compression' or 'runtime', got {reprlib.repr(kind)}")
+    if isinstance(kind, str) and kind in _LAWS:
+        return _LAWS[kind]
+    *others, last = map(repr, kinds)
+    raise DataFormatError(f"{context}: kind must be {', '.join(others)} or {last}, got {reprlib.repr(kind)}")
 
 
 def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
@@ -249,13 +280,9 @@ def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
 def load_law(source) -> CompressionLaw | RuntimeLaw:
     """The law of a law document or of a fit report, checked whole as :func:`report_from_json` checks it."""
     doc = _parse_document(_read_text(source, "law document"), "law document")
-    kind = doc.get("kind")
-    if kind == "fit_report":
-        del doc["kind"]
-        return _report_from_dict(doc).law
-    if kind not in ("compression", "runtime"):
-        raise DataFormatError(f"law: kind must be 'compression', 'runtime' or 'fit_report', got {reprlib.repr(kind)}")
-    return law_from_dict(doc)
+    if doc.get("kind") == _REPORT.kind:
+        return _decode(_REPORT, doc, "fit report").law
+    return _decode(_law_table(doc, "law", (*_LAWS, _REPORT.kind)), doc, "law")
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +301,22 @@ class FitReport:
 
     def __post_init__(self) -> None:
         # Compared as written, so that two "nan" statistics agree.
-        if self.law.stats is None or _stats_to_dict(self.law.stats) != _stats_to_dict(self.stats):
+        if self.law.stats is None or _encode(_STATS, self.law.stats) != _encode(_STATS, self.stats):
             raise DomainError("the law's statistics disagree with the report's")
         if len(self.residuals) != self.stats.n:
             raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
 
 
+_LAW = _Kind(law_to_dict, lambda token, context, key: law_from_dict(token, f"{context}.{key}"))
+_RESIDUALS = _Kind(lambda values: [], _list("a list", _decode_num).decode)  # report_to_json splices the values in
+_REPORT = _Object(FitReport, [("law", "law", True, _LAW), ("stats", "stats", True, _nested(_STATS)),
+                              ("warnings", "warnings", True, _list("a list of strings")),
+                              ("residuals", "residuals", True, _RESIDUALS)], "fit_report")
+
+
 def report_to_json(report: FitReport) -> str:
     """Serialize a report; output is byte-stable for identical inputs."""
-    text = _dump_document(
-        {
-            "kind": "fit_report",
-            "law": law_to_dict(report.law),
-            "stats": _stats_to_dict(report.stats),
-            "warnings": list(report.warnings),
-            "residuals": [],
-        }
-    )
+    text = _dump_document(_encode(_REPORT, report))
     # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
     # document, are spliced in one per line as indent=2 lays them out.
     sep = ",\n    "
@@ -301,23 +327,7 @@ def report_to_json(report: FitReport) -> str:
 
 
 def report_from_json(text: str) -> FitReport:
-    return _report_from_dict(_parse_document(text, "fit report", "fit_report"))
-
-
-def _report_from_dict(doc: dict) -> FitReport:
-    """The report of a fit-report document without its ``schema_version`` and ``kind``."""
-    _check_fields(doc, ("law", "stats", "warnings", "residuals"), (), "fit report")
-    law = law_from_dict(doc["law"], "fit report.law")
-    stats = _stats_from_dict(doc["stats"], "fit report.stats")
-    if not isinstance(doc["warnings"], list) or not all(isinstance(w, str) for w in doc["warnings"]):
-        raise DataFormatError("fit report: warnings must be a list of strings")
-    if not isinstance(doc["residuals"], list):
-        raise DataFormatError("fit report: residuals must be a list")
-    residuals = tuple(_decode_num(v, "fit report.residuals") for v in doc["residuals"])
-    try:
-        return FitReport(law=law, stats=stats, warnings=tuple(doc["warnings"]), residuals=residuals)
-    except DomainError as exc:
-        raise DataFormatError(f"fit report: {exc}") from exc
+    return _decode(_REPORT, _parse_document(text, "fit report", _REPORT.kind), "fit report")
 
 
 # ---------------------------------------------------------------------------
@@ -400,71 +410,24 @@ class LawRegistry:
         return len(self._entries)
 
 
-_ENTRY_REQUIRED = ("model_id", "metric", "method_tag", "form", "law")
-_ENTRY_OPTIONAL = ("provenance", "param_count", "l0", "reported")
-
-
-def _entry_to_dict(entry: RegistryEntry) -> dict:
-    doc: dict = {
-        "model_id": entry.model_id,
-        "metric": entry.metric.value,
-        "method_tag": entry.method_tag,
-        "form": entry.form.value,
-        "provenance": entry.provenance,
-    }
-    if entry.param_count is not None:
-        doc["param_count"] = _encode_num(entry.param_count)
-    if entry.l0 is not None:
-        doc["l0"] = _encode_num(entry.l0)
-    reported = {}
-    if entry.reported_adj_r_squared is not None:
-        reported["adj_r_squared"] = _encode_num(entry.reported_adj_r_squared)
-    if entry.reported_f_statistic is not None:
-        reported["f_statistic"] = _encode_num(entry.reported_f_statistic)
-    if reported:
-        doc["reported"] = reported
-    doc["law"] = law_to_dict(entry.law)
-    return doc
-
-
-def _entry_from_dict(obj: dict, context: str) -> RegistryEntry:
-    _check_fields(obj, _ENTRY_REQUIRED, _ENTRY_OPTIONAL, context)
-    reported = obj.get("reported", {})
-    _check_fields(reported, (), ("adj_r_squared", "f_statistic"), f"{context}.reported")
-    try:
-        return RegistryEntry(
-            model_id=obj["model_id"],
-            metric=_decode_enum(MetricKind, obj, "metric", context),
-            method_tag=obj["method_tag"],
-            law=law_from_dict(obj["law"], f"{context}.law"),
-            form=_decode_enum(DesignForm, obj, "form", context),
-            provenance=obj.get("provenance", ""),
-            param_count=_decode_num(obj["param_count"], f"{context}.param_count") if "param_count" in obj else None,
-            l0=_decode_num(obj["l0"], f"{context}.l0") if "l0" in obj else None,
-            reported_adj_r_squared=(
-                _decode_num(reported["adj_r_squared"], f"{context}.reported") if "adj_r_squared" in reported else None
-            ),
-            reported_f_statistic=(
-                _decode_num(reported["f_statistic"], f"{context}.reported") if "f_statistic" in reported else None
-            ),
-        )
-    except DomainError as exc:
-        raise DataFormatError(f"{context}: {exc}") from exc
+_REPORTED = _Object(dict, [("adj_r_squared", "reported_adj_r_squared", False, _NUMBER),
+                           ("f_statistic", "reported_f_statistic", False, _NUMBER)])
+_ENTRY = _Object(RegistryEntry, [
+    ("model_id", "model_id", True, _AS_IS), ("metric", "metric", True, _METRIC),
+    ("method_tag", "method_tag", True, _AS_IS), ("form", "form", True, _enum(DesignForm)),
+    ("provenance", "provenance", False, _AS_IS), ("param_count", "param_count", False, _NUMBER),
+    ("l0", "l0", False, _NUMBER), ("reported", None, False, _nested(_REPORTED)), ("law", "law", True, _LAW)])
+# A registry document is its entries, each read at the path "entry <index>".
+_REGISTRY = _Object(dict, [("entries", "entries", True, _list("a list", lambda obj, path: obj))], "law_registry")
 
 
 def registry_to_json(registry: LawRegistry) -> str:
-    return _dump_document({"kind": "law_registry", "entries": [_entry_to_dict(entry) for entry in registry]})
+    return _dump_document({"kind": _REGISTRY.kind, "entries": [_encode(_ENTRY, entry) for entry in registry]})
 
 
 def registry_from_json(text: str) -> LawRegistry:
-    doc = _parse_document(text, "law registry", "law_registry")
-    _check_fields(doc, ("entries",), (), "law registry")
-    if not isinstance(doc["entries"], list):
-        raise DataFormatError("law registry: entries must be a list")
-    registry = LawRegistry()
-    for i, obj in enumerate(doc["entries"]):
-        registry.add(_entry_from_dict(obj, f"entry {i}"))
-    return registry
+    entries = _decode(_REGISTRY, _parse_document(text, "law registry", _REGISTRY.kind), "law registry")["entries"]
+    return LawRegistry(_decode(_ENTRY, obj, f"entry {i}") for i, obj in enumerate(entries))
 
 
 def load_registry(source) -> LawRegistry:
@@ -483,25 +446,20 @@ def builtin_registry() -> LawRegistry:
 # ---------------------------------------------------------------------------
 
 
+# The grid's keyword arguments for SyntheticConfig, which checks the axes' values; a model id that is not text
+# makes a bad grid.
+_TEXT = _Kind(str, lambda token, context, key: _require_text(key, token))
+_GRID = _Object(dict, [*((axis, axis, True, _list("a list of numbers", _decode_num)) for axis in _GRID_AXES),
+                       ("model_id", "model_id", False, _TEXT)])
+
+
 def load_grid(source) -> dict:
     """Read a ``synth`` grid: ``{l0_values, r_values, d_values, model_id?}``.
 
     Returns the :class:`~compresslaw.synth.SyntheticConfig` keyword arguments
     it names: a tuple of floats per axis, and ``model_id`` when present.
     """
-    doc = _parse_document(_read_text(source, "grid"), "grid", versioned=False)
-    _check_fields(doc, _GRID_AXES, ("model_id",), "grid")
-    grid: dict = {}
-    for axis in _GRID_AXES:
-        if not isinstance(doc[axis], list):
-            raise DataFormatError(f"grid: {axis} must be a list of numbers")
-        grid[axis] = tuple(_decode_num(v, f"grid.{axis}") for v in doc[axis])
-    if "model_id" in doc:
-        try:
-            grid["model_id"] = _require_text("model_id", doc["model_id"])
-        except DomainError as exc:
-            raise DataFormatError(f"grid: {exc}") from exc
-    return grid
+    return _decode(_GRID, _parse_document(_read_text(source, "grid"), "grid", versioned=False), "grid")
 
 
 # ---------------------------------------------------------------------------

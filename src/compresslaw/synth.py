@@ -14,7 +14,8 @@ model id and the metric before the axes and the observed ``l``.  A noise-free
 ``l`` equals ``evaluate`` at its point bit for bit, and the first value out of
 range is ``evaluate``'s :class:`~compresslaw.errors.DomainError`.  Noise is
 one IEEE addition per grid point, of a deviate drawn for it.  The rank check
-of the grid's three-column design reads only the axes' features: a
+of the grid's three-column design comes after the values, so a point out of
+range gets ``evaluate``'s error first, and it reads only the axes' features: a
 Cartesian grid's design has the singular values of a ``4 x 3`` matrix of the
 axes' means and spreads.
 
@@ -62,11 +63,9 @@ class SyntheticConfig:
 def _grid_condition(features: tuple) -> float:
     """``cond`` of the meshed ``N x 3`` design of a grid whose axes have these features, from the axes alone.
     Centred, the design's columns are orthogonal to each other and to the ones vector, so its singular values are
-    ``sqrt(N)`` times those of each axis's mean feature over the diagonal of their standard deviations.  An RFT
-    feature is inf when ``d + epsilon`` is subnormal, and no design has it."""
+    ``sqrt(N)`` times those of each axis's mean feature over the diagonal of their standard deviations.  The
+    features are finite: ``generate`` has already rejected a grid whose RFT feature is inf."""
     columns = [np.array(feature) for feature in features]
-    if not np.isfinite(sum([c.sum() for c in columns])):
-        return np.inf
     return float(np.linalg.cond(np.vstack(([c.mean() for c in columns], np.diag([c.std() for c in columns])))))
 
 
@@ -81,13 +80,15 @@ def generate(config: SyntheticConfig) -> Table:
         SingularDesignError: When the grid cannot support a full-rank
             three-column design (e.g. constant ``l0 = 1`` with a constant
             ``d`` axis).
-        DomainError: When a value overflows or underflows the finite positive range.
+        DomainError: When a value overflows or underflows the finite positive range, checked before the rank.
     """
     law, axes = config.truth, (config.l0_values, config.r_values, config.d_values)
-    if not _grid_condition(log_feature_columns(*axes, law.epsilon)) <= CONDITION_NUMBER_LIMIT:
-        raise SingularDesignError("grid is rank deficient for the full three-column design")
     log_l = _grid_log_predictions(law, axes)
     if config.noise_std > 0:
         noise = np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=len(log_l))
         log_l = (np.fromiter(log_l, float, len(log_l)) + noise).tolist()
-    return _grid_table(ExperimentRecord, axes, log_l, ((config.model_id,), (law.metric,)))
+    # Built first: a point out of range, such as one whose RFT feature is inf, is evaluate's error.
+    records = _grid_table(ExperimentRecord, axes, log_l, ((config.model_id,), (law.metric,)))
+    if not _grid_condition(log_feature_columns(*axes, law.epsilon)) <= CONDITION_NUMBER_LIMIT:
+        raise SingularDesignError("grid is rank deficient for the full three-column design")
+    return records

@@ -161,3 +161,10 @@ def test_script_help_runs(script):
     done = _python(str(ROOT / "scripts" / script), "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
+
+
+def test_no_source_line_is_longer_than_120_characters():
+    """A line count says how big the package is only while no line packs in more than its share."""
+    long_lines = [f"{path.name}:{number}" for path in sorted((ROOT / "src" / "compresslaw").glob("*.py"))
+                  for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120]
+    assert long_lines == []

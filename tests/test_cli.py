@@ -512,6 +512,16 @@ def _changed(doc, path, value):
     return doc
 
 
+def _without(doc, path):
+    """A copy of ``doc`` without the key at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return doc
+
+
 def _with_raw(doc, path, raw):
     """``doc`` as JSON text with the value at ``path`` spelled as ``raw``, however deep it nests."""
     return json.dumps(_changed(doc, path, "@RAW@")).replace('"@RAW@"', raw)
@@ -599,6 +609,11 @@ MALFORMED = {
         "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "form"], "runtime"))),
     # An entry's law has 0 for each exponent its form does not fit.
     "registry ratio form with a gamma": ("plan", json.dumps(_changed(REGISTRY, ["entries", 1, "form"], "ratio"))),
+    "registry form unknown": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "form"], "x"))),
+    "registry law metric unknown": ("plan", json.dumps(_changed(REGISTRY, ["entries", 0, "law", "metric"], "x"))),
+    "registry law without alpha": ("plan", json.dumps(_without(REGISTRY, ["entries", 0, "law", "alpha"]))),
+    "registry reported not a number": (
+        "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "reported", "adj_r_squared"], "x"))),
 }
 # What the error message of a case says, where a test names it.
 MALFORMED_MESSAGES = {
@@ -619,6 +634,10 @@ MALFORMED_MESSAGES = {
     "report residuals not a list": "fit report: residuals must be a list",
     "registry compression law with the runtime form": "entry 0: a compression law cannot carry the runtime form",
     "registry ratio form with a gamma": "entry 1: the ratio form pins gamma to 0, got -0.11",
+    "registry form unknown": "entry 0: unknown form 'x'",
+    "registry law metric unknown": "entry 0.law: unknown metric 'x'",
+    "registry law without alpha": "entry 0.law: missing field(s) ['alpha']",
+    "registry reported not a number": "entry 0.reported.adj_r_squared: expected a number, got 'x'",
 }
 # A number is read only as it is written: a JSON number, or one of the strings "inf", "-inf" and "nan".
 NUMBER_FIELDS = {"predict": (LAW, ["alpha"]), "synth": (GRID, ["d_values", 0]), "plan": (REGISTRY, ["entries", 0, "l0"])}
@@ -822,6 +841,22 @@ def test_an_overflowing_prediction_is_one_domain_error(command, tmp_path):
     assert error["type"] == "DomainError"
     assert ("underflowed to zero" if underflow else "overflowed") in error["message"]
     assert err == f"error: {error['message']}\n"
+
+
+def test_synth_on_a_subnormal_epsilon_reports_predicts_error(tmp_path):
+    """At d = 0 a subnormal epsilon makes the RFT feature inf: ``synth`` reports the point out of range, with the
+    message ``predict`` gives there, and not a rank-deficient grid."""
+    truth, grid = tmp_path / "truth.json", tmp_path / "grid.json"
+    truth.write_text(json.dumps({"schema_version": "compresslaw/v1", "kind": "compression", "metric": "loss",
+                                 "alpha": 0.63, "beta": 1.72, "gamma": 1.16, "epsilon": 1e-320, "stats": None}))
+    grid.write_text(json.dumps({"l0_values": [2, 3], "r_values": [0.1, 0.5], "d_values": [0, 5]}))
+    code, out, _ = _run_streams(["synth", "--truth", str(truth), "--grid", str(grid), "--seed", "0",
+                                 "--out", str(tmp_path / "out.csv")])
+    predicted = _run_captured(["predict", "--law", str(truth), "--l0", "2", "--r", "0.1", "--d", "0"])
+    assert code == predicted[0] == 1
+    assert len(out.splitlines()) == 1 and list(json.loads(out)) == ["error"]
+    assert json.loads(out)["error"] == json.loads(predicted[1])["error"]
+    assert json.loads(out)["error"]["type"] == "DomainError"
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"

@@ -10,6 +10,7 @@ import json
 import math
 import pickle
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -598,6 +599,41 @@ class TestLawJson:
         with pytest.raises(DataFormatError, match="kind"):
             law_from_dict({"kind": "mystery"})
 
+    def test_keys_are_checked_before_values(self):
+        doc = {**law_to_dict(EXTRINSIC), "stats": [1]}
+        del doc["alpha"]
+        with pytest.raises(DataFormatError, match=r"^law: missing field\(s\) \['alpha'\]$"):
+            law_from_dict(doc)
+        with pytest.raises(DataFormatError, match=r"^law: unknown field\(s\) \['x'\]$"):
+            law_from_dict({**law_to_dict(EXTRINSIC), "stats": [1], "x": 0})
+
+    # save_law's text, byte for byte: a None stats is null, and a non-finite statistic is a string.
+    PINNED_LAWS = {
+        "compression without stats": (
+            EXTRINSIC,
+            '{\n  "schema_version": "compresslaw/v1",\n  "kind": "compression",\n  "metric": "accuracy",\n'
+            '  "alpha": 0.98,\n  "beta": -1.03,\n  "gamma": -0.14,\n  "epsilon": 1.0,\n  "stats": null\n}\n'),
+        "compression with an inf F": (
+            CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS, 2.0,
+                           FitStatistics(10, 3, 0.9, 0.875, math.inf, 0.0, 12.5)),
+            '{\n  "schema_version": "compresslaw/v1",\n  "kind": "compression",\n  "metric": "loss",\n'
+            '  "alpha": 0.63,\n  "beta": 1.72,\n  "gamma": 1.16,\n  "epsilon": 2.0,\n  "stats": {\n    "n": 10,\n'
+            '    "p": 3,\n    "r_squared": 0.9,\n    "adj_r_squared": 0.875,\n    "f_statistic": "inf",\n'
+            '    "residual_std": 0.0,\n    "condition_number": 12.5\n  }\n}\n'),
+        "runtime": (
+            RuntimeLaw(c=100.0, beta=-0.67),
+            '{\n  "schema_version": "compresslaw/v1",\n  "kind": "runtime",\n  "c": 100.0,\n  "beta": -0.67,\n'
+            '  "stats": null\n}\n'),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED_LAWS))
+    def test_save_law_text_is_pinned(self, case):
+        law, text = self.PINNED_LAWS[case]
+        out = stdio.StringIO()
+        save_law(law, out)
+        assert out.getvalue() == text
+        assert load_law(stdio.StringIO(text)) == law
+
 
 class TestFitReport:
     @staticmethod
@@ -700,6 +736,10 @@ class TestFitReport:
 
 
 class TestRegistry:
+    def test_builtin_registry_writes_the_bundled_bytes(self):
+        bundled = (Path(documents.__file__).parent / "data" / "fixtures.json").read_bytes()
+        assert registry_to_json(builtin_registry()).encode() == bundled
+
     def test_builtin_fixture_counts_by_table(self):
         registry = builtin_registry()
         counts = {}

@@ -121,11 +121,16 @@ class TestRankCheck:
         with pytest.raises(SingularDesignError):
             generate(config)
 
-    def test_an_infinite_rft_feature_is_singular_without_lapack_output(self, capfd):
-        config = SyntheticConfig(truth=CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS, 1e-320),
-                                 l0_values=(2.0, 3.0), r_values=(0.1, 0.5), d_values=(0.0, 5.0))
-        with pytest.raises(SingularDesignError):
+    def test_an_infinite_rft_feature_gets_evaluates_error_without_lapack_output(self, capfd):
+        """At d = 0 a subnormal epsilon makes the RFT feature inf: the first point is out of range, and the rank
+        check, which comes after the values, never sees the feature."""
+        truth = CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS, 1e-320)
+        config = SyntheticConfig(truth=truth, l0_values=(2.0, 3.0), r_values=(0.1, 0.5), d_values=(0.0, 5.0))
+        with pytest.raises(DomainError) as expected:
+            evaluate(truth, 2.0, 0.1, 0.0)
+        with pytest.raises(DomainError) as raised:
             generate(config)
+        assert type(raised.value) is DomainError and str(raised.value) == str(expected.value)
         assert capfd.readouterr() == ("", "")
 
 

@@ -361,3 +361,27 @@ REPRS = {
 @pytest.mark.parametrize("cls", CLASSES, ids=IDS)
 def test_repr_names_every_field_as_before(cls):
     assert repr(_instance(cls)) == REPRS[cls]
+
+
+# The document table of each value type a document holds, and the table of each part whose fields are its object's.
+TABLES = {FitStatistics: documents._STATS, CompressionLaw: documents._COMPRESSION, RuntimeLaw: documents._RUNTIME,
+          FitReport: documents._REPORT, RegistryEntry: documents._ENTRY}
+PARTS = {"reported": documents._REPORTED}
+
+
+def _table_attrs(table) -> list:
+    return [name for key, attr, _, _ in table.rows for name in ([attr] if attr else _table_attrs(PARTS[key]))]
+
+
+@pytest.mark.parametrize("cls", sorted(TABLES, key=lambda cls: cls.__name__), ids=lambda cls: cls.__name__)
+def test_each_document_table_covers_its_value_type(cls):
+    """A table's rows, its parts' rows counted in, name each field of the value type it builds exactly once, so a
+    field added without a row fails here.  Rows are in the order keys are written, which for laws and registry
+    entries is not the order fields are declared."""
+    table = TABLES[cls]
+    assert table.build is cls and set(_table_attrs(table)) <= set(cls._value_fields)
+    assert sorted(_table_attrs(table), key=cls._value_fields.index) == list(cls._value_fields)
+
+
+def test_the_grid_table_names_synthetic_config_fields():
+    assert set(_table_attrs(documents._GRID)) <= set(SyntheticConfig._value_fields)
