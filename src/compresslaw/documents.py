@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
 from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _optional, _require_instance, _require_metric, _require_not_negative
-from .laws import _require_text, _require_that, require_positive
+from .laws import _quote, _require_text, _require_that, require_positive
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -221,14 +221,14 @@ def _nested(table: _Object, nullable: bool = False) -> _Kind:
                  lambda token, context, key: _decode(table, token, f"{context}.{key}"), nullable)
 
 
-def _list(what: str, decode_item=None) -> _Kind:
-    """A list, read as a tuple: of ``decode_item(item, path)`` of its items, or of its items as they are if they
-    are strings and ``decode_item`` is None.  Any other token is an error that says it must be ``what``."""
+def _list(what: str, decode_item=lambda item, path: item) -> _Kind:
+    """A list, read as the tuple of ``decode_item(item, path)`` of its items, by default the items as they are.  Any
+    other token is an error that says it must be ``what``."""
 
     def decode(token, context: str, key: str):
-        if isinstance(token, list) and (decode_item or all([isinstance(item, str) for item in token])):
+        if isinstance(token, list):
             path = f"{context}.{key}"
-            return tuple(token) if decode_item is None else tuple([decode_item(item, path) for item in token])
+            return tuple([decode_item(item, path) for item in token])
         raise DataFormatError(f"{context}: {key} must be {what}")
 
     return _Kind(list, decode)
@@ -290,7 +290,16 @@ def load_law(source) -> CompressionLaw | RuntimeLaw:
 # ---------------------------------------------------------------------------
 
 
-@_value_type
+def _require_floats(name: str, values) -> tuple[float, ...]:
+    """A sequence of numbers, nan and inf included, as a tuple of floats, made by one ``map`` over 100k residuals."""
+    try:
+        return tuple(map(float, values))
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a sequence of numbers, got {_quote.repr(values)}") from None
+
+
+@_value_type(warnings=lambda name, values: tuple([_require_text(name, value) for value in values]),
+             residuals=_require_floats)
 class FitReport:
     """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
 
@@ -320,7 +329,7 @@ def report_to_json(report: FitReport) -> str:
     # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
     # document, are spliced in one per line as indent=2 lays them out.
     sep = ",\n    "
-    body = sep.join(map(repr, map(float, report.residuals)))
+    body = sep.join(map(repr, report.residuals))
     if "n" in body:  # only inf, -inf and nan have an "n" in their repr; they are written as JSON strings
         body = sep.join(json.dumps(field) if field in _NON_FINITE else field for field in body.split(sep))
     return text[: -len("[]\n}\n")] + "[\n    " + body + "\n  ]\n}\n"
@@ -418,7 +427,7 @@ _ENTRY = _Object(RegistryEntry, [
     ("provenance", "provenance", False, _AS_IS), ("param_count", "param_count", False, _NUMBER),
     ("l0", "l0", False, _NUMBER), ("reported", None, False, _nested(_REPORTED)), ("law", "law", True, _LAW)])
 # A registry document is its entries, each read at the path "entry <index>".
-_REGISTRY = _Object(dict, [("entries", "entries", True, _list("a list", lambda obj, path: obj))], "law_registry")
+_REGISTRY = _Object(dict, [("entries", "entries", True, _list("a list"))], "law_registry")
 
 
 def registry_to_json(registry: LawRegistry) -> str:

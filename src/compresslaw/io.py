@@ -327,9 +327,4 @@ def build_fit_report(
     would warn about; this function emits no warnings.
     """
     law, violations, residuals = _fit(records, epsilon, form)
-    return FitReport(
-        law=law,
-        stats=law.stats,
-        warnings=tuple(str(v) for v in violations),
-        residuals=tuple(residuals.tolist()),
-    )
+    return FitReport(law, law.stats, [str(v) for v in violations], residuals.tolist())

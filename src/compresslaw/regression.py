@@ -11,14 +11,12 @@ and the fitted intercept becomes ``log c``.  Each form's coefficients, in column
 :func:`build_design`, the column names and the intercept of :func:`ols_fit`, and the law :func:`fit_law` returns,
 in which an exponent the form does not fit is 0.
 
-Solving uses a QR decomposition rather than the normal equations, with a
-condition-number guard at 1e8 on ``cond(R) == cond(X)``.  R-squared follows
-the convention of standard statistics packages and is decided by the design
-form, never by the data values: uncentered (``1 - SSR/sum(y**2)``, ``p``
-model degrees of freedom) for the intercept-free forms, centered (``p - 1``)
-for the runtime form.  A bare :func:`ols_fit` call without a form has no
-intercept.  A sum of squares within rounding of 0 for the scale of ``y`` is 0,
-so a fit that leaves nothing to explain has R-squared 1 at any scale.
+Solving takes one singular value decomposition ``X = U S V^T``, not the normal equations: ``cond(X)`` is
+``s_max / s_min``, guarded at 1e8 before anything divides by ``S``, and ``b = V S^-1 U^T y``.  R-squared follows the
+convention of standard statistics packages and is decided by the design form, never by the data values: uncentered
+(``1 - SSR/sum(y**2)``, ``p`` model degrees of freedom) for the intercept-free forms, centered (``p - 1``) for the
+runtime form.  A bare :func:`ols_fit` call without a form has no intercept.  A sum of squares within rounding of 0
+for the scale of ``y`` is 0, so a fit that leaves nothing to explain has R-squared 1 at any scale.
 
 Bulk paths pass records as a :class:`~compresslaw.laws.Table` of columns; :func:`build_design` turns any other
 sequence into one.  It takes the grid columns ``l0``, ``r`` and ``d`` with one value per row, whether a table
@@ -135,7 +133,7 @@ def build_design(
 
 
 def _name_collinear_columns(x: np.ndarray, names: Sequence[str]) -> str:
-    norms = np.linalg.norm(x, axis=0)
+    norms = np.sqrt((x * x).sum(axis=0))
     dead = [names[j] for j in np.nonzero(norms < 1e-12)[0]]
     if dead:
         return f"column(s) {dead} are numerically zero"
@@ -149,9 +147,7 @@ def _name_collinear_columns(x: np.ndarray, names: Sequence[str]) -> str:
 def _solve(
     x: np.ndarray, y: np.ndarray, form: DesignForm | None
 ) -> tuple[np.ndarray, FitStatistics, np.ndarray]:
-    """:func:`ols_fit`, also returning the residuals ``y - X b``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """:func:`ols_fit` on float arrays, also returning the residuals ``y - X b``."""
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
         raise DomainError(f"incompatible shapes X{x.shape}, y{y.shape}")
     n, p = x.shape
@@ -162,16 +158,15 @@ def _solve(
     if len(names) != p:
         raise DomainError(f"the {form.value} form has {len(names)} columns, X has {p}")
 
-    q, r = np.linalg.qr(x)
-    # X = QR with orthonormal Q, so X and the p x p factor R share singular values.
-    singular = np.linalg.svd(r, compute_uv=False).tolist()
-    condition = singular[0] / singular[-1] if singular[-1] else math.inf
-    if not math.isfinite(condition) or condition > CONDITION_NUMBER_LIMIT:
-        raise SingularDesignError(
-            f"design is rank deficient or ill conditioned (cond = {condition:.3g}); "
-            + _name_collinear_columns(x, names)
-        )
-    coef = np.linalg.solve(r, q.T @ y)
+    try:
+        u, s, vt = np.linalg.svd(x, full_matrices=False)
+        condition = s[0].item() / s[-1].item() if s[-1] else math.inf
+    except np.linalg.LinAlgError:  # LAPACK's SVD did not converge, so there is no condition number
+        condition = math.nan
+    if not condition <= CONDITION_NUMBER_LIMIT:
+        raise SingularDesignError(f"design is rank deficient or ill conditioned (cond = {condition:.3g}); "
+                                  + _name_collinear_columns(x, names))
+    coef = vt.T @ ((u.T @ y) / s)
 
     residuals = y - x @ coef
     # fsum is correctly rounded, so the sums do not depend on how a threaded BLAS splits a dot product.
@@ -211,7 +206,7 @@ def ols_fit(
     y: np.ndarray,
     form: DesignForm | None = None,
 ) -> tuple[np.ndarray, FitStatistics]:
-    """Solve ``min ||X b - y||^2`` by QR and compute fit statistics.
+    """Solve ``min ||X b - y||^2`` by SVD and compute fit statistics.
 
     Args:
         x: Design matrix, shape (n, p) with n > p and full column rank.
@@ -227,9 +222,9 @@ def ols_fit(
     Raises:
         DomainError: A design with no columns, a non-finite entry in ``x``
             or ``y``, or shapes that do not fit.
-        SingularDesignError: Rank deficiency, i.e. condition number above
-            ``CONDITION_NUMBER_LIMIT``; the message names the offending
-            columns.
+        SingularDesignError: Rank deficiency (condition number above
+            ``CONDITION_NUMBER_LIMIT``) or an SVD that does not converge;
+            the message names the offending columns.
     """
     # A design built by build_design is finite and has columns, so fit solves it without these checks.
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)

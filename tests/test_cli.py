@@ -604,6 +604,7 @@ MALFORMED = {
     "top level not an object": ("predict", json.dumps([LAW])),
     "byte order mark": ("predict", "\ufeff" + json.dumps(LAW)),
     "report warnings not a list": ("predict", json.dumps(_changed(REPORT, ["warnings"], "w"))),
+    "report warning not a string": ("predict", json.dumps(_changed(REPORT, ["warnings"], ["w", 1]))),
     "report residuals not a list": ("predict", json.dumps(_changed(REPORT, ["residuals"], 0.0))),
     "registry compression law with the runtime form": (
         "plan", json.dumps(_changed(REGISTRY, ["entries", 0, "form"], "runtime"))),
@@ -631,6 +632,7 @@ MALFORMED_MESSAGES = {
     "top level not an object": "law document: expected a JSON object, got list",
     "byte order mark": "law document: invalid JSON: Unexpected UTF-8 BOM",
     "report warnings not a list": "fit report: warnings must be a list",
+    "report warning not a string": "fit report: warnings must be text, got 1",
     "report residuals not a list": "fit report: residuals must be a list",
     "registry compression law with the runtime form": "entry 0: a compression law cannot carry the runtime form",
     "registry ratio form with a gamma": "entry 1: the ratio form pins gamma to 0, got -0.11",

@@ -1,12 +1,16 @@
-"""Design construction, QR least squares and law fitting."""
+"""Design construction, SVD least squares and law fitting."""
 
+import ast
 import math
 import warnings
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from compresslaw import regression
 from compresslaw.errors import DomainError, SingularDesignError
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, log_features
 from compresslaw.regression import (
@@ -257,6 +261,92 @@ class TestOlsFit:
             warnings.simplefilter("error")  # no numpy warning before the error
             with pytest.raises(error, match=message):
                 ols_fit(x, y, form=form)
+
+
+def _exact_least_squares(x, y):
+    """The least-squares solution of the float design, in exact rational arithmetic: Gauss-Jordan on the normal
+    equations, which are exact in fractions."""
+    p = x.shape[1]
+    rows = [[Fraction(value) for value in row] for row in x.tolist()]
+    ys = [Fraction(value) for value in y.tolist()]
+    system = [[sum(row[i] * row[j] for row in rows) for j in range(p)]
+              + [sum(row[i] * value for row, value in zip(rows, ys))] for i in range(p)]
+    for c in range(p):
+        pivot = next(r for r in range(c, p) if system[r][c])
+        system[c], system[pivot] = system[pivot], system[c]
+        for r in range(p):
+            if r != c and system[r][c]:
+                factor = system[r][c] / system[c][c]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[c])]
+    return [system[i][p] / system[i][i] for i in range(p)]
+
+
+def _near_collinear_designs(count, seed=0):
+    """Designs of 4-60 rows and 1-3 columns with cond(X) up to 1e7: the second column is a multiple of the first
+    plus a perturbation of 10^-7.5 to 1 of its size.  ``y`` is ``X b`` plus noise of 10^-12 to 1, or none."""
+    rng = np.random.default_rng(seed)
+    designs = []
+    while len(designs) < count:
+        n, p = int(rng.integers(4, 61)), int(rng.integers(1, 4))
+        x = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-2, 2, size=p)
+        if p > 1:
+            perturbation = 10.0 ** rng.uniform(-7.5, 0) * np.abs(x[:, 0]).mean()
+            x[:, 1] = x[:, 0] * rng.uniform(0.5, 2.0) + perturbation * rng.normal(size=n)
+        y = x @ rng.normal(size=p) + 10.0 ** rng.uniform(-12, 0) * rng.choice([0.0, 1.0]) * rng.normal(size=n)
+        if np.linalg.cond(x) <= 1e7:
+            designs.append((x, y))
+    return designs
+
+
+class TestAccuracy:
+    """The solve against exact rational least squares on the same floats."""
+
+    def test_coefficients_are_within_the_least_squares_perturbation_bound(self):
+        """A backward-stable solve of ``min ||X b - y||`` has a relative error of at most a small multiple of
+        ``eps * k * (1 + k * ||r|| / (||X|| ||b||))`` with ``k = cond(X)`` (Higham, Accuracy and Stability of
+        Numerical Algorithms, sec. 20.1): ``eps * k`` for a consistent ``y``, plus ``eps * k**2`` times the relative
+        residual.  Over 5000 such designs, QR with a triangular solve and the SVD both stayed under 4.2 of it."""
+        eps = np.finfo(float).eps
+        for x, y in _near_collinear_designs(60):
+            coef, _ = ols_fit(x, y)
+            exact = np.array([float(value) for value in _exact_least_squares(x, y)])
+            kappa, size = np.linalg.cond(x), np.linalg.norm(x, 2) * np.linalg.norm(exact)
+            bound = eps * kappa * (1.0 + kappa * np.linalg.norm(y - x @ exact) / size)
+            assert np.linalg.norm(coef - exact) / np.linalg.norm(exact) <= 16.0 * bound, (x.shape, kappa)
+
+    def test_condition_number_is_cond_x(self):
+        for x, y in _near_collinear_designs(60, seed=1):
+            kappa = np.linalg.cond(x)
+            assert abs(ols_fit(x, y)[1].condition_number - kappa) <= 16 * math.ulp(kappa), (x.shape, kappa)
+
+    def test_an_svd_that_does_not_converge_is_a_singular_design_naming_columns(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        x = np.column_stack([np.arange(1.0, 7.0), np.arange(1.0, 7.0) ** 2])
+        with pytest.raises(SingularDesignError, match=r"\(cond = nan\); columns 'x0' and 'x1' are nearly collinear"):
+            ols_fit(x, x[:, 0])
+
+    def test_a_fit_takes_one_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(kwargs) or svd(*args, **kwargs))
+        fit_law(make_records(0.63, 1.72, 1.16, MetricKind.LOSS))
+        assert calls == [{"full_matrices": False}]
+
+    def test_regression_reaches_lapack_through_one_svd_call(self):
+        """The module calls ``np.linalg`` once, for its SVD; no second decomposition path (a QR, a solve, a
+        ``lstsq``, a norm) or other linear-algebra import comes back beside it."""
+        tree = ast.parse(Path(regression.__file__).read_text(encoding="utf-8"))
+        linalg = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
+        calls = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call) and node.func in linalg]
+        imports = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+        imports += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 0]
+        assert calls == ["svd"]
+        assert sorted(node.attr for node in linalg) == ["LinAlgError", "svd"]
+        assert [name for name in imports if "linalg" in name or name.startswith("scipy")] == []
 
 
 class TestFitLaw:

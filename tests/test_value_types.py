@@ -109,7 +109,10 @@ INVALID = {
                   ({"budget": 0.0}, "budget must be > 0, got 0.0"),
                   ({"metric": "accuracy"}, "metric must be a MetricKind, got 'accuracy'"),
                   ({"rft_size": -1.0}, "rft_size must be >= 0, got -1.0")],
-    FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10")],
+    FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10"),
+                ({"warnings": ("w", 1)}, "warnings must be text, got 1"),
+                ({"residuals": ("x",) * 10}, r"residuals must be a sequence of numbers, got \('x', 'x', "),
+                ({"residuals": None}, "residuals must be a sequence of numbers, got None")],
     RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
                     ({"model_id": 5}, "model_id must be text, got 5"),
                     ({"model_id": NESTED}, r"^model_id must be text, got \[+\.\.\.\]+$"),
@@ -303,6 +306,14 @@ def test_numeric_strings_are_read_as_their_float():
     result = planner.plan([CandidateModel("m", "4e9", 0.6, law)], request)
     assert result == planner.plan([CandidateModel("m", 4e9, 0.6, law)], PlanRequest(1e9, MetricKind.LOSS, 10.0))
     assert result.entries[0].predicted_performance == laws.evaluate(law, 0.6, 0.75, 10.0)
+
+
+def test_a_fit_report_stores_tuples_its_reader_reads_back():
+    """Warnings are text and residuals are floats, stored as tuples, so every report that builds can be written and
+    read back as itself."""
+    report = FitReport(**{**FIELDS[FitReport], "warnings": ["w"], "residuals": ["0.0", 0] + [0.0] * 8})
+    assert report == _instance(FitReport) and [type(value) for value in report.residuals] == [float] * 10
+    assert documents.report_from_json(documents.report_to_json(report)) == report
 
 
 def test_registry_numbers_are_optional_and_checked_as_floats():
