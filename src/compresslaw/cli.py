@@ -1,12 +1,11 @@
 """Command-line frontend wiring the library into reproducible analyses.
 
-One machine-readable document per run goes to stdout (JSON unless a
-subcommand emits CSV); human diagnostics go to stderr.  A command imports
-what its handler calls: the module itself needs only ``errors`` and
-``laws``, and each handler imports the modules it runs, so ``critical``
-loads no document codec and only ``fit`` and ``synth`` load numpy.  Exit codes:
-0 success, 1 usage, validation or domain error, 2 I/O error, a closed stdout pipe
-included.  Input path flags accept ``-`` for stdin, and ``synth --out -``
+One machine-readable document per run goes to stdout (JSON unless a subcommand emits CSV); human diagnostics go
+to stderr.  A command imports what its handler calls: the module itself needs only ``errors`` and ``laws``, and
+each handler imports the modules it runs, so ``critical`` loads no document codec and only ``fit`` and ``synth``
+load numpy.  A handler returns nothing and leaves every rule, a law's kind included, to the library it calls:
+:func:`run` owns the exit code, 0 once the handler returns, 1 for a usage, validation or domain error and 2 for
+an I/O error, a closed stdout pipe included.  Input path flags accept ``-`` for stdin, and ``synth --out -``
 writes CSV to stdout.
 
 :func:`main`, the process entry, freezes the garbage collector once
@@ -33,7 +32,7 @@ import warnings
 from typing import Sequence
 
 from .errors import CompressLawError, DomainError
-from .laws import OBSERVED_RATIO_MAX, SCHEMA_VERSION, CompressionLaw, DesignForm, MetricKind, RuntimeLaw
+from .laws import OBSERVED_RATIO_MAX, SCHEMA_VERSION, DesignForm, MetricKind, RuntimeLaw
 from .laws import evaluate, evaluate_runtime
 
 __all__ = ["build_parser", "run", "main"]
@@ -61,15 +60,14 @@ def _print_json(kind: str, fields: dict) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION, "kind": kind, **fields}))
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> None:
     from . import documents, io as lawio
     records = lawio.read_records(_input(args.input), strict=not args.lenient)
     report = lawio.build_fit_report(records, epsilon=args.epsilon, form=DesignForm(args.form))
     sys.stdout.write(documents.report_to_json(report))
-    return 0
 
 
-def _cmd_predict(args: argparse.Namespace) -> int:
+def _cmd_predict(args: argparse.Namespace) -> None:
     from . import documents
     law = documents.load_law(_input(args.law))
     if isinstance(law, RuntimeLaw):
@@ -82,10 +80,9 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         d = 0.0 if args.d is None else args.d
         fields = {"l0": args.l0, "r": args.r, "d": d, "prediction": evaluate(law, args.l0, args.r, d)}
     _print_json("prediction", fields)
-    return 0
 
 
-def _cmd_critical(args: argparse.Namespace) -> int:
+def _cmd_critical(args: argparse.Namespace) -> None:
     from .recovery import _checked_regime
     metric = MetricKind(args.metric)
     regime, boundary, r_critical = _checked_regime(args.beta, args.sigma, metric)
@@ -100,15 +97,12 @@ def _cmd_critical(args: argparse.Namespace) -> int:
             "r_critical": r_critical,
         }
     )
-    return 0
 
 
-def _cmd_min_rft(args: argparse.Namespace) -> int:
+def _cmd_min_rft(args: argparse.Namespace) -> None:
     from . import documents
     from .recovery import RecoveryQuery, analyze
     law = documents.load_law(_input(args.law))
-    if not isinstance(law, CompressionLaw):
-        raise DomainError("min-rft needs a compression law, not a runtime law")
     result = analyze(RecoveryQuery(law=law, sigma=args.sigma, r=args.r))
     _print_json(
         "min_rft",
@@ -122,10 +116,9 @@ def _cmd_min_rft(args: argparse.Namespace) -> int:
             "min_rft_size": "unrecoverable" if result.min_d == float("inf") else result.min_d,
         }
     )
-    return 0
 
 
-def _cmd_plan(args: argparse.Namespace) -> int:
+def _cmd_plan(args: argparse.Namespace) -> None:
     from . import documents
     from .planner import PlanRequest, plan
     metric = MetricKind(args.metric)
@@ -153,32 +146,25 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             "skipped": [{"model_id": s.model_id, "reason": s.reason} for s in result.skipped],
         }
     )
-    return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> None:
     from . import documents, io as lawio
     from .synth import SyntheticConfig, generate
     truth = documents.load_law(_input(args.truth))
-    if not isinstance(truth, CompressionLaw):
-        raise DomainError("synth needs a compression law as the truth")
     grid = documents.load_grid(_input(args.grid))
     records = generate(SyntheticConfig(truth=truth, noise_std=args.noise_std, seed=args.seed, **grid))
     lawio.write_records(records, _output(args.out))
     if args.out != "-":
         _print_json("synth_result", {"records_written": len(records), "out": args.out})
-    return 0
 
 
-def _cmd_frontier(args: argparse.Namespace) -> int:
+def _cmd_frontier(args: argparse.Namespace) -> None:
     from . import documents, frontier
     law = documents.load_law(_input(args.law))
-    if not isinstance(law, CompressionLaw):
-        raise DomainError("frontier needs a compression law")
     flags = ((args.l0_list, "--l0-list"), (args.r_grid, "--r-grid"), (args.d_grid, "--d-grid"))
     points = frontier.emit_frontier_grid(law, *(_parse_float_list(text, flag) for text, flag in flags))
     (frontier.write_frontier if args.format == "csv" else frontier._write_frontier_json)(points, sys.stdout)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,13 +258,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         _emit_error(exc)
         return 1
     try:
-        return args.handler(args)
+        args.handler(args)
     except OSError as exc:
         _emit_error(exc)
         return 2
     except (CompressLawError, ValueError) as exc:
         _emit_error(exc)
         return 1
+    return 0
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:

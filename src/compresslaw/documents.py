@@ -12,14 +12,15 @@
   ``r_values``, ``d_values`` and an optional string ``model_id``.
 
 Each object of a document (statistics, either law, a fit report, a registry entry with its ``reported`` part, a
-grid) has one field table, ``_Object``: a row per JSON key, in the order written, naming the value type's
-attribute, whether the key is required and the token kind (number, enum, as-is text or count, nested object or
-list).  One encoder, ``_encode``, and one decoder, ``_decode``, read every table, and the tables hold no rules:
-the value type a table builds checks its own fields, and the decoder reports its
+grid) has one field table, ``_Object``: its ``kind`` tag, if any, and a row per JSON key, in the order written,
+naming the value type's attribute, whether the key is required and the token kind (number, enum, as-is text or
+count, nested object or list).  One encoder, ``_encode``, and one decoder, ``_decode``, read every table, and the
+tables hold no other rules: the value type a table builds checks its own fields, and the decoder reports its
 :class:`~compresslaw.errors.DomainError` with where it was found.  The encoder leaves out a ``None`` value and an
 empty part, so ``reported`` is written only when it holds a number, but writes a law's ``None`` stats as
-``null``.  The decoder checks an object's keys, missing then unknown, before it decodes any value, and names a
-bad token by its JSON path (``entry 0.law.alpha``); a missing optional key takes the value type's default.
+``null``.  The decoder checks an object's ``kind`` against its table's, then its keys, missing then unknown, before
+it decodes any value, and names a bad token by its JSON path (``entry 0.law.alpha``); a missing optional key takes
+the value type's default.  A bad value is quoted with ``laws._quote``, as the value types quote one.
 
 Floats are written with ``repr`` (shortest exact form), so round trips are lossless; non-finite values (an exact
 fit has an infinite F-statistic) are the strings ``"inf"``, ``"-inf"`` and ``"nan"``, the only strings read as
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 from collections import namedtuple
 from contextlib import contextmanager
 from operator import attrgetter
@@ -108,9 +108,9 @@ def _reject_constant(token: str):  # json.loads meets a bare NaN, Infinity or -I
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _parse_document(text: str, context: str, kind: str | None = None, *, versioned: bool = True) -> dict:
-    """The top-level object of a JSON document, minus its checked ``schema_version`` (if
-    ``versioned``), with its ``kind`` checked (if given); every failure is a :class:`DataFormatError`."""
+def _parse_document(text: str, context: str, *, versioned: bool = True) -> dict:
+    """The top-level object of a JSON document, minus its checked ``schema_version`` (if ``versioned``); every
+    failure is a :class:`DataFormatError`.  The table that decodes the object checks its ``kind``."""
     try:
         if isinstance(text, str) and not text.startswith("\ufeff"):
             doc = _JSON_DECODER.decode(text)
@@ -123,9 +123,7 @@ def _parse_document(text: str, context: str, kind: str | None = None, *, version
     if versioned:
         version = doc.pop("schema_version", None)
         if version != SCHEMA_VERSION:
-            raise DataFormatError(f"{context}: schema_version must be {SCHEMA_VERSION!r}, got {reprlib.repr(version)}")
-    if kind is not None and doc.get("kind") != kind:
-        raise DataFormatError(f"{context}: kind must be {kind!r}, got {reprlib.repr(doc.get('kind'))}")
+            raise DataFormatError(f"{context}: schema_version must be {SCHEMA_VERSION!r}, got {_quote.repr(version)}")
     return doc
 
 
@@ -142,7 +140,6 @@ def _encode_num(value: float):
 _NON_FINITE = frozenset(map(repr, (math.inf, -math.inf, math.nan)))
 
 
-# Decoders quote a bad value with reprlib.repr: short, and bounded however deeply it nests.
 def _decode_num(value, context: str) -> float:
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if number or isinstance(value, str) and value in _NON_FINITE:
@@ -150,7 +147,7 @@ def _decode_num(value, context: str) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise DataFormatError(f"{context}: expected a number, got {reprlib.repr(value)}")
+    raise DataFormatError(f"{context}: expected a number, got {_quote.repr(value)}")
 
 
 # A token kind: encode(value) is a field's JSON token, and decode(token, context, key) its value or an error that
@@ -160,13 +157,13 @@ _Kind = namedtuple("_Kind", "encode decode nullable", defaults=(False,))
 
 class _Object:
     """One document object's field table: ``rows`` of ``(key, attr, required, kind)`` in key order, the ``build``
-    callable that takes the fields as keyword arguments, and the ``kind`` tag written first, if any.  A row whose
-    attr is ``None`` holds a part whose fields are the object's own.  The key lists are worked out once, here."""
+    callable that takes the fields as keyword arguments, and the ``kind`` tag, written and checked first, if any.
+    A row whose attr is ``None`` holds a part whose fields are the object's own.  The key lists are worked out once."""
 
     def __init__(self, build, rows, kind: str | None = None):
         self.build, self.rows, self.kind = build, tuple(rows), kind
-        self.required = ["kind"] * (kind is not None) + [key for key, _, required, _ in self.rows if required]
-        self.keys = frozenset([*self.required, *(key for key, *_ in self.rows)])
+        self.required = [key for key, _, required, _ in self.rows if required]
+        self.keys = frozenset(["kind"] * (kind is not None) + [key for key, *_ in self.rows])
 
 
 def _encode(table: _Object, value) -> dict:
@@ -181,11 +178,13 @@ def _encode(table: _Object, value) -> dict:
 
 
 def _decode(table: _Object, obj, context: str):
-    """What ``table.build`` makes of the JSON object ``obj`` at path ``context``.  Its keys are checked, missing
-    then unknown, before any value is decoded, and a missing optional key is not passed to ``build``.  A
-    :class:`DomainError` of a value or of ``build`` is a :class:`DataFormatError` at ``context``."""
+    """What ``table.build`` makes of the JSON object ``obj`` at path ``context``.  Its ``kind``, then its keys,
+    missing then unknown, are checked before any value is decoded, and a missing optional key is not passed to
+    ``build``.  A :class:`DomainError` of a value or of ``build`` is a :class:`DataFormatError` at ``context``."""
     if not isinstance(obj, dict):
         raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
+    if table.kind is not None and obj.get("kind") != table.kind:
+        raise DataFormatError(f"{context}: kind must be {table.kind!r}, got {_quote.repr(obj.get('kind'))}")
     missing = [key for key in table.required if key not in obj]
     if missing:
         raise DataFormatError(f"{context}: missing field(s) {missing}")
@@ -210,7 +209,7 @@ def _enum(enum_type) -> _Kind:
     def decode(token, context: str, key: str):
         if isinstance(token, str) and token in members:
             return members[token]
-        raise DataFormatError(f"{context}: unknown {key} {reprlib.repr(token)}")
+        raise DataFormatError(f"{context}: unknown {key} {_quote.repr(token)}")
 
     return _Kind(attrgetter("value"), decode)
 
@@ -269,7 +268,7 @@ def _law_table(obj, context: str, kinds: Sequence[str] = tuple(_LAWS)) -> _Objec
     if isinstance(kind, str) and kind in _LAWS:
         return _LAWS[kind]
     *others, last = map(repr, kinds)
-    raise DataFormatError(f"{context}: kind must be {', '.join(others)} or {last}, got {reprlib.repr(kind)}")
+    raise DataFormatError(f"{context}: kind must be {', '.join(others)} or {last}, got {_quote.repr(kind)}")
 
 
 def save_law(law: CompressionLaw | RuntimeLaw, dest) -> None:
@@ -336,7 +335,7 @@ def report_to_json(report: FitReport) -> str:
 
 
 def report_from_json(text: str) -> FitReport:
-    return _decode(_REPORT, _parse_document(text, "fit report", _REPORT.kind), "fit report")
+    return _decode(_REPORT, _parse_document(text, "fit report"), "fit report")
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +434,7 @@ def registry_to_json(registry: LawRegistry) -> str:
 
 
 def registry_from_json(text: str) -> LawRegistry:
-    entries = _decode(_REGISTRY, _parse_document(text, "law registry", _REGISTRY.kind), "law registry")["entries"]
+    entries = _decode(_REGISTRY, _parse_document(text, "law registry"), "law registry")["entries"]
     return LawRegistry(_decode(_ENTRY, obj, f"entry {i}") for i, obj in enumerate(entries))
 
 

@@ -39,7 +39,6 @@ import csv
 import itertools
 import math
 import operator
-import reprlib
 import sys
 import warnings
 from typing import Iterable, Iterator, Sequence
@@ -50,7 +49,7 @@ from . import documents, regression
 from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport is used here)
 from .documents import _open_for_read
 from .errors import DataFormatError, DomainError
-from .laws import DesignForm, ExperimentRecord, MetricKind, Table
+from .laws import DesignForm, ExperimentRecord, MetricKind, Table, _quote
 from .regression import _fit
 
 # compresslaw.frontier's public names, re-exported on first access.
@@ -91,7 +90,7 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
     try:
         metric = MetricKind(str(raw_metric).strip().lower())
     except ValueError:
-        message = f"row {row_number}: field 'metric' has unknown value {reprlib.repr(raw_metric)}"
+        message = f"row {row_number}: field 'metric' has unknown value {_quote.repr(raw_metric)}"
         raise DataFormatError(message) from None
 
     def number(field: str) -> float:
@@ -99,7 +98,7 @@ def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
         try:
             return float(raw)
         except (TypeError, ValueError):
-            raise DataFormatError(f"row {row_number}: field '{field}' is not a number: {reprlib.repr(raw)}") from None
+            raise DataFormatError(f"row {row_number}: field '{field}' is not a number: {_quote.repr(raw)}") from None
 
     try:
         return ExperimentRecord(

@@ -24,15 +24,13 @@ the private checks a value type names for its fields: ``_require_instance``
 ``_require_that`` (a test of a float) and the grid-axis checks that
 ``SyntheticConfig`` and ``emit_frontier_grid`` share.
 
-Fields are checked once, when a value is built, and a float field stores
-the float its ``require_*`` validator returns.  A public function that
-takes plain numbers checks them, then runs an unchecked private core:
-:func:`evaluate` is the checks, then ``_evaluate``, and
-:func:`evaluate_runtime` the check, then ``_evaluate_runtime``.  So does a
-value type, whose core ``_unchecked`` is shared by all: a table builds its
-rows with it.  Code that holds fields a value type has already checked,
-such as the planner's candidates and request, calls the core directly.  Each formula is written
-once, and its result is the public function's bit for bit.
+Fields are checked once, when a value is built, and a float field stores the float its ``require_*`` validator
+returns.  A public function that takes a law and plain numbers checks them, the law's kind first, then runs an
+unchecked private core: :func:`evaluate` is the checks, then ``_evaluate``, and :func:`evaluate_runtime` the
+checks, then ``_evaluate_runtime``.  So does a value type, whose core ``_unchecked`` is shared by all: a table
+builds its rows with it.  Code that holds fields a value type has already checked, such as the planner's
+candidates and request, calls the core directly.  Each formula is written once, and its result is the public
+function's bit for bit.
 
 The numpy-free value types that fits and documents exchange live here too:
 :class:`FitStatistics`, :class:`DesignForm`, :class:`ExperimentRecord` and
@@ -352,6 +350,9 @@ class RuntimeLaw:
     stats: FitStatistics | None = None
 
 
+_require_runtime_law = _require_instance(RuntimeLaw, "a RuntimeLaw")
+
+
 @_value_type
 class SignViolation:
     """One exponent whose fitted sign contradicts the metric's feasible pattern."""
@@ -520,6 +521,7 @@ def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     Raises:
         DomainError: On out-of-domain or non-finite inputs.
     """
+    _require_law("law", law)
     return _evaluate(law, require_positive("l0", l0), require_ratio("r", r), require_nonnegative("d", d))
 
 
@@ -531,6 +533,7 @@ def _evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
 
 def evaluate_runtime(law: RuntimeLaw, r: float) -> float:
     """Predicted inference runtime ``c * (1 + r)**beta`` at compression ratio ``r``."""
+    _require_runtime_law("law", law)
     return _evaluate_runtime(law.c, law.beta, require_ratio("r", r))
 
 
@@ -546,6 +549,7 @@ def check_feasibility(law: CompressionLaw) -> list[SignViolation]:
     rejection: laws with "wrong" signs evaluate fine, they just move in a
     physically implausible direction as ``r`` or ``d`` grows.
     """
+    _require_law("law", law)
     sign = _FEASIBLE_SIGN.get(law.metric)
     if sign is None:
         return []

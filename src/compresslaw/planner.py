@@ -28,8 +28,8 @@ from operator import attrgetter
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
     OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _require_instance,
-    _require_law, _require_metric, _require_text, _require_that, _value_type, require_nonnegative, require_positive,
-    require_ratio
+    _require_law, _require_metric, _require_runtime_law, _require_text, _require_that, _value_type, require_nonnegative,
+    require_positive, require_ratio
 )
 
 __all__ = [
@@ -177,6 +177,7 @@ def predict_speedup(runtime_law: RuntimeLaw, r: float) -> float:
     Assumes ``beta < 0`` (compression speeds inference up); for ``beta >= 0``
     a warning is emitted and 0.0 returned.
     """
+    _require_runtime_law("runtime_law", runtime_law)
     r = require_ratio("r", r)
     if runtime_law.beta >= 0.0:
         warnings.warn(

@@ -183,6 +183,7 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     against ``sigma``: ``>=`` for accuracy, ``<=`` for loss.  A value too
     large for a float compares as ``math.inf``.
     """
+    _require_law("law", law)
     sigma = _validate_sigma(require_finite("sigma", sigma), law.metric)
     return _recoverable(law, sigma, require_ratio("r", r), require_nonnegative("d", d))
 

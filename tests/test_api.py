@@ -1,5 +1,6 @@
-"""Package-wide contracts: export lists resolve, every ``r`` entry point validates alike, scripts start."""
+"""Package-wide contracts: export lists resolve, every ``r`` and law entry point validates alike, scripts start."""
 
+import ast
 import importlib
 import json
 import math
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from compresslaw.errors import DomainError
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, evaluate, evaluate_runtime
-from compresslaw.planner import predict_speedup
+from compresslaw.frontier import emit_frontier_grid
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate, evaluate_runtime
+from compresslaw.planner import CandidateModel, predict_speedup
 from compresslaw.recovery import RecoveryQuery, recoverable
 from compresslaw.regression import ExperimentRecord
 from compresslaw.synth import SyntheticConfig
@@ -44,6 +46,31 @@ def test_every_r_entry_point_rejects_out_of_domain_ratios(entry, r):
 @pytest.mark.parametrize("entry", sorted(R_ENTRY_POINTS))
 def test_every_r_entry_point_accepts_zero(entry):
     R_ENTRY_POINTS[entry](0.0)
+
+
+# Each public entry point that takes a law: the call, the law's argument name and the kind it takes.  A law of the
+# other kind is a DomainError that names the argument, not an AttributeError or a number computed from its fields.
+LAW_ENTRY_POINTS = {
+    "evaluate": (lambda law: evaluate(law, 0.6, 0.1, 0.0), "law", ACCURACY),
+    "check_feasibility": (check_feasibility, "law", ACCURACY),
+    "recoverable": (lambda law: recoverable(law, 0.8, 0.1, 10.0), "law", ACCURACY),
+    "RecoveryQuery": (lambda law: RecoveryQuery(law, sigma=0.8, r=0.1), "law", ACCURACY),
+    "SyntheticConfig": (lambda law: SyntheticConfig(law, (0.5, 0.6), (0.1, 0.3), (0.0, 1.0)), "truth", ACCURACY),
+    "emit_frontier_grid": (lambda law: emit_frontier_grid(law, [0.5], [0.1], [0.0]), "law", ACCURACY),
+    "CandidateModel": (lambda law: CandidateModel("m", 1e9, 0.6, law), "law", ACCURACY),
+    "evaluate_runtime": (lambda law: evaluate_runtime(law, 0.1), "law", RUNTIME),
+    "predict_speedup": (lambda law: predict_speedup(law, 0.5), "runtime_law", RUNTIME),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LAW_ENTRY_POINTS))
+def test_every_law_entry_point_rejects_a_law_of_the_other_kind(entry):
+    call, name, law = LAW_ENTRY_POINTS[entry]
+    call(law)
+    other = RUNTIME if law is ACCURACY else CompressionLaw(0.9, -1.2, -0.1, MetricKind.ACCURACY)
+    with pytest.raises(DomainError) as info:
+        call(other)
+    assert str(info.value) == f"{name} must be a {type(law).__name__}, got {other!r}"
 
 
 SUBMODULES = ("cli", "documents", "frontier", "io", "laws", "planner", "recovery", "regression", "synth")
@@ -168,3 +195,25 @@ def test_no_source_line_is_longer_than_120_characters():
     long_lines = [f"{path.name}:{number}" for path in sorted((ROOT / "src" / "compresslaw").glob("*.py"))
                   for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 120]
     assert long_lines == []
+
+
+def test_the_cli_and_the_readers_leave_each_rule_to_the_library():
+    """Only ``laws`` imports reprlib: every reader quotes a bad value with ``laws._quote``.  No command handler
+    returns a value, since ``run`` owns the exit code, or checks a law against ``CompressionLaw``, which the value
+    type or function it calls checks."""
+    source = ROOT / "src" / "compresslaw"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(source.glob("*.py"))}
+    importers = [name for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) and "reprlib" in [alias.name for alias in node.names]
+                 or isinstance(node, ast.ImportFrom) and node.module == "reprlib"]
+    assert importers == ["laws.py"]
+    handlers = [node for node in trees["cli.py"].body if isinstance(node, ast.FunctionDef)
+                and node.name.startswith("_cmd_")]
+    assert len(handlers) == 7
+    offenders = [
+        (handler.name, node.lineno) for handler in handlers for node in ast.walk(handler)
+        if isinstance(node, ast.Return) and node.value is not None
+        or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and "CompressionLaw" in [name.id for name in ast.walk(node.args[1]) if isinstance(name, ast.Name)]
+    ]
+    assert offenders == []

@@ -352,11 +352,19 @@ class TestExitCodes:
 
     FLAG_ERRORS = {
         "min-rft on a runtime law": (["min-rft", "--law", "{runtime}", "--sigma", "0.8", "--r", "0.19"],
-                                     "min-rft needs a compression law, not a runtime law"),
+                                     "law must be a CompressionLaw, got RuntimeLaw(c=1.0, beta=-0.5, stats=None)"),
         "synth on a runtime truth": (["synth", "--truth", "{runtime}", "--grid", "{grid}", "--seed", "0",
-                                      "--out", "{out}"], "synth needs a compression law as the truth"),
+                                      "--out", "{out}"],
+                                     "truth must be a CompressionLaw, got RuntimeLaw(c=1.0, beta=-0.5, stats=None)"),
         "frontier on a runtime law": (["frontier", "--law", "{runtime}", "--l0-list", "0.6", "--r-grid", "0.1",
-                                       "--d-grid", "0"], "frontier needs a compression law"),
+                                       "--d-grid", "0"],
+                                      "law must be a CompressionLaw, got RuntimeLaw(c=1.0, beta=-0.5, stats=None)"),
+        # The law is quoted whole, its statistics included, on one line of bounded length.
+        "min-rft on a runtime fit report": (
+            ["min-rft", "--law", "{runtime_report}", "--sigma", "0.8", "--r", "0.19"],
+            "law must be a CompressionLaw, got RuntimeLaw(c=1.0, beta=-0.5, stats=FitStatistics(n=12, p=2, "
+            "r_squared=0.9876543210987654, adj_r_squared=0.986419753208642, f_statistic=799.9999999999998, "
+            "residual_std=0.012345678901234568, condition_number=3.456789012345679))"),
         "frontier with an empty --l0-list": (["frontier", "--law", "{law}", "--l0-list", " , ", "--r-grid", "0.1",
                                               "--d-grid", "0"], "--l0-list must list at least one number"),
         "frontier with a non-numeric --l0-list": (
@@ -366,15 +374,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", sorted(FLAG_ERRORS))
     def test_a_command_given_what_it_cannot_use_is_one_domain_error(self, case, capsys, tmp_path):
-        paths = {name: tmp_path / f"{name}.json" for name in ("runtime", "law", "grid")}
+        paths = {name: tmp_path / f"{name}.json" for name in ("runtime", "runtime_report", "law", "grid")}
         paths["runtime"].write_text(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "runtime", "c": 1.0,
                                                 "beta": -0.5}))
+        paths["runtime_report"].write_text(json.dumps(RUNTIME_REPORT))
         paths["law"].write_text(json.dumps(LAW))
         paths["grid"].write_text(json.dumps(GRID))
         argv, message = self.FLAG_ERRORS[case]
         assert run([arg.format(out=tmp_path / "out.csv", **paths) for arg in argv]) == 1
         out, err = capsys.readouterr()
-        assert len(out.splitlines()) == 1
+        assert len(out.splitlines()) == 1 and len(out) < 512
         assert json.loads(out) == {"error": {"type": "DomainError", "message": message}}
         assert err == f"error: {message}\n"
 
@@ -492,6 +501,12 @@ REGISTRY = {"schema_version": "compresslaw/v1", "kind": "law_registry", "entries
 REPORT = {"schema_version": "compresslaw/v1", "kind": "fit_report",
           "law": {name: value for name, value in LAW.items() if name != "schema_version"},
           "stats": STATS, "warnings": [], "residuals": [0.0] * STATS["n"]}
+RUNTIME_STATS = {"n": 12, "p": 2, "r_squared": 0.9876543210987654, "adj_r_squared": 0.986419753208642,
+                 "f_statistic": 799.9999999999998, "residual_std": 0.012345678901234568,
+                 "condition_number": 3.456789012345679}
+RUNTIME_REPORT = {"schema_version": "compresslaw/v1", "kind": "fit_report",
+                  "law": {"kind": "runtime", "c": 1.0, "beta": -0.5, "stats": RUNTIME_STATS},
+                  "stats": RUNTIME_STATS, "warnings": [], "residuals": [0.0] * RUNTIME_STATS["n"]}
 GRID = {"l0_values": [0.4, 0.7], "r_values": [0.1, 0.5], "d_values": [0, 10], "model_id": "m"}
 CSV_ROWS = [["model_id", "metric", "l0", "r", "d", "l"]] + [
     ["m", "loss", str(l0), str(r), str(d), str(l0 * (1 + r) * (1 + 1 / (d + 1)))]

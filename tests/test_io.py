@@ -734,6 +734,20 @@ class TestFitReport:
         with pytest.raises(DomainError, match="statistics disagree"):
             lawio.FitReport(report.law, other, (), report.residuals[:7])
 
+    @pytest.mark.parametrize("kind, shown", [
+        ("law_registry", "'law_registry'"), ("compression", "'compression'"), (["fit_report"], "['fit_report']"),
+        ("x" * 50, "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"), (None, "None"), ("@MISSING@", "None")])
+    def test_a_report_of_another_kind_or_none_names_the_kind_it_must_be(self, kind, shown):
+        """Checked before the missing and unknown keys, so a registry read as a report is told its kind."""
+        doc = json.loads(report_to_json(build_fit_report(self.identity_records())))
+        doc["kind"] = kind
+        if kind == "@MISSING@":
+            del doc["kind"], doc["law"]
+        message = f"fit report: kind must be 'fit_report', got {shown}"
+        with pytest.raises(DataFormatError) as info:
+            report_from_json(json.dumps(doc))
+        assert str(info.value) == message
+
 
 class TestRegistry:
     def test_builtin_registry_writes_the_bundled_bytes(self):
@@ -785,6 +799,17 @@ class TestRegistry:
         registry = builtin_registry()
         again = registry_from_json(registry_to_json(registry))
         assert list(again) == list(registry)
+
+    @pytest.mark.parametrize("kind, shown", [("fit_report", "'fit_report'"), ("runtime", "'runtime'"),
+                                             (7, "7"), (None, "None"), ("@MISSING@", "None")])
+    def test_a_registry_of_another_kind_or_none_names_the_kind_it_must_be(self, kind, shown):
+        """Checked before the missing and unknown keys, so a report read as a registry is told its kind."""
+        doc = {"schema_version": "compresslaw/v1", "kind": kind, "entries": [], "law": {}}
+        if kind == "@MISSING@":
+            del doc["kind"], doc["entries"]
+        with pytest.raises(DataFormatError) as info:
+            registry_from_json(json.dumps(doc))
+        assert str(info.value) == f"law registry: kind must be 'law_registry', got {shown}"
 
     def test_duplicate_key_rejected(self):
         entry = RegistryEntry("m", MetricKind.ACCURACY, "tag", EXTRINSIC)
