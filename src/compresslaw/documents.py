@@ -14,13 +14,16 @@
 Each object of a document (statistics, either law, a fit report, a registry entry with its ``reported`` part, a
 grid) has one field table, ``_Object``: its ``kind`` tag, if any, and a row per JSON key, in the order written,
 naming the value type's attribute, whether the key is required and the token kind (number, enum, as-is text or
-count, nested object or list).  One encoder, ``_encode``, and one decoder, ``_decode``, read every table, and the
-tables hold no other rules: the value type a table builds checks its own fields, and the decoder reports its
+count, nested object or list), a plain ``(encode, decode, nullable)`` triple whose functions are called directly.
+One encoder, ``_encode``, and one decoder, ``_decode``, read every table, and the tables hold no other rules: the
+value type a table builds checks its own fields, and the decoder reports its
 :class:`~compresslaw.errors.DomainError` with where it was found.  The encoder leaves out a ``None`` value and an
-empty part, so ``reported`` is written only when it holds a number, but writes a law's ``None`` stats as
-``null``.  The decoder checks an object's ``kind`` against its table's, then its keys, missing then unknown, before
-it decodes any value, and names a bad token by its JSON path (``entry 0.law.alpha``); a missing optional key takes
-the value type's default.  A bad value is quoted with ``laws._quote``, as the value types quote one.
+empty part, so ``reported`` is written only when it holds a number, but writes a law's ``None`` stats as ``null``.
+The decoder checks an object's ``kind`` against its table's, then its keys, missing then unknown, before it
+decodes any value, and names a bad token by its JSON path (``entry 0.law.alpha``); a missing optional key takes the
+value type's default.  A list of numbers whose items are all JSON numbers is read in one pass, and a fit report's
+residuals go to :class:`FitReport` as read, for its check to take their floats; any other list of numbers is read
+item by item.  A bad value is quoted with ``laws._quote``, as the value types quote one.
 
 Floats are written with ``repr`` (shortest exact form), so round trips are lossless; non-finite values (an exact
 fit has an infinite F-statistic) are the strings ``"inf"``, ``"-inf"`` and ``"nan"``, the only strings read as
@@ -33,26 +36,24 @@ from __future__ import annotations
 
 import json
 import math
-from collections import namedtuple
 from contextlib import contextmanager
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
-from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _optional, _require_instance, _require_metric, _require_not_negative
-from .laws import _quote, _require_text, _require_that, require_positive
+from .laws import _FLOAT_ERRORS, _FORM_COEFFICIENTS, _GRID_AXES, _optional, _quote, _require_at_most_one
+from .laws import _require_either_law, _require_instance, _require_metric, _require_not_negative, _require_text
+from .laws import require_positive
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "law_to_dict", "law_from_dict", "save_law", "load_law",
-    "FitReport", "report_to_json", "report_from_json",
-    "RegistryEntry", "LawRegistry", "registry_to_json", "registry_from_json", "load_registry", "builtin_registry",
-    "load_grid",
-    "candidates_from_registry",
+    "SCHEMA_VERSION", "law_to_dict", "law_from_dict", "save_law", "load_law", "FitReport", "report_to_json",
+    "report_from_json", "RegistryEntry", "LawRegistry", "registry_to_json", "registry_from_json", "load_registry",
+    "builtin_registry", "load_grid", "candidates_from_registry",
 ]
 
 
@@ -138,27 +139,26 @@ def _encode_num(value: float):
 
 # The strings _encode_num writes for the non-finite values: the only strings read as numbers.
 _NON_FINITE = frozenset(map(repr, (math.inf, -math.inf, math.nan)))
+_JSON_NUMBERS = frozenset([int, float])  # the types of json's number tokens; a bool is neither
 
 
-def _decode_num(value, context: str) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if number or isinstance(value, str) and value in _NON_FINITE:
+def _decode_num(token, context: str, key: str) -> float:
+    number = isinstance(token, (int, float)) and not isinstance(token, bool)
+    if number or isinstance(token, str) and token in _NON_FINITE:
         try:
-            return float(value)
+            return float(token)
         except OverflowError:
             pass
-    raise DataFormatError(f"{context}: expected a number, got {_quote.repr(value)}")
-
-
-# A token kind: encode(value) is a field's JSON token, and decode(token, context, key) its value or an error that
-# names the object's path context and the key.  A nullable kind writes None as null and reads null as None.
-_Kind = namedtuple("_Kind", "encode decode nullable", defaults=(False,))
+    raise DataFormatError(f"{context}.{key}: expected a number, got {_quote.repr(token)}")
 
 
 class _Object:
     """One document object's field table: ``rows`` of ``(key, attr, required, kind)`` in key order, the ``build``
     callable that takes the fields as keyword arguments, and the ``kind`` tag, written and checked first, if any.
-    A row whose attr is ``None`` holds a part whose fields are the object's own.  The key lists are worked out once."""
+    A row whose attr is ``None`` holds a part whose fields are the object's own.  The key lists are worked out once.
+    A token kind is a triple ``(encode, decode, nullable)``: ``encode(value)`` is a field's JSON token, and
+    ``decode(token, context, key)`` its value or an error that names the object's path ``context`` and the key.  A
+    nullable kind writes ``None`` as null and reads null as ``None``."""
 
     def __init__(self, build, rows, kind: str | None = None):
         self.build, self.rows, self.kind = build, tuple(rows), kind
@@ -177,15 +177,17 @@ def _encode(table: _Object, value) -> dict:
     return doc
 
 
-def _decode(table: _Object, obj, context: str):
-    """What ``table.build`` makes of the JSON object ``obj`` at path ``context``.  Its ``kind``, then its keys,
-    missing then unknown, are checked before any value is decoded, and a missing optional key is not passed to
-    ``build``.  A :class:`DomainError` of a value or of ``build`` is a :class:`DataFormatError` at ``context``."""
+def _decode(table: _Object, obj, context: str, key: str | None = None):
+    """What ``table.build`` makes of the JSON object ``obj`` at path ``context``, or ``context.key`` for a field.
+    Its ``kind``, then its keys, missing then unknown, are checked before any value is decoded, and a missing
+    optional key is not passed to ``build``.  A :class:`DomainError` of a value or of ``build`` is a
+    :class:`DataFormatError` at the object's path."""
+    context = context if key is None else f"{context}.{key}"
     if not isinstance(obj, dict):
         raise DataFormatError(f"{context}: expected an object, got {type(obj).__name__}")
     if table.kind is not None and obj.get("kind") != table.kind:
         raise DataFormatError(f"{context}: kind must be {table.kind!r}, got {_quote.repr(obj.get('kind'))}")
-    missing = [key for key in table.required if key not in obj]
+    missing = [name for name in table.required if name not in obj]
     if missing:
         raise DataFormatError(f"{context}: missing field(s) {missing}")
     unknown = obj.keys() - table.keys
@@ -193,17 +195,17 @@ def _decode(table: _Object, obj, context: str):
         raise DataFormatError(f"{context}: unknown field(s) {sorted(unknown)}")
     fields = {}
     try:
-        for key, attr, _, (_, decode, nullable) in table.rows:
-            if key in obj:
-                token = obj[key]
-                fields[attr] = None if token is None and nullable else decode(token, context, key)
+        for name, attr, _, (_, decode, nullable) in table.rows:
+            if name in obj:
+                token = obj[name]
+                fields[attr] = None if token is None and nullable else decode(token, context, name)
         fields.update(fields.pop(None, {}))  # a part's fields are the object's own
         return table.build(**fields)
     except DomainError as exc:
         raise DataFormatError(f"{context}: {exc}") from exc
 
 
-def _enum(enum_type) -> _Kind:
+def _enum(enum_type) -> tuple:
     members = {member.value: member for member in enum_type}
 
     def decode(token, context: str, key: str):
@@ -211,30 +213,36 @@ def _enum(enum_type) -> _Kind:
             return members[token]
         raise DataFormatError(f"{context}: unknown {key} {_quote.repr(token)}")
 
-    return _Kind(attrgetter("value"), decode)
+    return attrgetter("value"), decode, False
 
 
-def _nested(table: _Object, nullable: bool = False) -> _Kind:
+def _nested(table: _Object, nullable: bool = False) -> tuple:
     """An object of ``table``, left out when it encodes as empty."""
-    return _Kind(lambda value: _encode(table, value) or None,
-                 lambda token, context, key: _decode(table, token, f"{context}.{key}"), nullable)
+    return lambda value: _encode(table, value) or None, partial(_decode, table), nullable
 
 
-def _list(what: str, decode_item=lambda item, path: item) -> _Kind:
-    """A list, read as the tuple of ``decode_item(item, path)`` of its items, by default the items as they are.  Any
-    other token is an error that says it must be ``what``."""
+def _list(what: str, numbers=None, encode=list) -> tuple:
+    """A list, read as the tuple of its items or, given ``numbers``, as ``numbers(token)`` if one pass over the item
+    types finds only JSON numbers, else as the tuple of each item's :func:`_decode_num`, which reads the non-finite
+    strings and names the list's path in an error.  Any other token is an error that says it must be ``what``."""
 
     def decode(token, context: str, key: str):
-        if isinstance(token, list):
-            path = f"{context}.{key}"
-            return tuple([decode_item(item, path) for item in token])
-        raise DataFormatError(f"{context}: {key} must be {what}")
+        if not isinstance(token, list):
+            raise DataFormatError(f"{context}: {key} must be {what}")
+        if numbers is None:
+            return tuple(token)
+        if _JSON_NUMBERS.issuperset(map(type, token)):
+            try:
+                return numbers(token)
+            except OverflowError:  # an int too large for a float, which _decode_num names
+                pass
+        return tuple([_decode_num(item, context, key) for item in token])
 
-    return _Kind(list, decode)
+    return encode, decode, False
 
 
-_AS_IS = _Kind(lambda value: value, lambda token, context, key: token)  # text and counts, which value types check
-_NUMBER = _Kind(_encode_num, lambda token, context, key: _decode_num(token, f"{context}.{key}"))
+_AS_IS = (lambda value: value, lambda token, context, key: token, False)  # text and counts, which value types check
+_NUMBER = (_encode_num, _decode_num, False)
 _METRIC = _enum(MetricKind)
 _STATS = _Object(FitStatistics, [("n", "n", True, _AS_IS), ("p", "p", True, _AS_IS), *(
     (name, name, True, _NUMBER) for name in ("r_squared", "adj_r_squared", "f_statistic", "residual_std",
@@ -293,12 +301,19 @@ def _require_floats(name: str, values) -> tuple[float, ...]:
     """A sequence of numbers, nan and inf included, as a tuple of floats, made by one ``map`` over 100k residuals."""
     try:
         return tuple(map(float, values))
-    except (TypeError, ValueError):
+    except _FLOAT_ERRORS:
         raise DomainError(f"{name} must be a sequence of numbers, got {_quote.repr(values)}") from None
 
 
-@_value_type(warnings=lambda name, values: tuple([_require_text(name, value) for value in values]),
-             residuals=_require_floats)
+def _require_texts(name: str, values) -> tuple[str, ...]:
+    try:
+        return tuple([_require_text(name, value) for value in values])
+    except TypeError:  # not a sequence
+        raise DomainError(f"{name} must be a sequence of text, got {_quote.repr(values)}") from None
+
+
+@_value_type(law=_require_either_law, stats=_require_instance(FitStatistics, "a FitStatistics"),
+             warnings=_require_texts, residuals=_require_floats)
 class FitReport:
     """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
 
@@ -315,8 +330,9 @@ class FitReport:
             raise DomainError(f"residual count {len(self.residuals)} != sample count {self.stats.n}")
 
 
-_LAW = _Kind(law_to_dict, lambda token, context, key: law_from_dict(token, f"{context}.{key}"))
-_RESIDUALS = _Kind(lambda values: [], _list("a list", _decode_num).decode)  # report_to_json splices the values in
+_LAW = (law_to_dict, lambda token, context, key: law_from_dict(token, f"{context}.{key}"), False)
+# The residuals go to FitReport as read, and its check takes their floats; report_to_json splices them in.
+_RESIDUALS = _list("a list", tuple, encode=lambda values: [])
 _REPORT = _Object(FitReport, [("law", "law", True, _LAW), ("stats", "stats", True, _nested(_STATS)),
                               ("warnings", "warnings", True, _list("a list of strings")),
                               ("residuals", "residuals", True, _RESIDUALS)], "fit_report")
@@ -343,10 +359,10 @@ def report_from_json(text: str) -> FitReport:
 # ---------------------------------------------------------------------------
 
 
-@_value_type(model_id=_require_text, metric=_require_metric, method_tag=_require_text,
+@_value_type(model_id=_require_text, metric=_require_metric, method_tag=_require_text, law=_require_either_law,
              form=_require_instance(DesignForm, "a DesignForm"), provenance=_require_text,
              param_count=_optional(require_positive), l0=_optional(require_positive),
-             reported_adj_r_squared=_optional(_require_that(lambda value: not value > 1.0, "be at most 1, got {}")),
+             reported_adj_r_squared=_optional(_require_at_most_one),
              reported_f_statistic=_optional(_require_not_negative))
 class RegistryEntry:
     """One law in a registry, keyed by (model_id, metric, method_tag).
@@ -381,9 +397,8 @@ class RegistryEntry:
             for name in ("beta", "gamma"):
                 if name not in _FORM_COEFFICIENTS[self.form] and getattr(self.law, name) != 0.0:
                     raise DomainError(f"the {self.form.value} form pins {name} to 0, got {getattr(self.law, name)}")
-        else:
-            if self.metric is not MetricKind.RUNTIME or self.form is not DesignForm.RUNTIME:
-                raise DomainError("runtime laws must use metric 'runtime' and form 'runtime'")
+        elif self.metric is not MetricKind.RUNTIME or self.form is not DesignForm.RUNTIME:
+            raise DomainError("runtime laws must use metric 'runtime' and form 'runtime'")
 
     @property
     def key(self) -> tuple[str, MetricKind, str]:
@@ -404,12 +419,8 @@ class LawRegistry:
         self._entries[entry.key] = entry
 
     def select(self, *, metric: MetricKind | None = None, method_tag: str | None = None) -> list[RegistryEntry]:
-        return [
-            entry
-            for entry in self._entries.values()
-            if (metric is None or entry.metric is metric)
-            and (method_tag is None or entry.method_tag == method_tag)
-        ]
+        return [entry for entry in self._entries.values() if (metric is None or entry.metric is metric)
+                and (method_tag is None or entry.method_tag == method_tag)]
 
     def __iter__(self):
         return iter(self._entries.values())
@@ -456,8 +467,9 @@ def builtin_registry() -> LawRegistry:
 
 # The grid's keyword arguments for SyntheticConfig, which checks the axes' values; a model id that is not text
 # makes a bad grid.
-_TEXT = _Kind(str, lambda token, context, key: _require_text(key, token))
-_GRID = _Object(dict, [*((axis, axis, True, _list("a list of numbers", _decode_num)) for axis in _GRID_AXES),
+_TEXT = (str, lambda token, context, key: _require_text(key, token), False)
+_GRID = _Object(dict, [*((axis, axis, True, _list("a list of numbers", lambda token: tuple(map(float, token))))
+                         for axis in _GRID_AXES),
                        ("model_id", "model_id", False, _TEXT)])
 
 
@@ -488,24 +500,12 @@ def candidates_from_registry(
     from .planner import CandidateModel
     runtime_by_model: dict[str, RuntimeLaw] = {}
     for entry in registry:
-        if isinstance(entry.law, RuntimeLaw) and entry.model_id not in runtime_by_model:
-            runtime_by_model[entry.model_id] = entry.law
-
-    candidates = []
-    for entry in registry.select(metric=metric, method_tag=method_tag):
-        if not isinstance(entry.law, CompressionLaw):
-            continue
-        if entry.param_count is None or entry.l0 is None:
-            continue
-        candidates.append(
-            CandidateModel(
-                model_id=entry.model_id,
-                param_count=entry.param_count,
-                l0=entry.l0,
-                law=entry.law,
-                runtime_law=runtime_by_model.get(entry.model_id),
-            )
-        )
+        if isinstance(entry.law, RuntimeLaw):
+            runtime_by_model.setdefault(entry.model_id, entry.law)
+    candidates = [CandidateModel(entry.model_id, entry.param_count, entry.l0, entry.law,
+                                 runtime_by_model.get(entry.model_id))
+                  for entry in registry.select(metric=metric, method_tag=method_tag)
+                  if isinstance(entry.law, CompressionLaw) and entry.param_count is not None and entry.l0 is not None]
     if not candidates:
         raise DomainError(
             f"registry has no {metric.value} entries with both param_count and l0"

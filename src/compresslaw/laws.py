@@ -106,13 +106,27 @@ class MetricKind(enum.Enum):
 _FEASIBLE_SIGN = {MetricKind.LOSS: 1.0, MetricKind.ACCURACY: -1.0}
 
 
+# What float() raises for a value that is not a number, or for an int too large for a float.
+_FLOAT_ERRORS = (TypeError, ValueError, OverflowError)
+
+
+def _float_error(name: str, value, error: Exception) -> DomainError:
+    """The error of a check whose ``float(value)`` raised ``error``."""
+    what = "within the float range" if isinstance(error, OverflowError) else "a number"
+    return DomainError(f"{name} must be {what}, got {_quote.repr(value)}")
+
+
 def require_finite(name: str, value: float) -> float:
-    """``float(value)``, or :class:`DomainError` if it is nan or infinite.
+    """``float(value)``, or :class:`DomainError` if it is nan or infinite, or has no float.
 
     The other validators call it only once their own check fails, so a
     non-finite input always gets this message and a valid one pays for one call.
+    Each validator's ``try`` costs nothing when ``float`` succeeds.
     """
-    value = float(value)
+    try:
+        value = float(value)
+    except _FLOAT_ERRORS as error:
+        raise _float_error(name, value, error) from None
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
@@ -120,7 +134,10 @@ def require_finite(name: str, value: float) -> float:
 
 def require_positive(name: str, value: float) -> float:
     """A finite ``value > 0`` (``l0``, ``epsilon``, observations, counts) as a float."""
-    value = float(value)
+    try:
+        value = float(value)
+    except _FLOAT_ERRORS as error:
+        raise _float_error(name, value, error) from None
     if not 0.0 < value < math.inf:
         require_finite(name, value)
         raise DomainError(f"{name} must be > 0, got {value}")
@@ -129,7 +146,10 @@ def require_positive(name: str, value: float) -> float:
 
 def require_nonnegative(name: str, value: float) -> float:
     """A finite ``value >= 0`` (RFT sizes, noise levels) as a float."""
-    value = float(value)
+    try:
+        value = float(value)
+    except _FLOAT_ERRORS as error:
+        raise _float_error(name, value, error) from None
     if not 0.0 <= value < math.inf:
         require_finite(name, value)
         raise DomainError(f"{name} must be >= 0, got {value}")
@@ -138,7 +158,10 @@ def require_nonnegative(name: str, value: float) -> float:
 
 def require_ratio(name: str, value: float) -> float:
     """A compression ratio in ``[0, 1)`` as a float."""
-    value = float(value)
+    try:
+        value = float(value)
+    except _FLOAT_ERRORS as error:
+        raise _float_error(name, value, error) from None
     if not 0.0 <= value < 1.0:
         require_finite(name, value)
         raise DomainError(f"{name} must lie in [0, 1), got {value}")
@@ -178,7 +201,10 @@ def _require_that(test, what: str):
     ends its message."""
 
     def check(name: str, value: float) -> float:
-        value = float(value)
+        try:
+            value = float(value)
+        except _FLOAT_ERRORS as error:
+            raise _float_error(name, value, error) from None
         if not test(value):
             raise DomainError(f"{name} must {what.format(value)}")
         return value
@@ -279,11 +305,12 @@ def _unchecked(cls, *values):
 
 
 _require_not_negative = _require_that(lambda value: not value < 0.0, "be nonnegative")  # inf and nan pass
+_require_at_most_one = _require_that(lambda value: not value > 1.0, "be at most 1, got {}")  # adjusted R², or nan
 
 
 @_value_type(n=_require_count, p=_require_count,
              r_squared=_require_that(lambda value: 0.0 <= value <= 1.0, "lie in [0, 1], got {}"),
-             f_statistic=_require_not_negative, residual_std=_require_not_negative,
+             adj_r_squared=_require_at_most_one, f_statistic=_require_not_negative, residual_std=_require_not_negative,
              condition_number=_require_that(lambda value: value > 0.0, "be positive"))
 class FitStatistics:
     """Goodness-of-fit summary for one least-squares solve.
@@ -351,6 +378,7 @@ class RuntimeLaw:
 
 
 _require_runtime_law = _require_instance(RuntimeLaw, "a RuntimeLaw")
+_require_either_law = _require_instance((CompressionLaw, RuntimeLaw), "a CompressionLaw or RuntimeLaw")
 
 
 @_value_type

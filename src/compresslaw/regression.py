@@ -25,9 +25,10 @@ holds them per row (read from CSV) or as grid axes (``generate``), and maps
 ``_DISTINCT_MIN_ROWS`` rows.
 
 Records are checked once, when they are built, and only code that checked them builds a table; its rows are not
-checked again.  So :func:`build_design` checks only what the records do not: one metric kind, enough rows, and a
-finite design, which is one test of the sum of ``X`` and ``y``, since every entry is a log.  It writes the features
-into one C-contiguous array (the bits of ``X @ b`` depend on the layout) and ``y`` with ``math.log`` row by row.
+checked again.  So :func:`build_design` checks only what the records do not: one metric kind, runtime records for
+the runtime form, enough rows, and a finite design, which is one test of the sum of ``X`` and ``y``, since every
+entry is a log.  It writes the features into one C-contiguous array (the bits of ``X @ b`` depend on the layout) and
+``y`` with ``math.log`` row by row.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .laws import (
     ExperimentRecord,
     FeasibilityWarning,
     FitStatistics,
+    MetricKind,
     RuntimeLaw,
     SignViolation,
     Table,
@@ -104,8 +106,9 @@ def build_design(
         log(1+r), log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
 
     Raises:
-        DomainError: Mixed metric kinds, too few records (need at least
-            p + 1), or a non-finite transform.
+        DomainError: Mixed metric kinds, the runtime form on loss or
+            accuracy records, too few records (need at least p + 1), or a
+            non-finite transform.
     """
     epsilon = require_positive("epsilon", epsilon)
     coefficients = _FORM_COEFFICIENTS[form]
@@ -118,6 +121,8 @@ def build_design(
     metric = table.columns[1]
     if metric.count(metric[0]) != len(metric):
         raise DomainError(f"records mix metric kinds: {sorted(m.value for m in set(metric))}")
+    if form is DesignForm.RUNTIME and metric[0] is not MetricKind.RUNTIME:
+        raise DomainError(f"the runtime form fits runtime records, got {metric[0].value} records")
 
     features = _map_distinct(lambda *columns: log_feature_columns(*columns, epsilon), *map(table.column, (2, 3, 4)))
     # One C-contiguous array: the bits of x @ coef depend on the layout, which x.tobytes() does not show.

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from compresslaw import laws
 from compresslaw.errors import DomainError
 from compresslaw.frontier import emit_frontier_grid
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate, evaluate_runtime
@@ -46,6 +47,41 @@ def test_every_r_entry_point_rejects_out_of_domain_ratios(entry, r):
 @pytest.mark.parametrize("entry", sorted(R_ENTRY_POINTS))
 def test_every_r_entry_point_accepts_zero(entry):
     R_ENTRY_POINTS[entry](0.0)
+
+
+# A value that float() refuses, and the end of the message of every check that takes a float: an int too large for a
+# float is out of its range, and anything else with no float is not a number.
+NO_FLOAT = {"huge int": (10**400, r"be within the float range, got 10000000+\.\.\.0000000+$"),
+            "None": (None, "be a number, got None$"), "text": ("half", "be a number, got 'half'$"),
+            "list": ([0.5], r"be a number, got \[0\.5\]$")}
+FLOAT_CHECKS = {"require_finite": laws.require_finite, "require_positive": laws.require_positive,
+                "require_nonnegative": laws.require_nonnegative, "require_ratio": laws.require_ratio,
+                "_require_that": laws._require_not_negative, "_require_at_most_one": laws._require_at_most_one}
+
+
+@pytest.mark.parametrize("value", sorted(NO_FLOAT))
+@pytest.mark.parametrize("check", sorted(FLOAT_CHECKS))
+def test_every_float_check_names_a_value_with_no_float(check, value):
+    bad, ending = NO_FLOAT[value]
+    with pytest.raises(DomainError, match=f"^x must {ending}"):
+        FLOAT_CHECKS[check]("x", bad)
+
+
+@pytest.mark.parametrize("value", sorted(NO_FLOAT))
+@pytest.mark.parametrize("entry", sorted(R_ENTRY_POINTS))
+def test_every_r_entry_point_names_a_ratio_with_no_float(entry, value):
+    bad, ending = NO_FLOAT[value]
+    with pytest.raises(DomainError, match=f"^r must {ending}"):
+        R_ENTRY_POINTS[entry](bad)
+
+
+def test_an_int_too_large_for_a_float_is_a_domain_error_wherever_it_is_given():
+    with pytest.raises(DomainError, match="^l0 must be within the float range, got 1000"):
+        evaluate(ACCURACY, 10**400, 0.5, 0.0)
+    with pytest.raises(DomainError, match="^alpha must be within the float range, got 1000"):
+        CompressionLaw(10**400, 1, 1, MetricKind.LOSS)
+    with pytest.raises(DomainError, match="^d must be within the float range, got 1000"):
+        ExperimentRecord("m", MetricKind.LOSS, 1.0, 0.1, 10**400, 1.0)
 
 
 # Each public entry point that takes a law: the call, the law's argument name and the kind it takes.  A law of the

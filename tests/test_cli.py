@@ -370,11 +370,17 @@ class TestExitCodes:
         "frontier with a non-numeric --l0-list": (
             ["frontier", "--law", "{law}", "--l0-list", "0.6,x", "--r-grid", "0.1", "--d-grid", "0"],
             "--l0-list must be a comma-separated list of numbers, got '0.6,x'"),
+        # A compression form may fit runtime records, as the registry allows, but not the other way round.
+        "fit in the runtime form on loss records": (["fit", "--input", "{records}", "--form", "runtime"],
+                                                    "the runtime form fits runtime records, got loss records"),
     }
 
     @pytest.mark.parametrize("case", sorted(FLAG_ERRORS))
     def test_a_command_given_what_it_cannot_use_is_one_domain_error(self, case, capsys, tmp_path):
         paths = {name: tmp_path / f"{name}.json" for name in ("runtime", "runtime_report", "law", "grid")}
+        paths["records"] = tmp_path / "records.csv"
+        paths["records"].write_text("model_id,metric,l0,r,d,l\n" + "".join(
+            f"m,loss,{l0},{r},0,{l0 * (1 + r)}\n" for l0 in (2.0, 3.0) for r in (0.1, 0.5)))
         paths["runtime"].write_text(json.dumps({"schema_version": SCHEMA_VERSION, "kind": "runtime", "c": 1.0,
                                                 "beta": -0.5}))
         paths["runtime_report"].write_text(json.dumps(RUNTIME_REPORT))

@@ -866,6 +866,92 @@ class TestRegistry:
             candidates_from_registry(builtin_registry(), MetricKind.ACCURACY)
 
 
+# Tokens that are not numbers, as a list item or a field, and how a message quotes each.
+BAD_NUMBERS = {"true": (True, "True"), "string": ("0.5", "'0.5'"), "list": ([1.0], "[1.0]"), "null": (None, "None")}
+LONG = 100_001  # items in a long list of numbers; the bad one is item 50,000
+
+
+class TestBadNumbersNameTheirPath:
+    """A token that is not a number gives the same message wherever it is: in a long list of numbers, among a fit
+    report's statistics or in a registry entry's ``reported`` part.  Only ``"inf"``, ``"-inf"`` and ``"nan"`` are
+    strings read as numbers."""
+
+    @staticmethod
+    def long_report(residuals) -> str:
+        doc = json.loads(report_to_json(build_fit_report(TestFitReport.identity_records())))
+        for stats in (doc["stats"], doc["law"]["stats"]):
+            stats["n"] = len(residuals)
+        doc["residuals"] = residuals
+        return json.dumps(doc)
+
+    @staticmethod
+    def long_grid(axis) -> stdio.StringIO:
+        return stdio.StringIO(json.dumps({"l0_values": [1.0], "r_values": axis, "d_values": [0.0, 1]}))
+
+    @pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+    def test_an_item_of_a_residual_list(self, name):
+        token, shown = BAD_NUMBERS[name]
+        residuals = [0.25] * LONG
+        residuals[50_000] = token
+        with pytest.raises(DataFormatError) as info:
+            report_from_json(self.long_report(residuals))
+        assert str(info.value) == f"fit report.residuals: expected a number, got {shown}"
+
+    @pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+    def test_an_item_of_a_grid_axis(self, name):
+        token, shown = BAD_NUMBERS[name]
+        axis = [0.5] * LONG
+        axis[50_000] = token
+        with pytest.raises(DataFormatError) as info:
+            documents.load_grid(self.long_grid(axis))
+        assert str(info.value) == f"grid.r_values: expected a number, got {shown}"
+
+    @pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+    def test_a_statistic(self, name):
+        token, shown = BAD_NUMBERS[name]
+        doc = json.loads(report_to_json(build_fit_report(TestFitReport.identity_records())))
+        doc["stats"]["r_squared"] = token
+        with pytest.raises(DataFormatError) as info:
+            report_from_json(json.dumps(doc))
+        assert str(info.value) == f"fit report.stats.r_squared: expected a number, got {shown}"
+
+    @pytest.mark.parametrize("name", sorted(BAD_NUMBERS))
+    def test_a_reported_statistic_of_a_registry_entry(self, name):
+        token, shown = BAD_NUMBERS[name]
+        doc = json.loads(registry_to_json(builtin_registry()))
+        doc["entries"][1]["reported"] = {"adj_r_squared": 0.5, "f_statistic": token}
+        with pytest.raises(DataFormatError) as info:
+            registry_from_json(json.dumps(doc))
+        assert str(info.value) == f"entry 1.reported.f_statistic: expected a number, got {shown}"
+
+    def test_an_int_too_large_for_a_float(self):
+        """A grid axis still names the item.  A residual list goes to the report's check as read, which names the
+        field and quotes the list."""
+        values = [0.25] * LONG
+        values[50_000] = 10**400
+        with pytest.raises(DataFormatError, match=r"^grid\.r_values: expected a number, got 1000+\.\.\.0+$"):
+            documents.load_grid(self.long_grid(values))
+        message = r"^fit report: residuals must be a sequence of numbers, got \(0\.25, "
+        with pytest.raises(DataFormatError, match=message):
+            report_from_json(self.long_report(values))
+
+    def test_the_non_finite_strings_are_numbers_in_a_long_list(self):
+        values = [0.25] * LONG
+        values[49_999:50_002] = ["inf", "-inf", "nan"]
+        read = report_from_json(self.long_report(values)).residuals
+        axis = documents.load_grid(self.long_grid(values))["r_values"]
+        for numbers in (read, axis):
+            assert type(numbers) is tuple and len(numbers) == LONG and {type(x) for x in numbers} == {float}
+            assert numbers[49_999:50_001] == (math.inf, -math.inf) and math.isnan(numbers[50_001])
+            assert numbers[:49_999] == numbers[50_002:] == (0.25,) * 49_999
+
+    def test_an_all_number_list_is_read_as_floats(self):
+        values = [0.25, 1, -0.0, 5e-324] * 25_000
+        assert report_from_json(self.long_report(values)).residuals == tuple(map(float, values))
+        axis = documents.load_grid(self.long_grid(values))["r_values"]
+        assert axis == tuple(map(float, values)) and {type(x) for x in axis} == {float}
+
+
 GRID_LAWS = st.builds(
     CompressionLaw,
     alpha=st.floats(-3.0, 3.0),
@@ -1001,9 +1087,13 @@ class TestGeneratedRecordTable:
         floor."""
         axes = [axis[: data.draw(st.integers(1, 4))] if cut else axis for axis in draw_signed_zero_grid(data)]
         records = self.generated(law, axes, noise_std=noise_std, seed=data.draw(st.integers(0, 9)))
+        # The runtime form fits runtime records only: it is given the same grid table as runtime records.
+        columns = [records.columns[0], (MetricKind.RUNTIME,), *records.columns[2:]]
+        runtime = Table(ExperimentRecord, columns, records.runs)
         for form in DesignForm:
-            x, y = regression.build_design(records, law.epsilon, form)
-            x_list, y_list = regression.build_design(list(records), law.epsilon, form)
+            table = runtime if form is DesignForm.RUNTIME else records
+            x, y = regression.build_design(table, law.epsilon, form)
+            x_list, y_list = regression.build_design(list(table), law.epsilon, form)
             assert x.tobytes() == x_list.tobytes() and y.tobytes() == y_list.tobytes()
             assert x.flags.c_contiguous and x_list.flags.c_contiguous
 

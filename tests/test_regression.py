@@ -88,6 +88,19 @@ class TestBuildDesign:
         assert x.shape == (3, 2)
         assert (x[:, 0] == 1.0).all()
 
+    @pytest.mark.parametrize("metric", [MetricKind.LOSS, MetricKind.ACCURACY])
+    def test_the_runtime_form_fits_runtime_records_only(self, metric):
+        records = make_records(0.5, 1.0, 1.0, metric)
+        message = f"^the runtime form fits runtime records, got {metric.value} records$"
+        for fit in (build_design, fit_law):
+            with pytest.raises(DomainError, match=message):
+                fit(records, form=DesignForm.RUNTIME)
+            with pytest.raises(DomainError, match=message):
+                fit(Table.of(ExperimentRecord, records), form=DesignForm.RUNTIME)
+        # A compression form on runtime records stays a fit, as the registry accepts such laws.
+        runtime = make_records(0.5, 1.0, 1.0, MetricKind.RUNTIME)
+        assert fit_law(runtime, form=DesignForm.RATIO_ONLY).metric is MetricKind.RUNTIME
+
     def test_mixed_metrics_rejected(self):
         records = make_records(1.0, 1.0, 1.0, MetricKind.LOSS)
         records[0] = ExperimentRecord("m", MetricKind.ACCURACY, 2.0, 0.1, 0.0, 1.0)
@@ -153,9 +166,12 @@ class TestRecordTable:
     @given(records=st.lists(ANY_RECORD, min_size=4, max_size=12), epsilon=st.floats(1e-300, 1e300))
     def test_design_from_a_batch_equals_the_design_from_its_records(self, records, epsilon):
         batch = Table.of(ExperimentRecord, records)
+        # The runtime form fits runtime records only: it is given the same records as runtime records.
+        runtime = Table(ExperimentRecord, [batch.columns[0], (MetricKind.RUNTIME,) * len(batch), *batch.columns[2:]])
         for form in DesignForm:
-            x, y = build_design(batch, epsilon=epsilon, form=form)
-            x_list, y_list = build_design(list(batch), epsilon=epsilon, form=form)
+            table = runtime if form is DesignForm.RUNTIME else batch
+            x, y = build_design(table, epsilon=epsilon, form=form)
+            x_list, y_list = build_design(list(table), epsilon=epsilon, form=form)
             assert x.tobytes() == x_list.tobytes() and y.tobytes() == y_list.tobytes()
         assert y.tolist() == [math.log(rec.l) for rec in records]
 

@@ -69,6 +69,10 @@ INVALID = {
                      ({"p": -1}, "p must be an integer >= 0, got -1"),
                      ({"p": None}, "p must be an integer >= 0, got None"),
                      ({"adj_r_squared": 0.95}, "adj_r_squared cannot exceed r_squared"),
+                     ({"adj_r_squared": 1.5}, "adj_r_squared must be at most 1, got 1.5"),
+                     ({"adj_r_squared": None}, "adj_r_squared must be a number, got None"),
+                     ({"adj_r_squared": "0.5x"}, "adj_r_squared must be a number, got '0.5x'"),
+                     ({"residual_std": 10**400}, "residual_std must be within the float range, got 1000"),
                      ({"r_squared": 1.5}, r"r_squared must lie in \[0, 1\], got 1.5"),
                      ({"r_squared": -0.1, "adj_r_squared": -0.2}, r"r_squared must lie in \[0, 1\], got -0.1"),
                      ({"f_statistic": -1.0}, "f_statistic must be nonnegative"),
@@ -79,7 +83,9 @@ INVALID = {
                      ({"beta": math.inf}, "beta must be finite, got inf"),
                      ({"gamma": -math.inf}, "gamma must be finite, got -inf"),
                      ({"metric": "loss"}, "metric must be a MetricKind, got 'loss'"),
-                     ({"stats": "x"}, "stats must be a FitStatistics or None, got 'x'")],
+                     ({"stats": "x"}, "stats must be a FitStatistics or None, got 'x'"),
+                     ({"alpha": 10**400}, "alpha must be within the float range, got 1000"),
+                     ({"epsilon": None}, "epsilon must be a number, got None")],
     RuntimeLaw: [({"c": -1.0}, "c must be > 0"),
                  ({"beta": math.nan}, "beta must be finite, got nan"),
                  ({"stats": {"n": 10}}, "stats must be a FitStatistics or None, got {'n': 10}")],
@@ -89,7 +95,8 @@ INVALID = {
                        ({"model_id": None}, "model_id must be text, got None"),
                        ({"l0": 0.0}, "l0 must be > 0, got 0.0"),
                        ({"d": -1.0}, "d must be >= 0, got -1.0"),
-                       ({"l": math.inf}, "l must be finite, got inf")],
+                       ({"l": math.inf}, "l must be finite, got inf"),
+                       ({"d": 10**400}, "d must be within the float range, got 1000")],
     RecoveryQuery: [({"law": CompressionLaw(0.98, 1.03, -0.14, MetricKind.ACCURACY)},
                      "recovery analysis needs a feasible law"),
                     ({"law": RUNTIME}, r"law must be a CompressionLaw, got RuntimeLaw\("),
@@ -112,7 +119,12 @@ INVALID = {
     FitReport: [({"residuals": (0.0,)}, "residual count 1 != sample count 10"),
                 ({"warnings": ("w", 1)}, "warnings must be text, got 1"),
                 ({"residuals": ("x",) * 10}, r"residuals must be a sequence of numbers, got \('x', 'x', "),
-                ({"residuals": None}, "residuals must be a sequence of numbers, got None")],
+                ({"residuals": None}, "residuals must be a sequence of numbers, got None"),
+                ({"residuals": (0.0,) * 9 + (10**400,)}, r"residuals must be a sequence of numbers, got \(0\.0, "),
+                ({"law": "x"}, "law must be a CompressionLaw or RuntimeLaw, got 'x'"),
+                ({"stats": "y"}, "stats must be a FitStatistics, got 'y'"),
+                ({"stats": None}, "stats must be a FitStatistics, got None"),
+                ({"warnings": None}, "warnings must be a sequence of text, got None")],
     RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
                     ({"model_id": 5}, "model_id must be text, got 5"),
                     ({"model_id": NESTED}, r"^model_id must be text, got \[+\.\.\.\]+$"),
@@ -123,7 +135,8 @@ INVALID = {
                     ({"param_count": -3e9}, "param_count must be > 0, got -3000000000.0"),
                     ({"l0": 0.0}, "l0 must be > 0, got 0.0"),
                     ({"reported_adj_r_squared": 7.5}, "reported_adj_r_squared must be at most 1, got 7.5"),
-                    ({"reported_f_statistic": -1.0}, "reported_f_statistic must be nonnegative")],
+                    ({"reported_f_statistic": -1.0}, "reported_f_statistic must be nonnegative"),
+                    ({"law": "notalaw"}, "law must be a CompressionLaw or RuntimeLaw, got 'notalaw'")],
     SyntheticConfig: [({"noise_std": -1.0}, "noise_std must be >= 0"),
                       ({"model_id": 5}, "model_id must be text, got 5"),
                       ({"truth": RUNTIME}, r"truth must be a CompressionLaw, got RuntimeLaw\("),
@@ -207,6 +220,18 @@ def test_every_checked_field_has_an_invalid_case(cls):
     assert set(cls._checks) <= covered
 
 
+# The types a function returns, whose fields the function that builds them has checked.
+RESULT_TYPES = {PlanEntry, SkippedCandidate, PlanResult, RecoveryAnalysis, SignViolation}
+
+
+@pytest.mark.parametrize("cls", [cls for cls in CLASSES if cls not in RESULT_TYPES],
+                         ids=[cls.__name__ for cls in CLASSES if cls not in RESULT_TYPES])
+def test_every_field_of_an_input_value_type_declares_a_check(cls):
+    """A value a caller builds checks each of its fields, so a bad field is a DomainError that names it, never an
+    AttributeError or TypeError from a rule that spans fields."""
+    assert set(cls._checks) == set(cls._value_fields)
+
+
 def test_only_the_value_type_decorator_sets_fields():
     """A field is stored once, by the constructor ``_value_type`` generates, as its declared check returns it: no
     other code in the package restores or normalizes a field with ``object.__setattr__``."""
@@ -271,7 +296,7 @@ def test_values_differing_in_one_field_are_unequal(name, other):
 
 # The float fields each class checks as floats.
 CHECKED_FLOATS = {
-    FitStatistics: ("r_squared", "f_statistic", "residual_std", "condition_number"),
+    FitStatistics: ("r_squared", "adj_r_squared", "f_statistic", "residual_std", "condition_number"),
     CompressionLaw: ("alpha", "beta", "gamma", "epsilon"),
     RuntimeLaw: ("c", "beta"),
     ExperimentRecord: ("l0", "r", "d", "l"),
