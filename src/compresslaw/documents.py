@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
-from .laws import _FLOAT_ERRORS, _FORM_COEFFICIENTS, _GRID_AXES, _optional, _quote, _require_at_most_one
+from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _optional, _quote, _require_at_most_one, _require_sequence
 from .laws import _require_either_law, _require_instance, _require_metric, _require_not_negative, _require_text
 from .laws import require_positive
 
@@ -297,23 +297,9 @@ def load_law(source) -> CompressionLaw | RuntimeLaw:
 # ---------------------------------------------------------------------------
 
 
-def _require_floats(name: str, values) -> tuple[float, ...]:
-    """A sequence of numbers, nan and inf included, as a tuple of floats, made by one ``map`` over 100k residuals."""
-    try:
-        return tuple(map(float, values))
-    except _FLOAT_ERRORS:
-        raise DomainError(f"{name} must be a sequence of numbers, got {_quote.repr(values)}") from None
-
-
-def _require_texts(name: str, values) -> tuple[str, ...]:
-    try:
-        return tuple([_require_text(name, value) for value in values])
-    except TypeError:  # not a sequence
-        raise DomainError(f"{name} must be a sequence of text, got {_quote.repr(values)}") from None
-
-
 @_value_type(law=_require_either_law, stats=_require_instance(FitStatistics, "a FitStatistics"),
-             warnings=_require_texts, residuals=_require_floats)
+             warnings=partial(_require_sequence, what="text", item=partial(_require_text, "warnings")),
+             residuals=_require_sequence)
 class FitReport:
     """A fitted law, its statistics (equal to the law's own), feasibility warnings and log-residuals."""
 

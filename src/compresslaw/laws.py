@@ -17,12 +17,14 @@ one grid predictor, ``_grid_log_predictions``, which takes each axis value's
 term once and sums each grid point's terms in :func:`evaluate`'s order.
 ``generate`` (with its noise added) and ``emit_frontier_grid`` both return
 its ``exp`` as ``_grid_table``'s table, so predictions and the regression
-agree bit for bit in their transforms.  The ``require_*`` validators are the
-one place each domain condition and its message are written.  Beside them are
-the private checks a value type names for its fields: ``_require_instance``
-(the field's type), ``_require_count`` (an ``int >= 0``, not a ``bool``),
-``_require_that`` (a test of a float) and the grid-axis checks that
-``SyntheticConfig`` and ``emit_frontier_grid`` share.
+agree bit for bit in their transforms.
+
+The four ``require_*`` validators are each one range ``[low, high)`` of ``_require_between``, the one place a domain
+and its message are written: a nan or infinite value must be finite, and any other out of range gets its validator's
+message.  Beside them are the private checks a value type names for its fields: ``_require_instance`` (the field's
+type), ``_require_count`` (an ``int >= 0``, not a ``bool``), ``_require_that`` (a test of a float that is no range,
+such as a statistic that may be nan) and ``_require_sequence`` (a tuple of floats, or of checked items, never text or
+bytes), on which the grid-axis check is built.
 
 Fields are checked once, when a value is built, and a float field stores the float its ``require_*`` validator
 returns.  A public function that takes a law and plain numbers checks them, the law's kind first, then runs an
@@ -59,6 +61,7 @@ from __future__ import annotations
 import enum
 import math
 import reprlib
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, cycle, islice, repeat
@@ -116,56 +119,32 @@ def _float_error(name: str, value, error: Exception) -> DomainError:
     return DomainError(f"{name} must be {what}, got {_quote.repr(value)}")
 
 
-def require_finite(name: str, value: float) -> float:
-    """``float(value)``, or :class:`DomainError` if it is nan or infinite, or has no float.
+def _require_between(low: float, high: float, what: str, export: str, doc: str):
+    """The validator ``export``, documented by ``doc``: the check that a float field lies in ``[low, high)``, stored
+    as the float.  A nan or infinite value must be finite, and any other out of range must ``what``."""
 
-    The other validators call it only once their own check fails, so a
-    non-finite input always gets this message and a valid one pays for one call.
-    Each validator's ``try`` costs nothing when ``float`` succeeds.
-    """
-    try:
-        value = float(value)
-    except _FLOAT_ERRORS as error:
-        raise _float_error(name, value, error) from None
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+    def check(name: str, value: float) -> float:
+        try:
+            value = float(value)
+        except _FLOAT_ERRORS as error:
+            raise _float_error(name, value, error) from None
+        if not low <= value < high:
+            raise DomainError(f"{name} must {what if math.isfinite(value) else 'be finite'}, got {value}")
+        return value
 
-
-def require_positive(name: str, value: float) -> float:
-    """A finite ``value > 0`` (``l0``, ``epsilon``, observations, counts) as a float."""
-    try:
-        value = float(value)
-    except _FLOAT_ERRORS as error:
-        raise _float_error(name, value, error) from None
-    if not 0.0 < value < math.inf:
-        require_finite(name, value)
-        raise DomainError(f"{name} must be > 0, got {value}")
-    return value
+    check.__name__, check.__qualname__, check.__doc__ = export, export, doc  # it pickles, and reprs, as its export
+    return check
 
 
-def require_nonnegative(name: str, value: float) -> float:
-    """A finite ``value >= 0`` (RFT sizes, noise levels) as a float."""
-    try:
-        value = float(value)
-    except _FLOAT_ERRORS as error:
-        raise _float_error(name, value, error) from None
-    if not 0.0 <= value < math.inf:
-        require_finite(name, value)
-        raise DomainError(f"{name} must be >= 0, got {value}")
-    return value
-
-
-def require_ratio(name: str, value: float) -> float:
-    """A compression ratio in ``[0, 1)`` as a float."""
-    try:
-        value = float(value)
-    except _FLOAT_ERRORS as error:
-        raise _float_error(name, value, error) from None
-    if not 0.0 <= value < 1.0:
-        require_finite(name, value)
-        raise DomainError(f"{name} must lie in [0, 1), got {value}")
-    return value
+# math.ulp(0.0) is the least float > 0.
+require_finite = _require_between(-sys.float_info.max, math.inf, "be finite", "require_finite",
+                                  "``float(value)``, or :class:`DomainError` if it is not finite or has no float.")
+require_positive = _require_between(math.ulp(0.0), math.inf, "be > 0", "require_positive",
+                                    "A finite ``value > 0`` (``l0``, ``epsilon``, observations, counts) as a float.")
+require_nonnegative = _require_between(0.0, math.inf, "be >= 0", "require_nonnegative",
+                                       "A finite ``value >= 0`` (RFT sizes, noise levels) as a float.")
+require_ratio = _require_between(0.0, 1.0, "lie in [0, 1)", "require_ratio",
+                                 "A compression ratio in ``[0, 1)`` as a float.")
 
 
 # A check quotes a bad value with _quote: reprlib bounds the strings and containers of a decoded document however
@@ -222,10 +201,23 @@ _GRID_AXES = {"l0_values": ("l0", require_positive), "r_values": ("r", require_r
               "d_values": ("d", require_nonnegative)}
 
 
+def _require_sequence(name: str, values, what: str = "numbers", item=float) -> tuple:
+    """``item`` of each of ``values``, as a tuple: their floats by one C-level ``map``, or an item check's values.
+    Text, bytes, a non-iterable and an item with no float are refused: ``name`` must be a sequence of ``what``."""
+    try:
+        if isinstance(values, (str, bytes, bytearray)):
+            raise TypeError
+        return tuple(map(item, values))
+    except DomainError:  # an item check's own error, which is a ValueError too
+        raise
+    except _FLOAT_ERRORS:
+        raise DomainError(f"{name} must be a sequence of {what}, got {_quote.repr(values)}") from None
+
+
 def _require_axis(name: str, values) -> tuple[float, ...]:
     """The grid axis ``name`` as a nonempty tuple of floats, each checked under its value's name (``l0``)."""
     value_name, require = _GRID_AXES[name]
-    values = tuple([require(value_name, value) for value in values])
+    values = _require_sequence(name, values, item=partial(require, value_name))
     if not values:
         raise DomainError("all three grid axes must be nonempty")
     return values

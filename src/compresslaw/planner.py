@@ -60,8 +60,10 @@ class CandidateModel:
             raise DomainError("candidate laws must target loss or accuracy")
 
 
-@_value_type(budget=require_positive, metric=_require_metric, rft_size=require_nonnegative,
-             max_ratio=_require_that(lambda value: 0.0 < value <= 1.0, "lie in (0, 1], got {}"))
+_require_cap = _require_that(lambda value: 0.0 < value <= 1.0, "lie in (0, 1], got {}")
+
+
+@_value_type(budget=require_positive, metric=_require_metric, rft_size=require_nonnegative, max_ratio=_require_cap)
 class PlanRequest:
     """Target budget (post-compression parameter count) and planning knobs."""
 
@@ -101,11 +103,10 @@ def required_ratio(param_count: float, budget: float, max_ratio: float = OBSERVE
 
     Raises:
         InfeasibleBudgetError: When the required ratio reaches ``max_ratio``.
-        DomainError: On nonpositive inputs.
+        DomainError: On a nonpositive count or budget, or a cap outside ``(0, 1]``.
     """
-    require_positive("param_count", param_count)
-    require_positive("budget", budget)
-    return _required_ratio(param_count, budget, max_ratio)
+    return _required_ratio(require_positive("param_count", param_count), require_positive("budget", budget),
+                           _require_cap("max_ratio", max_ratio))
 
 
 def _required_ratio(param_count: float, budget: float, max_ratio: float) -> float:

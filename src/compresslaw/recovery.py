@@ -33,8 +33,8 @@ import math
 
 from .errors import DomainError, RegimeError
 from .laws import (
-    _FEASIBLE_SIGN, CompressionLaw, MetricKind, _require_law, _value_type, check_feasibility, log_features,
-    require_finite, require_nonnegative, require_ratio
+    _FEASIBLE_SIGN, CompressionLaw, MetricKind, _require_instance, _require_law, _require_metric, _value_type,
+    check_feasibility, log_features, require_finite, require_nonnegative, require_ratio
 )
 
 __all__ = [
@@ -69,8 +69,8 @@ def _validate_sigma(sigma: float, metric: MetricKind) -> float:
 
 
 def _checked_regime(beta: float, sigma: float, metric: MetricKind) -> tuple[Regime, float, float | None]:
-    """:func:`_regime` once ``beta``, then ``sigma``, is checked valid for ``metric``, or :class:`DomainError`."""
-    beta = require_finite("beta", beta)
+    """:func:`_regime` once ``metric`` is checked, then ``beta`` and ``sigma`` valid for it, or :class:`DomainError`."""
+    metric, beta = _require_metric("metric", metric), require_finite("beta", beta)
     sign = _FEASIBLE_SIGN.get(metric)  # None for runtime, which _validate_sigma rejects
     if sign is not None and sign * beta <= 0.0:
         raise DomainError(f"{metric.value} analysis needs beta {'>' if sign > 0 else '<'} 0, got {beta}")
@@ -96,6 +96,9 @@ class RecoveryQuery:
                 "recovery analysis needs a feasible law; " + "; ".join(str(v) for v in violations)
             )
         _validate_sigma(self.sigma, self.law.metric)
+
+
+_require_query = _require_instance(RecoveryQuery, "a RecoveryQuery")
 
 
 @_value_type
@@ -210,7 +213,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
     :func:`recoverable` accepts it despite floating-point rounding at the
     exact boundary; callers round up to their own unit granularity.
     """
-    law, sigma, r = query.law, query.sigma, query.r
+    law, sigma, r = _require_query("query", query).law, query.sigma, query.r
     phi = recovery_margin(law.beta, law.gamma, sigma, r)
     if phi <= 0.0:
         return math.inf
@@ -230,7 +233,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
 def analyze(query: RecoveryQuery) -> RecoveryAnalysis:
     """Full recovery report: regime, boundary, critical ratio and minimum size."""
     # The query checked the law's signs and sigma when it was built.
-    regime, boundary, r_critical = _regime(query.law.beta, query.sigma, query.law.metric)
+    regime, boundary, r_critical = _regime(_require_query("query", query).law.beta, query.sigma, query.law.metric)
     return RecoveryAnalysis(
         regime=regime,
         boundary=boundary,

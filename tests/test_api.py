@@ -5,8 +5,10 @@ import importlib
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -15,12 +17,13 @@ from compresslaw import laws
 from compresslaw.errors import DomainError
 from compresslaw.frontier import emit_frontier_grid
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate, evaluate_runtime
-from compresslaw.planner import CandidateModel, predict_speedup
-from compresslaw.recovery import RecoveryQuery, recoverable
+from compresslaw.planner import CandidateModel, predict_speedup, required_ratio
+from compresslaw.recovery import RecoveryQuery, analyze, classify_regime, critical_ratio, min_rft_size, recoverable
 from compresslaw.regression import ExperimentRecord
 from compresslaw.synth import SyntheticConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+GRID_AXES = ("l0_values", "r_values", "d_values")
 ACCURACY = CompressionLaw(0.98, -1.03, -0.14, MetricKind.ACCURACY)
 RUNTIME = RuntimeLaw(c=1.0, beta=-0.67)
 
@@ -75,6 +78,35 @@ def test_every_r_entry_point_names_a_ratio_with_no_float(entry, value):
         R_ENTRY_POINTS[entry](bad)
 
 
+# The four public validators: each is one range of laws._require_between, yet keeps its own name and docstring.
+PUBLIC_FLOAT_CHECKS = [name for name in sorted(FLOAT_CHECKS) if name in laws.__all__]
+
+
+@pytest.mark.parametrize("check", PUBLIC_FLOAT_CHECKS)
+def test_each_public_float_check_keeps_its_name_and_docstring_and_pickles_as_itself(check):
+    function = FLOAT_CHECKS[check]
+    assert len(PUBLIC_FLOAT_CHECKS) == 4
+    assert function.__name__ == function.__qualname__ == check and function.__module__ == "compresslaw.laws"
+    assert function.__doc__ and repr(function).startswith(f"<function {check} at ")
+    assert pickle.loads(pickle.dumps(function)) is function
+
+
+# Each public validator's edges: the least float it takes and the float below it, the greatest and the one above.
+EDGES = {"require_finite": (-sys.float_info.max, -math.inf, sys.float_info.max, math.inf),
+         "require_positive": (math.ulp(0.0), 0.0, sys.float_info.max, math.inf),
+         "require_nonnegative": (0.0, -math.ulp(0.0), sys.float_info.max, math.inf),
+         "require_ratio": (0.0, -math.ulp(0.0), math.nextafter(1.0, 0.0), 1.0)}
+
+
+@pytest.mark.parametrize("check", PUBLIC_FLOAT_CHECKS)
+def test_each_public_float_check_takes_its_range_to_the_last_float(check):
+    least, below, greatest, above = EDGES[check]
+    assert FLOAT_CHECKS[check]("x", least) == least and FLOAT_CHECKS[check]("x", greatest) == greatest
+    for bad in (below, above, math.nan):
+        with pytest.raises(DomainError, match=f"^x must (be finite|be > 0|be >= 0|lie in \\[0, 1\\)), got {bad}$"):
+            FLOAT_CHECKS[check]("x", bad)
+
+
 def test_an_int_too_large_for_a_float_is_a_domain_error_wherever_it_is_given():
     with pytest.raises(DomainError, match="^l0 must be within the float range, got 1000"):
         evaluate(ACCURACY, 10**400, 0.5, 0.0)
@@ -107,6 +139,37 @@ def test_every_law_entry_point_rejects_a_law_of_the_other_kind(entry):
     with pytest.raises(DomainError) as info:
         call(other)
     assert str(info.value) == f"{name} must be a {type(law).__name__}, got {other!r}"
+
+
+def _frontier_with(axis, bad):
+    """``emit_frontier_grid`` with ``bad`` as its axis ``axis`` and a valid value on each other axis."""
+    return emit_frontier_grid(ACCURACY, *{**dict.fromkeys(GRID_AXES, [0.5]), axis: bad}.values())
+
+
+# Calls whose bad argument escaped as a TypeError or an AttributeError, or whose text or bytes were read as numbers,
+# and the DomainError each raises instead.
+BAD_ARGUMENTS = {
+    **{f"emit_frontier_grid {axis} {bad!r}": (partial(_frontier_with, axis, bad),
+                                              f"{axis} must be a sequence of numbers, got {bad!r}")
+       for axis in GRID_AXES for bad in ("123", b"\x01", 5, None)},
+    "required_ratio max_ratio text": (lambda: required_ratio(1e9, 5e8, "x"), "max_ratio must be a number, got 'x'"),
+    "required_ratio max_ratio above 1": (lambda: required_ratio(1e9, 5e8, 1.5),
+                                         "max_ratio must lie in (0, 1], got 1.5"),
+    "classify_regime metric": (lambda: classify_regime(1.72, 1.5, "loss"), "metric must be a MetricKind, got 'loss'"),
+    "critical_ratio metric": (lambda: critical_ratio(-1.03, 0.8, "accuracy"),
+                              "metric must be a MetricKind, got 'accuracy'"),
+    "analyze None": (lambda: analyze(None), "query must be a RecoveryQuery, got None"),
+    "analyze law": (lambda: analyze(ACCURACY), f"query must be a RecoveryQuery, got {ACCURACY!r}"),
+    "min_rft_size None": (lambda: min_rft_size(None), "query must be a RecoveryQuery, got None"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(BAD_ARGUMENTS))
+def test_a_bad_argument_is_a_domain_error_that_names_it(call):
+    run, message = BAD_ARGUMENTS[call]
+    with pytest.raises(DomainError) as info:
+        run()
+    assert str(info.value) == message
 
 
 SUBMODULES = ("cli", "documents", "frontier", "io", "laws", "planner", "recovery", "regression", "synth")

@@ -3,6 +3,7 @@ immutability, checked on one instance of each of the 15 classes."""
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -124,7 +125,10 @@ INVALID = {
                 ({"law": "x"}, "law must be a CompressionLaw or RuntimeLaw, got 'x'"),
                 ({"stats": "y"}, "stats must be a FitStatistics, got 'y'"),
                 ({"stats": None}, "stats must be a FitStatistics, got None"),
-                ({"warnings": None}, "warnings must be a sequence of text, got None")],
+                ({"warnings": None}, "warnings must be a sequence of text, got None"),
+                *(({name: bad}, f"^{name} must be a sequence of {what}, got {re.escape(repr(bad))}$")
+                  for name, what in (("warnings", "text"), ("residuals", "numbers"))
+                  for bad in ("0123456789", b"0123456789", 5))],
     RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
                     ({"model_id": 5}, "model_id must be text, got 5"),
                     ({"model_id": NESTED}, r"^model_id must be text, got \[+\.\.\.\]+$"),
@@ -148,7 +152,9 @@ INVALID = {
                       ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
                       ({"seed": -1}, "seed must be an integer >= 0, got -1"),
                       ({"seed": True}, "seed must be an integer >= 0, got True"),
-                      ({"r_values": (0.1,), "d_values": (0.0,)}, "need at least 3 distinct values")],
+                      ({"r_values": (0.1,), "d_values": (0.0,)}, "need at least 3 distinct values"),
+                      *(({axis: bad}, f"^{axis} must be a sequence of numbers, got {re.escape(repr(bad))}$")
+                        for axis in ("l0_values", "r_values", "d_values") for bad in ("123", b"\x01", 5, None))],
 }
 CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
 IDS = [cls.__name__ for cls in CLASSES]
@@ -331,6 +337,8 @@ def test_numeric_strings_are_read_as_their_float():
     result = planner.plan([CandidateModel("m", "4e9", 0.6, law)], request)
     assert result == planner.plan([CandidateModel("m", 4e9, 0.6, law)], PlanRequest(1e9, MetricKind.LOSS, 10.0))
     assert result.entries[0].predicted_performance == laws.evaluate(law, 0.6, 0.75, 10.0)
+    assert planner.required_ratio("4e9", "1e9", "0.9") == planner.required_ratio(4e9, 1e9) == 0.75
+    assert planner.required_ratio(1e9, "4e9") == 0.0
 
 
 def test_a_fit_report_stores_tuples_its_reader_reads_back():
