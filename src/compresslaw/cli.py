@@ -133,17 +133,9 @@ def _cmd_plan(args: argparse.Namespace) -> None:
             "budget": args.budget,
             "rft_size": args.d,
             "max_ratio": args.max_ratio,
-            "entries": [
-                {
-                    "model_id": e.model_id,
-                    "required_ratio": e.required_ratio,
-                    "predicted_performance": e.predicted_performance,
-                    "predicted_runtime_factor": e.predicted_runtime_factor,
-                    "notes": list(e.notes),
-                }
-                for e in result.entries
-            ],
-            "skipped": [{"model_id": s.model_id, "reason": s.reason} for s in result.skipped],
+            # A value type's instance dict is its fields in declaration order; json writes the notes tuple as a list.
+            "entries": list(map(vars, result.entries)),
+            "skipped": list(map(vars, result.skipped)),
         }
     )
 

@@ -44,8 +44,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from .errors import DataFormatError, DomainError
 from .laws import SCHEMA_VERSION, CompressionLaw, DesignForm, FitStatistics, MetricKind, RuntimeLaw, _value_type
 from .laws import _FORM_COEFFICIENTS, _GRID_AXES, _optional, _quote, _require_at_most_one, _require_sequence
-from .laws import _require_either_law, _require_instance, _require_metric, _require_not_negative, _require_text
-from .laws import require_positive
+from .laws import _require_either_law, _require_form, _require_instance, _require_metric, _require_not_negative
+from .laws import _require_text, require_positive
 
 if TYPE_CHECKING:
     from .planner import CandidateModel
@@ -346,7 +346,7 @@ def report_from_json(text: str) -> FitReport:
 
 
 @_value_type(model_id=_require_text, metric=_require_metric, method_tag=_require_text, law=_require_either_law,
-             form=_require_instance(DesignForm, "a DesignForm"), provenance=_require_text,
+             form=_require_form, provenance=_require_text,
              param_count=_optional(require_positive), l0=_optional(require_positive),
              reported_adj_r_squared=_optional(_require_at_most_one),
              reported_f_statistic=_optional(_require_not_negative))

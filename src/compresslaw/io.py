@@ -29,8 +29,8 @@ label column that holds one label (``synth``'s model id and metric) is
 quoted once into the text every row starts with.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
 malformed input, bytes that are not UTF-8 included.  A failed read leaves
-no reference cycle for the garbage collector: no error it raises or keeps
-holds a frame whose locals hold that error.
+no reference cycle for the garbage collector: a bad row is kept as its
+message, and no exception outlives the ``except`` block that caught it.
 """
 
 from __future__ import annotations
@@ -144,21 +144,11 @@ def _parse_grid_column(texts: Sequence) -> np.ndarray:
     return np.fromiter(map(values.__getitem__, texts), float, len(texts))
 
 
-def _frameless(exc: BaseException) -> BaseException:
-    """``exc`` with no traceback on it or on the exceptions it chains to.  A kept error holds no frame, whose
-    locals (a chunk's columns, the list of errors) would hold the error in turn: a cycle only the collector frees."""
-    link = exc
-    while link is not None:
-        link.__traceback__ = None
-        link = link.__cause__ or link.__context__
-    return exc
-
-
-def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) -> tuple[list, list[DataFormatError]]:
-    """The columns of the valid rows and the errors of the others.  ``columns`` holds the fields of
-    ``RECORD_COLUMNS``, one sequence per column, of rows numbered from ``first_row``.  A vectorized mask picks
-    the suspects (``short``, an unknown metric, a value not a number or out of domain); :func:`_parse_record`
-    decides on them and words the error."""
+def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int, strict: bool) -> tuple[list, list[str]]:
+    """The columns of the valid rows and the error messages of the others; if ``strict``, the first invalid row
+    raises its own error instead.  ``columns`` holds the fields of ``RECORD_COLUMNS``, one sequence per column, of
+    rows numbered from ``first_row``.  A vectorized mask picks the suspects (``short``, an unknown metric, a value
+    not a number or out of domain); :func:`_parse_record` decides on them and words the error."""
     model_id, raw_metric, *grid, observed = columns
     metric = list(map(_METRICS.get, raw_metric))
     l0, r, d = map(_parse_grid_column, grid)
@@ -173,7 +163,9 @@ def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int) 
         try:
             record = _parse_record(dict(zip(RECORD_COLUMNS, (column[i] for column in columns))), first_row + i)
         except DataFormatError as exc:
-            errors.append(_frameless(exc))
+            if strict:
+                raise
+            errors.append(str(exc))
             continue
         valid[i] = True
         model_id[i], metric[i], l0[i], r[i], d[i], l[i] = (getattr(record, c) for c in RECORD_COLUMNS)
@@ -205,10 +197,10 @@ def _split_plain(lines: list[str], width: int, positions: Sequence[int]) -> list
     return [fields[j :: width + 1] for j in positions]
 
 
-def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[list, list[int], csv.Error | None]]:
+def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[list, list[int], str | None]]:
     """The rows after the header as chunks ``(columns, short, error)``: the fields at ``positions``, one
     sequence per position; the indexes of the ``short`` rows, which have ``None`` for the fields they lack;
-    and the ``csv.Error`` that ended the chunk, if one did.
+    and the message of the ``csv.Error`` that ended the chunk, if one did.
 
     The text is read in blocks of whole lines, and a block of plain lines is split in bulk.  From the first
     block that is not, ``csv.reader`` reads the rest ``_CHUNK_ROWS`` rows at a time.  It is handed the lines
@@ -239,7 +231,7 @@ def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[lis
                 if len(rows) == _CHUNK_ROWS:
                     break
         except csv.Error as exc:
-            error = _frameless(exc)  # the reader resumes at the next line, so a bad line costs one row
+            error = str(exc)  # the reader resumes at the next line, so a bad line costs one row
         yield list(zip(*rows)) or [()] * len(positions), short, error
         if len(rows) < _CHUNK_ROWS and error is None:
             return
@@ -251,16 +243,9 @@ def read_records(source, *, strict: bool = True) -> Table:
     Strict mode aborts on the first invalid row with a row-numbered error;
     lenient mode skips invalid rows, emitting a :class:`SkippedRowWarning`
     per skipped row.  A row the csv module cannot split is invalid too.
-    Blank lines are skipped and not numbered; the header is row 1.
-
-    The body is read in blocks of about ``_BLOCK_CHARS`` characters of whole
-    lines.  A block of plain lines (no quote, NUL or stray line-end character,
-    the header's number of fields, none over the csv field limit) is split
-    with ``str.split``; from the first block that is not, ``csv.reader``
-    reads the rest, ``_CHUNK_ROWS`` rows at a time.  Either way the fields
-    are those ``csv.reader`` returns.  In a block of at least
-    ``_DISTINCT_MIN_ROWS`` rows, each distinct text of ``l0``, ``r`` and
-    ``d`` is parsed once; ``l`` is parsed row by row.
+    Blank lines are skipped and not numbered; the header is row 1.  The body
+    is read in blocks into columns, as the module docstring describes, and
+    the fields are those ``csv.reader`` returns.
     """
     with _open_for_read(source, "records") as fh:
         try:
@@ -281,21 +266,16 @@ def read_records(source, *, strict: bool = True) -> Table:
         positions = [index[name] for name in RECORD_COLUMNS]
         parts, row_number = [], 1
         for columns, short, split_error in _body_chunks(fh, len(header), positions):
-            part, errors = _parse_chunk(columns, short, row_number + 1)
+            part, errors = _parse_chunk(columns, short, row_number + 1, strict)
             parts.append(part)
             row_number += len(columns[0])
             if split_error is not None:
                 row_number += 1
-                errors.append(DataFormatError(f"row {row_number}: {split_error}"))
-            if errors and strict:
-                # The traceback holds this frame, so no local may name the error: that would be a cycle.
-                error, errors = errors[0], None
-                try:
-                    raise error
-                finally:
-                    del error
-            for error in errors:
-                warnings.warn(str(error), SkippedRowWarning, stacklevel=2)
+                errors.append(f"row {row_number}: {split_error}")
+            if errors and strict:  # a bad row raised its own error in _parse_chunk, so this is the split error
+                raise DataFormatError(errors[0])
+            for message in errors:
+                warnings.warn(message, SkippedRowWarning, stacklevel=2)
     model_id, metric, *floats = zip(*parts) if parts else [()] * len(RECORD_COLUMNS)
     chain = itertools.chain.from_iterable
     # Read-only memoryviews of the float64 arrays: numpy takes them back without a copy.

@@ -10,7 +10,7 @@ fine-tuning (RFT) dataset size ``d``.  :class:`RuntimeLaw` is the
 two-parameter analogue ``c * (1 + r)**beta`` for inference runtime.
 
 All evaluation goes through ``exp`` of the log-linear form built by
-:func:`log_features`, the one transform that :mod:`compresslaw.recovery`
+``_log_features``, the one transform that :mod:`compresslaw.recovery`
 also uses.  :func:`log_feature_columns` maps the same scalar functions over
 whole columns for the designs of :mod:`compresslaw.regression` and for the
 one grid predictor, ``_grid_log_predictions``, which takes each axis value's
@@ -23,8 +23,8 @@ The four ``require_*`` validators are each one range ``[low, high)`` of ``_requi
 and its message are written: a nan or infinite value must be finite, and any other out of range gets its validator's
 message.  Beside them are the private checks a value type names for its fields: ``_require_instance`` (the field's
 type), ``_require_count`` (an ``int >= 0``, not a ``bool``), ``_require_that`` (a test of a float that is no range,
-such as a statistic that may be nan) and ``_require_sequence`` (a tuple of floats, or of checked items, never text or
-bytes), on which the grid-axis check is built.
+such as a statistic that may be nan) and ``_require_sequence`` (a tuple of floats, or of checked items, never text,
+bytes, a set or a mapping), on which the grid-axis check is built.
 
 Fields are checked once, when a value is built, and a float field stores the float its ``require_*`` validator
 returns.  A public function that takes a law and plain numbers checks them, the law's kind first, then runs an
@@ -62,7 +62,7 @@ import enum
 import math
 import reprlib
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from functools import partial
 from itertools import chain, cycle, islice, repeat
 from operator import attrgetter
@@ -79,7 +79,6 @@ __all__ = [
     "ExperimentRecord",
     "FeasibilityWarning",
     "Table",
-    "log_features",
     "require_finite",
     "require_positive",
     "require_nonnegative",
@@ -203,9 +202,10 @@ _GRID_AXES = {"l0_values": ("l0", require_positive), "r_values": ("r", require_r
 
 def _require_sequence(name: str, values, what: str = "numbers", item=float) -> tuple:
     """``item`` of each of ``values``, as a tuple: their floats by one C-level ``map``, or an item check's values.
-    Text, bytes, a non-iterable and an item with no float are refused: ``name`` must be a sequence of ``what``."""
+    Text, bytes, a set or mapping (whose order is not the caller's), a non-iterable and an item with no float are
+    refused: ``name`` must be a sequence of ``what``."""
     try:
-        if isinstance(values, (str, bytes, bytearray)):
+        if isinstance(values, (str, bytes, bytearray, Set, Mapping)):
             raise TypeError
         return tuple(map(item, values))
     except DomainError:  # an item check's own error, which is a ValueError too
@@ -227,20 +227,21 @@ def _rft(d: float, epsilon: float) -> float:
     return math.log1p(1.0 / (d + epsilon))
 
 
-def log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, float, float]:
+def _log_features(l0: float, r: float, d: float, epsilon: float) -> tuple[float, float, float]:
     """The law's log-space regressors ``(log l0, log(1 + r), log(1 + 1/(d + epsilon)))``.
 
-    Inputs are assumed validated.  Every prediction is built from this one
-    function and every design from :func:`log_feature_columns`, which maps
-    the same scalar functions over columns, so both see the same
+    Inputs are assumed validated: only the checked ``_evaluate`` and
+    ``recovery._recoverable`` call it.  Every prediction is built from this
+    one function and every design from :func:`log_feature_columns`, which
+    maps the same scalar functions over columns, so both see the same
     floating-point values.
     """
     return math.log(l0), math.log1p(r), _rft(d, epsilon)
 
 
 def log_feature_columns(l0: Sequence[float], r: Sequence[float], d: Sequence[float], epsilon: float) -> tuple:
-    """:func:`log_features` over sequences of floats: element ``i`` of each returned list is that element of
-    ``log_features(l0[i], r[i], d[i], epsilon)`` bit for bit (``np.log`` could differ by an ulp)."""
+    """``_log_features`` over sequences of floats: element ``i`` of each returned list is that element of
+    ``_log_features(l0[i], r[i], d[i], epsilon)`` bit for bit (``np.log`` could differ by an ulp)."""
     return list(map(math.log, l0)), list(map(math.log1p, r)), [_rft(v, epsilon) for v in d]
 
 
@@ -401,6 +402,7 @@ _FORM_COEFFICIENTS = {
     DesignForm.DATA_ONLY: ("alpha", "gamma"),
     DesignForm.RUNTIME: ("log_c", "beta"),
 }
+_require_form = _require_instance(DesignForm, "a DesignForm")  # a design's, a fit's or a registry entry's form
 
 
 @_value_type(model_id=_require_text, metric=_require_metric, l0=require_positive, r=require_ratio,
@@ -547,7 +549,7 @@ def evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
 
 def _evaluate(law: CompressionLaw, l0: float, r: float, d: float) -> float:
     """:func:`evaluate` of floats already in its domain, unchecked."""
-    x0, x1, x2 = log_features(l0, r, d, law.epsilon)
+    x0, x1, x2 = _log_features(l0, r, d, law.epsilon)
     return _checked_exp(law.alpha * x0 + law.beta * x1 + law.gamma * x2)
 
 

@@ -11,7 +11,8 @@ experiments explored; anything above 0.9 that a raised cap lets through is
 flagged as an extrapolation.
 
 :class:`CandidateModel` and :class:`PlanRequest` check their fields once,
-when they are built, so :func:`plan` does not check them again: it runs the
+when they are built, so :func:`plan` checks only their types and each
+candidate's metric, in the one loop over the candidates, and runs the
 unchecked cores of :func:`required_ratio`,
 :func:`~compresslaw.laws.evaluate` and
 :func:`~compresslaw.laws.evaluate_runtime`.  Each entry therefore equals
@@ -27,7 +28,7 @@ from operator import attrgetter
 
 from .errors import DomainError, InfeasibleBudgetError
 from .laws import (
-    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _require_instance,
+    OBSERVED_RATIO_MAX, CompressionLaw, MetricKind, RuntimeLaw, _evaluate, _evaluate_runtime, _quote, _require_instance,
     _require_law, _require_metric, _require_runtime_law, _require_text, _require_that, _value_type, require_nonnegative,
     require_positive, require_ratio
 )
@@ -60,6 +61,7 @@ class CandidateModel:
             raise DomainError("candidate laws must target loss or accuracy")
 
 
+_require_candidate = _require_instance(CandidateModel, "a CandidateModel")
 _require_cap = _require_that(lambda value: 0.0 < value <= 1.0, "lie in (0, 1], got {}")
 
 
@@ -71,6 +73,9 @@ class PlanRequest:
     metric: MetricKind
     rft_size: float = 0.0
     max_ratio: float = OBSERVED_RATIO_MAX
+
+
+_require_request = _require_instance(PlanRequest, "a PlanRequest")
 
 
 @_value_type
@@ -136,21 +141,22 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
         predicted accuracy, ascending predicted loss; ties broken by the
         smaller required ratio) and over-budget candidates listed as
         skipped.
-    """
-    if not candidates:
-        raise DomainError("need at least one candidate model")
-    for candidate in candidates:
-        if candidate.law.metric is not request.metric:
-            raise DomainError(
-                f"candidate '{candidate.model_id}' targets {candidate.law.metric.value}, "
-                f"request asks for {request.metric.value}"
-            )
 
+    Raises:
+        DomainError: A request or a candidate of the wrong type, no candidates, or the first candidate whose law
+            targets another metric.
+    """
     # The candidates and the request checked their fields when they were built: the cores take them as they are.
-    budget, max_ratio, rft_size = request.budget, request.max_ratio, request.rft_size
-    entries: list[PlanEntry] = []
-    skipped: list[SkippedCandidate] = []
+    budget, max_ratio, rft_size = _require_request("request", request).budget, request.max_ratio, request.rft_size
+    entries, skipped = [], []
+    try:
+        candidates = iter(candidates)
+    except TypeError:
+        raise DomainError(f"candidates must be a sequence of CandidateModels, got {_quote.repr(candidates)}") from None
     for candidate in candidates:
+        if _require_candidate("candidate", candidate).law.metric is not request.metric:
+            raise DomainError(f"candidate '{candidate.model_id}' targets {candidate.law.metric.value}, "
+                              f"request asks for {request.metric.value}")
         try:
             ratio = _required_ratio(candidate.param_count, budget, max_ratio)
         except InfeasibleBudgetError as exc:
@@ -164,6 +170,8 @@ def plan(candidates: list[CandidateModel], request: PlanRequest) -> PlanResult:
         if ratio > OBSERVED_RATIO_MAX:
             notes = (f"ratio {ratio:.4f} exceeds the observed range (<= {OBSERVED_RATIO_MAX}); extrapolation",)
         entries.append(PlanEntry(candidate.model_id, ratio, predicted, runtime_factor, notes))
+    if not entries and not skipped:
+        raise DomainError("need at least one candidate model")
 
     # Best first, ties to the smaller ratio, then to the model id: a sort is stable, reversed or not.
     entries.sort(key=attrgetter("required_ratio", "model_id"))

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from .errors import DomainError, RegimeError
 from .laws import (
-    _FEASIBLE_SIGN, CompressionLaw, MetricKind, _require_instance, _require_law, _require_metric, _value_type,
-    check_feasibility, log_features, require_finite, require_nonnegative, require_ratio
+    _FEASIBLE_SIGN, CompressionLaw, MetricKind, _log_features, _require_instance, _require_law, _require_metric,
+    _require_that, _value_type, check_feasibility, require_finite, require_nonnegative, require_positive, require_ratio
 )
 
 __all__ = [
@@ -99,6 +100,7 @@ class RecoveryQuery:
 
 
 _require_query = _require_instance(RecoveryQuery, "a RecoveryQuery")
+_require_nonzero = _require_that(lambda value: value != 0.0 and math.isfinite(value), "be finite and nonzero, got {}")
 
 
 @_value_type
@@ -172,7 +174,17 @@ def recovery_margin(beta: float, gamma: float, sigma: float, r: float) -> float:
 
     Recovery at ratio ``r`` requires ``1/(d + epsilon) <= phi(r)``; a
     nonpositive margin means no dataset size works.
+
+    Raises:
+        DomainError: Unless ``beta`` is finite, ``gamma`` finite and nonzero,
+            ``sigma > 0`` and ``r`` in ``[0, 1)``.
     """
+    return _recovery_margin(require_finite("beta", beta), _require_nonzero("gamma", gamma),
+                            require_positive("sigma", sigma), require_ratio("r", r))
+
+
+def _recovery_margin(beta: float, gamma: float, sigma: float, r: float) -> float:
+    """:func:`recovery_margin` of floats already in its domain, unchecked."""
     try:
         return math.expm1((math.log(sigma) - beta * math.log1p(r)) / gamma)
     except OverflowError:  # gamma near zero, and sigma is met without RFT: every d recovers
@@ -194,7 +206,7 @@ def recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
 def _recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
     """:func:`recoverable` of a float ``sigma`` valid for the law's metric and a float ``r`` and ``d`` in their
     domains, unchecked."""
-    _, x1, x2 = log_features(1.0, r, d, law.epsilon)
+    _, x1, x2 = _log_features(1.0, r, d, law.epsilon)
     try:
         ratio = math.exp(law.beta * x1 + law.gamma * x2)
     except OverflowError:
@@ -208,26 +220,28 @@ def min_rft_size(query: RecoveryQuery) -> float:
     """Minimum RFT dataset size meeting the threshold, or ``math.inf``.
 
     Closed form: ``max(0, 1/phi(r) - epsilon)`` when ``phi(r) > 0``, else
-    infinity (unrecoverable).  The returned value is the exact real-valued
-    boundary, nudged upward by at most a few ulps so that
-    :func:`recoverable` accepts it despite floating-point rounding at the
-    exact boundary; callers round up to their own unit granularity.
+    infinity (unrecoverable).  The returned value is the least float at or
+    above that closed form that :func:`recoverable` accepts despite
+    floating-point rounding at the boundary: a few ulps above it, or more
+    when a tiny ``gamma`` makes the check coarse.  Callers round up to their
+    own unit granularity.
     """
     law, sigma, r = _require_query("query", query).law, query.sigma, query.r
-    phi = recovery_margin(law.beta, law.gamma, sigma, r)
+    phi = _recovery_margin(law.beta, law.gamma, sigma, r)
     if phi <= 0.0:
         return math.inf
     d = 1.0 / phi - law.epsilon
     if d <= 0.0:
         return 0.0
-    step = math.ulp(d)
-    nudged = d
-    while not _recoverable(law, sigma, r, nudged):
-        nudged = d + step
-        step *= 2.0
-        if step > max(d, 1.0) * 1e-9:
+    # Acceptance grows with d: double a step above d until a float is accepted, then bisect back to the least one.
+    low, high, step = d, d, math.ulp(d)
+    while not _recoverable(law, sigma, r, high):
+        if high == sys.float_info.max:
             raise DomainError("could not resolve the recovery boundary numerically")
-    return nudged
+        low, high, step = high, min(d + step, sys.float_info.max), 2.0 * step
+    while low < (middle := low + (high - low) / 2.0) < high:
+        low, high = (low, middle) if _recoverable(law, sigma, r, middle) else (middle, high)
+    return high
 
 
 def analyze(query: RecoveryQuery) -> RecoveryAnalysis:

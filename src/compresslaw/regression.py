@@ -51,6 +51,8 @@ from .laws import (
     RuntimeLaw,
     SignViolation,
     Table,
+    _optional,
+    _require_form,
     check_feasibility,
     log_feature_columns,
     require_positive,
@@ -106,11 +108,11 @@ def build_design(
         log(1+r), log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
 
     Raises:
-        DomainError: Mixed metric kinds, the runtime form on loss or
-            accuracy records, too few records (need at least p + 1), or a
-            non-finite transform.
+        DomainError: A form that is not a :class:`DesignForm`, mixed metric
+            kinds, the runtime form on loss or accuracy records, too few
+            records (need at least p + 1), or a non-finite transform.
     """
-    epsilon = require_positive("epsilon", epsilon)
+    epsilon, form = require_positive("epsilon", epsilon), _require_form("form", form)
     coefficients = _FORM_COEFFICIENTS[form]
     n, p = len(records), len(coefficients)
     if n < p + 1:
@@ -225,12 +227,14 @@ def ols_fit(
         The coefficient vector and a :class:`FitStatistics`.
 
     Raises:
-        DomainError: A design with no columns, a non-finite entry in ``x``
-            or ``y``, or shapes that do not fit.
+        DomainError: A form that is neither ``None`` nor a
+            :class:`DesignForm`, a design with no columns, a non-finite entry
+            in ``x`` or ``y``, or shapes that do not fit.
         SingularDesignError: Rank deficiency (condition number above
             ``CONDITION_NUMBER_LIMIT``) or an SVD that does not converge;
             the message names the offending columns.
     """
+    _optional(_require_form)("form", form)
     # A design built by build_design is finite and has columns, so fit solves it without these checks.
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and not x.shape[1]:

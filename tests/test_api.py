@@ -14,12 +14,16 @@ from pathlib import Path
 import pytest
 
 from compresslaw import laws
+from compresslaw.documents import law_to_dict
 from compresslaw.errors import DomainError
 from compresslaw.frontier import emit_frontier_grid
+from compresslaw.io import build_fit_report
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate, evaluate_runtime
-from compresslaw.planner import CandidateModel, predict_speedup, required_ratio
-from compresslaw.recovery import RecoveryQuery, analyze, classify_regime, critical_ratio, min_rft_size, recoverable
-from compresslaw.regression import ExperimentRecord
+from compresslaw.planner import CandidateModel, PlanRequest, plan, predict_speedup, required_ratio
+from compresslaw.recovery import (
+    RecoveryQuery, analyze, classify_regime, critical_ratio, min_rft_size, recoverable, recovery_margin
+)
+from compresslaw.regression import ExperimentRecord, build_design, fit_law, ols_fit
 from compresslaw.synth import SyntheticConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -146,12 +150,39 @@ def _frontier_with(axis, bad):
     return emit_frontier_grid(ACCURACY, *{**dict.fromkeys(GRID_AXES, [0.5]), axis: bad}.values())
 
 
-# Calls whose bad argument escaped as a TypeError or an AttributeError, or whose text or bytes were read as numbers,
-# and the DomainError each raises instead.
+RECORDS = [ExperimentRecord("m", MetricKind.ACCURACY, 0.6, r, d, 0.5) for r in (0.1, 0.5) for d in (0.0, 10.0)]
+CANDIDATE = CandidateModel("m", 8e9, 0.6, ACCURACY)
+REQUEST = PlanRequest(budget=4e9, metric=MetricKind.ACCURACY)
+
+
+# Calls whose bad argument escaped as a TypeError, an AttributeError, a KeyError, a ValueError or a
+# ZeroDivisionError, was taken silently, or whose text, bytes, set or mapping was read as numbers in an order the
+# caller did not write, and the DomainError each raises instead.
 BAD_ARGUMENTS = {
     **{f"emit_frontier_grid {axis} {bad!r}": (partial(_frontier_with, axis, bad),
                                               f"{axis} must be a sequence of numbers, got {bad!r}")
-       for axis in GRID_AXES for bad in ("123", b"\x01", 5, None)},
+       for axis in GRID_AXES for bad in ("123", b"\x01", 5, None, {0.5}, frozenset({0.5}), {0.5: "a"})},
+    "SyntheticConfig keyed and unordered axes": (
+        lambda: SyntheticConfig(ACCURACY, {0.7: "a", 0.5: "b"}, {0.5, 0.1, 0.3}, (0, 10)),
+        "l0_values must be a sequence of numbers, got {0.5: 'b', 0.7: 'a'}"),  # reprlib sorts a mapping's keys
+    "SyntheticConfig unordered axis": (lambda: SyntheticConfig(ACCURACY, (0.5, 0.7), {0.5, 0.1, 0.3}, (0, 10)),
+                                       "r_values must be a sequence of numbers, got {0.1, 0.3, 0.5}"),
+    "recovery_margin gamma 0": (lambda: recovery_margin(2.02, 0.0, 1.2, 0.3),
+                                "gamma must be finite and nonzero, got 0.0"),
+    "recovery_margin gamma inf": (lambda: recovery_margin(2.02, math.inf, 1.2, 0.3),
+                                  "gamma must be finite and nonzero, got inf"),
+    "recovery_margin beta nan": (lambda: recovery_margin(math.nan, 1.16, 1.2, 0.3), "beta must be finite, got nan"),
+    "recovery_margin sigma -1": (lambda: recovery_margin(1.72, 1.16, -1.0, 0.3), "sigma must be > 0, got -1.0"),
+    "recovery_margin r -2": (lambda: recovery_margin(1.72, 1.16, 1.5, -2), "r must lie in [0, 1), got -2.0"),
+    "recovery_margin r 5": (lambda: recovery_margin(1.72, 1.16, 1.5, 5), "r must lie in [0, 1), got 5.0"),
+    "law_to_dict int": (lambda: law_to_dict(5), "cannot serialize int"),
+    "build_design form": (lambda: build_design(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
+    "fit_law form": (lambda: fit_law(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
+    "build_fit_report form": (lambda: build_fit_report(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
+    "ols_fit form": (lambda: ols_fit([[1.0], [2.0]], [1.0, 2.0], "full"), "form must be a DesignForm, got 'full'"),
+    "plan int": (lambda: plan(5, REQUEST), "candidates must be a sequence of CandidateModels, got 5"),
+    "plan list of int": (lambda: plan([1], REQUEST), "candidate must be a CandidateModel, got 1"),
+    "plan request None": (lambda: plan([CANDIDATE], None), "request must be a PlanRequest, got None"),
     "required_ratio max_ratio text": (lambda: required_ratio(1e9, 5e8, "x"), "max_ratio must be a number, got 'x'"),
     "required_ratio max_ratio above 1": (lambda: required_ratio(1e9, 5e8, 1.5),
                                          "max_ratio must lie in (0, 1], got 1.5"),

@@ -141,6 +141,15 @@ class TestReadRecords:
         with pytest.raises(DataFormatError, match="header"):
             read_records(stdio.StringIO(""))
 
+    def test_a_header_over_the_csv_field_limit_is_an_error_of_row_1(self):
+        limit = csv.field_size_limit(5)
+        try:
+            with pytest.raises(DataFormatError) as caught:
+                read_records(records_csv(["m1,loss,2.0,0.5,0,6.9\n"]))
+        finally:
+            csv.field_size_limit(limit)
+        assert str(caught.value) == "row 1: field larger than field limit (5)"
+
     def test_unknown_metric(self):
         with pytest.raises(DataFormatError, match="metric"):
             read_records(records_csv(["m1,score,2.0,0.5,0,6.9\n"]))

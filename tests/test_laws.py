@@ -16,7 +16,7 @@ from compresslaw.laws import (
     evaluate,
     evaluate_runtime,
     log_feature_columns,
-    log_features,
+    _log_features,
 )
 from compresslaw.regression import ExperimentRecord, build_design
 
@@ -218,7 +218,7 @@ class TestInvariants:
         columns = log_feature_columns(l0s, rs, ds, epsilon)
         # float.hex tells -0.0 from 0.0, which == does not
         assert [tuple(map(float.hex, row)) for row in zip(*columns)] == [
-            tuple(map(float.hex, log_features(l0, r, d, epsilon))) for l0, r, d in rows
+            tuple(map(float.hex, _log_features(l0, r, d, epsilon))) for l0, r, d in rows
         ]
 
     @given(l0=st.floats(0.05, 100), r=st.floats(0, 0.99), d=st.floats(0, 1e9))

@@ -132,6 +132,7 @@ class TestPlan:
         shuffled = list(candidates)
         rng.shuffle(shuffled)
         assert plan(shuffled, request) == baseline
+        assert plan(iter(shuffled), request) == baseline  # one pass over the candidates
 
     def test_ranking_respects_monotonicity(self):
         rng = np.random.default_rng(10)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from compresslaw.errors import DomainError, RegimeError
 from compresslaw.laws import CompressionLaw, MetricKind
@@ -147,6 +148,37 @@ class TestMinRftSize:
             assert not recoverable(law, 1.5, 0.1, d_min - min(d_min, 0.01))
         d_oracle = grid_scan_min_d(law, 1.5, 0.1)
         assert d_oracle is not None and -1e-9 <= d_oracle - d_min <= 1e-3 + 1e-9
+
+
+class TestTinyGamma:
+    """A ``gamma`` so small that the RFT term is a few ulps of the ratio term makes :func:`recoverable` coarse near
+    the boundary: the closed form can be rejected by more than ``1e-9`` of itself, and the size is then searched."""
+
+    def test_a_boundary_far_above_the_closed_form_is_found(self):
+        law = CompressionLaw(1.0, 2.3138641880940938, 2.074624907315345e-10, MetricKind.LOSS)
+        sigma, r = 3.768708764441414, 0.7742608010284946
+        d_min = min_rft_size(RecoveryQuery(law, sigma, r))
+        assert recoverable(law, sigma, r, d_min)
+        assert not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(metric=st.sampled_from([MetricKind.LOSS, MetricKind.ACCURACY]), beta=st.floats(0.05, 3.0),
+           log_gamma=st.floats(-14.0, -6.0), r=st.floats(0.0, 0.99), ulps=st.integers(1, 200))
+    def test_min_rft_size_is_the_least_accepted_float_at_or_above_the_closed_form(self, metric, beta, log_gamma, r,
+                                                                                  ulps):
+        # sigma a few ulps past the ratio term alone puts the boundary where the RFT term is a few ulps
+        sign = 1.0 if metric is MetricKind.LOSS else -1.0
+        beta, gamma = sign * beta, sign * 10.0**log_gamma
+        base = math.exp(beta * math.log1p(r))
+        sigma = base + sign * ulps * math.ulp(base)
+        law = CompressionLaw(1.0, beta, gamma, metric)
+        d_min = min_rft_size(RecoveryQuery(law, sigma, r))
+        if d_min == math.inf:
+            return
+        assert recoverable(law, sigma, r, d_min)
+        closed_form = 1.0 / recovery_margin(beta, gamma, sigma, r) - law.epsilon
+        if d_min > max(closed_form, 0.0):
+            assert not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
 
 
 class TestRecoverable:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from compresslaw import regression
 from compresslaw.errors import DomainError, SingularDesignError
-from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, log_features
+from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, Table, _log_features
 from compresslaw.regression import (
     DesignForm,
     ExperimentRecord,
@@ -186,7 +186,7 @@ FEATURE_VALUES = {
 
 
 class TestDesignKernel:
-    """``build_design``'s ``X`` is :func:`log_features` row by row, bit for bit, on columns short enough to be
+    """``build_design``'s ``X`` is :func:`_log_features` row by row, bit for bit, on columns short enough to be
     mapped value by value and long enough to be mapped once per distinct value."""
 
     @settings(max_examples=5, deadline=None, derandomize=True, database=None)
@@ -208,7 +208,7 @@ class TestDesignKernel:
         floats = [memoryview(column).toreadonly() for column in (*columns, observed)]
         batch = Table(ExperimentRecord, [("m",) * n, (MetricKind.LOSS,) * n, *floats])
         x, y = build_design(batch, epsilon=epsilon)
-        expected = np.array([log_features(l0, r, d, epsilon) for l0, r, d in zip(*(c.tolist() for c in columns))])
+        expected = np.array([_log_features(l0, r, d, epsilon) for l0, r, d in zip(*(c.tolist() for c in columns))])
         assert x.tobytes() == expected.tobytes()  # tells -0.0 from 0.0, which == does not
         # The bits of x @ coef depend on the layout too, which tobytes() does not show.
         assert x.flags.c_contiguous

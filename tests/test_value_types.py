@@ -128,7 +128,7 @@ INVALID = {
                 ({"warnings": None}, "warnings must be a sequence of text, got None"),
                 *(({name: bad}, f"^{name} must be a sequence of {what}, got {re.escape(repr(bad))}$")
                   for name, what in (("warnings", "text"), ("residuals", "numbers"))
-                  for bad in ("0123456789", b"0123456789", 5))],
+                  for bad in ("0123456789", b"0123456789", 5, {"w"}, frozenset({0.5}), {0.5: "w"}))],
     RegistryEntry: [({"metric": MetricKind.LOSS}, "entry metric loss disagrees with law metric accuracy"),
                     ({"model_id": 5}, "model_id must be text, got 5"),
                     ({"model_id": NESTED}, r"^model_id must be text, got \[+\.\.\.\]+$"),
@@ -154,7 +154,8 @@ INVALID = {
                       ({"seed": True}, "seed must be an integer >= 0, got True"),
                       ({"r_values": (0.1,), "d_values": (0.0,)}, "need at least 3 distinct values"),
                       *(({axis: bad}, f"^{axis} must be a sequence of numbers, got {re.escape(repr(bad))}$")
-                        for axis in ("l0_values", "r_values", "d_values") for bad in ("123", b"\x01", 5, None))],
+                        for axis in ("l0_values", "r_values", "d_values")
+                        for bad in ("123", b"\x01", 5, None, {0.5}, frozenset({0.5}), {0.5: "a"}))],
 }
 CLASSES = sorted(FIELDS, key=lambda cls: cls.__name__)
 IDS = [cls.__name__ for cls in CLASSES]
