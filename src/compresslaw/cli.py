@@ -8,16 +8,13 @@ load numpy.  A handler returns nothing and leaves every rule, a law's kind inclu
 an I/O error, a closed stdout pipe included.  Input path flags accept ``-`` for stdin, and ``synth --out -``
 writes CSV to stdout.
 
-:func:`main`, the process entry, freezes the garbage collector once
-:func:`run` has returned and stdout is flushed; :func:`run` itself leaves
-the collector alone, so in-process callers see no change.  The
-interpreter's shutdown collections would otherwise walk every object of
-every loaded module and every element of a command's 100k-element tuples,
-memory the OS reclaims anyway.  This relies on every file a command writes
-being closed before :func:`run` returns: no file is left for a collection
-at exit to close and flush.  :func:`main` also prints each warning the
-command raises as one ``warning: <message>`` line on stderr, without the
-source line Python's default format reads through ``linecache``.
+:func:`main`, the process entry, turns the garbage collector off, runs the command, flushes stdout and stderr
+and ends the process with ``os._exit``: no collection, ``atexit`` callback or interpreter teardown spends time on
+memory the OS reclaims anyway (every object of every loaded module, every element of a command's 100k-element
+tuples).  This relies on every file a command writes being closed before :func:`run` returns, so that nothing is
+left for teardown to close and flush.  :func:`run` leaves the collector alone and returns, so in-process callers
+see no change.  :func:`main` also prints each warning the command raises as one ``warning: <message>`` line on
+stderr, without the source line Python's default format reads through ``linecache``.
 """
 
 from __future__ import annotations
@@ -265,19 +262,23 @@ def _show_warning(message, category, filename, lineno, file=None, line=None) -> 
 
 
 def main() -> None:
-    """Run the command in ``sys.argv``, flush stdout, freeze the collector and exit with the command's code."""
+    """Run the command in ``sys.argv`` with the collector off, flush stdout and stderr, and end the process with the
+    command's code."""
+    gc.disable()
+    code = 0
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning  # no source line read through linecache
             code = run()
         sys.stdout.flush()
     except BrokenPipeError as exc:
-        # The reader closed stdout.  What is still buffered goes to devnull, so the final flush cannot fail.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc}", file=sys.stderr)
-        code = 2
-    gc.freeze()  # the shutdown collections skip everything made so far
-    sys.exit(code)
+        # The reader closed stdout; os._exit drops what is still buffered for it.  After a nonzero code, run has
+        # reported the error already and this flush only fails again.
+        if not code:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -322,11 +322,12 @@ _RESIDUALS = _list("a list", tuple, encode=lambda values: [])
 _REPORT = _Object(FitReport, [("law", "law", True, _LAW), ("stats", "stats", True, _nested(_STATS)),
                               ("warnings", "warnings", True, _list("a list of strings")),
                               ("residuals", "residuals", True, _RESIDUALS)], "fit_report")
+_require_report = _require_instance(FitReport, "a FitReport")
 
 
 def report_to_json(report: FitReport) -> str:
     """Serialize a report; output is byte-stable for identical inputs."""
-    text = _dump_document(_encode(_REPORT, report))
+    text = _dump_document(_encode(_REPORT, _require_report("report", report)))
     # indent=2 makes json use its pure-Python encoder, slow over 100k floats: the residuals, last in the
     # document, are spliced in one per line as indent=2 lays them out.
     sep = ",\n    "
@@ -391,16 +392,23 @@ class RegistryEntry:
         return (self.model_id, self.metric, self.method_tag)
 
 
+_require_entry = _require_instance(RegistryEntry, "a RegistryEntry")
+
+
 class LawRegistry:
     """Ordered, uniquely keyed collection of registry entries."""
 
     def __init__(self, entries: Iterable[RegistryEntry] = ()):
         self._entries: dict[tuple[str, MetricKind, str], RegistryEntry] = {}
+        try:
+            entries = iter(entries)
+        except TypeError:
+            raise DomainError(f"entries must be a sequence of RegistryEntries, got {_quote.repr(entries)}") from None
         for entry in entries:
             self.add(entry)
 
     def add(self, entry: RegistryEntry) -> None:
-        if entry.key in self._entries:
+        if _require_entry("entry", entry).key in self._entries:
             raise DataFormatError(f"duplicate registry key {entry.key!r}")
         self._entries[entry.key] = entry
 
@@ -415,6 +423,7 @@ class LawRegistry:
         return len(self._entries)
 
 
+_require_registry = _require_instance(LawRegistry, "a LawRegistry")
 _REPORTED = _Object(dict, [("adj_r_squared", "reported_adj_r_squared", False, _NUMBER),
                            ("f_statistic", "reported_f_statistic", False, _NUMBER)])
 _ENTRY = _Object(RegistryEntry, [
@@ -427,6 +436,7 @@ _REGISTRY = _Object(dict, [("entries", "entries", True, _list("a list"))], "law_
 
 
 def registry_to_json(registry: LawRegistry) -> str:
+    registry = _require_registry("registry", registry)
     return _dump_document({"kind": _REGISTRY.kind, "entries": [_encode(_ENTRY, entry) for entry in registry]})
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from compresslaw import laws
-from compresslaw.documents import law_to_dict
+from compresslaw.documents import LawRegistry, law_to_dict, registry_to_json, report_to_json
 from compresslaw.errors import DomainError
 from compresslaw.frontier import emit_frontier_grid
 from compresslaw.io import build_fit_report
@@ -176,6 +176,11 @@ BAD_ARGUMENTS = {
     "recovery_margin r -2": (lambda: recovery_margin(1.72, 1.16, 1.5, -2), "r must lie in [0, 1), got -2.0"),
     "recovery_margin r 5": (lambda: recovery_margin(1.72, 1.16, 1.5, 5), "r must lie in [0, 1), got 5.0"),
     "law_to_dict int": (lambda: law_to_dict(5), "cannot serialize int"),
+    "report_to_json None": (lambda: report_to_json(None), "report must be a FitReport, got None"),
+    "registry_to_json None": (lambda: registry_to_json(None), "registry must be a LawRegistry, got None"),
+    "LawRegistry int": (lambda: LawRegistry(5), "entries must be a sequence of RegistryEntries, got 5"),
+    "LawRegistry list of int": (lambda: LawRegistry([1]), "entry must be a RegistryEntry, got 1"),
+    "LawRegistry.add law": (lambda: LawRegistry().add(ACCURACY), f"entry must be a RegistryEntry, got {ACCURACY!r}"),
     "build_design form": (lambda: build_design(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "fit_law form": (lambda: fit_law(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "build_fit_report form": (lambda: build_fit_report(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),

@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import gc
 import io
 import json
 import math
@@ -12,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from compresslaw.cli import build_parser, main, run
+from compresslaw.cli import build_parser, run
 from compresslaw.documents import load_law, report_to_json
 from compresslaw.errors import CompressLawError
+from compresslaw.frontier import _CHUNK_ROWS
 from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law, write_records
 from compresslaw.io import build_fit_report, emit_frontier_grid
 from compresslaw.laws import SCHEMA_VERSION, CompressionLaw, FeasibilityWarning, MetricKind, RuntimeLaw, evaluate
@@ -703,9 +704,26 @@ def test_a_law_of_the_wrong_kind_is_told_every_kind_a_law_flag_reads(tmp_path):
 
 
 def _cli_env():
-    env = dict(os.environ)
+    # Without PYTHONUNBUFFERED a child's stdout to a pipe is block-buffered, as a user's is, so a test sees a
+    # missing flush.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
     return env
+
+
+def _cli_process(argv) -> subprocess.CompletedProcess:
+    """``python -m compresslaw.cli *argv``, finished, with its stdout and stderr as text."""
+    return subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+
+
+RUNPY_WARNING = "RuntimeWarning: 'compresslaw.cli' found in sys.modules"
+
+
+def _without_runpy_warning(stderr: str) -> list[str]:
+    """The lines of a ``python -m compresslaw.cli`` process's stderr, without runpy's warning that the package
+    imported ``compresslaw.cli`` before running it as ``__main__``."""
+    return [line for line in stderr.splitlines() if RUNPY_WARNING not in line]
 
 
 LIGHT = {
@@ -750,7 +768,7 @@ def test_light_commands_start_without_numpy(command, tmp_path):
     assert "compresslaw.laws" in imports
     assert [name for name in imports if "numpy" in name] == []
     others = [line for line in stderr.splitlines() if not line.startswith("import time:")]
-    assert len(others) == 1 and "RuntimeWarning: 'compresslaw.cli' found in sys.modules" in others[0], others
+    assert len(others) == 1 and RUNPY_WARNING in others[0], others
     code, out = _run_captured(argv)
     assert code == 0
     assert done.stdout == out.encode()
@@ -1038,25 +1056,91 @@ MAIN_EXITS = {
 
 
 @pytest.mark.parametrize("code", sorted(MAIN_EXITS))
-def test_main_exits_with_the_code_of_run_and_freezes_the_collector(code, tmp_path, capsys, monkeypatch):
+def test_main_exits_with_the_code_of_run_and_prints_what_run_prints(code, tmp_path):
+    """``main`` ends the process with ``os._exit``, after flushing what ``run`` printed: the process exits with
+    the code ``run`` returns, its stdout is what ``run`` prints in process, and so are its stderr lines."""
     argv = [arg.format(missing=tmp_path / "missing.csv") for arg in MAIN_EXITS[code]]
-    assert run(argv) == code
-    expected = capsys.readouterr()
-    monkeypatch.setattr(sys, "argv", ["compresslaw", *argv])
-    assert gc.get_freeze_count() == 0
-    try:
-        with pytest.raises(SystemExit) as exit_info:
-            main()
-        assert gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-    assert exit_info.value.code == code
-    assert capsys.readouterr() == expected
+    in_process, out, err = _run_streams(argv)
+    assert in_process == code
+    done = _cli_process(argv)
+    assert done.returncode == code
+    assert done.stdout == out
+    assert _without_runpy_warning(done.stderr) == err.splitlines()
+
+
+def _read_slowly(argv, tmp_path) -> tuple[int, bytes, str]:
+    """``python -m compresslaw.cli *argv`` with its stdout read 16 KiB at a time, with a pause after each read, so
+    that the process still has output to write when its command returns; returns the exit code, every byte read
+    and stderr."""
+    with open(tmp_path / "stderr.txt", "w+") as stderr:
+        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
+                                 stdout=subprocess.PIPE, stderr=stderr)
+        chunks = []
+        while chunk := os.read(child.stdout.fileno(), 16384):
+            chunks.append(chunk)
+            time.sleep(0.001)
+        child.stdout.close()
+        code = child.wait(timeout=60)
+        stderr.seek(0)
+        return code, b"".join(chunks), stderr.read()
+
+
+# A 10 x 87 x 113 grid: 98,310 rows, written _CHUNK_ROWS at a time, so the last write is 6 rows, few enough to
+# wait in stdout's buffer until main flushes it.
+AXES_100K = {"l0_values": [1.5 + i / 4 for i in range(10)], "r_values": [i / 100 for i in range(87)],
+             "d_values": [10.0 * i for i in range(113)]}
+ROWS_100K = math.prod(map(len, AXES_100K.values()))
+FRONTIER_100K = ["frontier", "--law", str(GOLDEN / "truth.json"), "--format", "csv",
+                 *(arg for flag, values in zip(("--l0-list", "--r-grid", "--d-grid"), AXES_100K.values())
+                   for arg in (flag, ",".join(map(repr, values))))]
+
+
+def test_a_slow_reader_gets_every_byte_of_a_100k_row_synth(tmp_path):
+    assert 0 < ROWS_100K % _CHUNK_ROWS <= 10
+    (tmp_path / "grid.json").write_text(json.dumps(AXES_100K))
+    argv = ["synth", "--truth", str(GOLDEN / "truth.json"), "--grid", str(tmp_path / "grid.json"),
+            "--noise-std", "0.05", "--seed", "3", "--out", "-"]
+    code, out, stderr = _read_slowly(argv, tmp_path)
+    assert code == 0, stderr
+    config = SyntheticConfig(load_law(GOLDEN / "truth.json"), **AXES_100K, noise_std=0.05, seed=3)
+    write_records(generate(config), tmp_path / "expected.csv")
+    assert out == (tmp_path / "expected.csv").read_bytes()
+    assert len(out.splitlines()) == 1 + ROWS_100K
+
+
+def test_a_slow_reader_gets_every_byte_of_a_100k_point_frontier(tmp_path):
+    assert 0 < ROWS_100K % _CHUNK_ROWS <= 10
+    code, out, stderr = _read_slowly(FRONTIER_100K, tmp_path)
+    assert code == 0, stderr
+    assert out == _run_captured(FRONTIER_100K)[1].encode()
+    assert len(out.splitlines()) == 1 + ROWS_100K
+
+
+def test_no_atexit_callback_waits_for_the_exit_main_skips():
+    """``os._exit`` runs no ``atexit`` callback, so none may be registered by the time ``main`` exits: an
+    interpreter that imports numpy and every compresslaw submodule and then runs ``main`` holds as many
+    callbacks as it held at start, and prints what ``run`` prints."""
+    script = (
+        "import atexit, importlib, pkgutil, sys\n"
+        "before = atexit._ncallbacks()\n"
+        "import numpy, compresslaw\n"
+        "for module in pkgutil.iter_modules(compresslaw.__path__):\n"
+        "    importlib.import_module(f'compresslaw.{module.name}')\n"
+        "print(before, atexit._ncallbacks(), file=sys.stderr)\n"
+        "from compresslaw.cli import main\n"
+        "main()\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script, *MAIN_EXITS[0]], env=_cli_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, after = map(int, done.stderr.split())
+    assert after == before
+    assert done.stdout == _run_captured(MAIN_EXITS[0])[1]
 
 
 def test_a_file_written_by_one_process_is_complete_for_the_next(tmp_path):
-    """``main`` freezes the collector after ``run`` returns, so ``synth`` must have closed its CSV by then: a
-    ``fit`` process reads all of it and prints what ``run`` prints in process."""
+    """``main`` ends the process with ``os._exit`` once ``run`` returns, so ``synth`` must have closed its CSV by
+    then: a ``fit`` process reads all of it and prints what ``run`` prints in process."""
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"l0_values": [1.5 + i / 4 for i in range(10)], "r_values": [i / 40 for i in range(30)],
                                 "d_values": [10.0 * i for i in range(30)], "model_id": "m"}))
@@ -1065,33 +1149,28 @@ def test_a_file_written_by_one_process_is_complete_for_the_next(tmp_path):
     assert _run_captured(synth + [str(tmp_path / "expected.csv")])[0] == 0
     path = tmp_path / "records.csv"
     for argv in (synth + [str(path)], ["fit", "--input", str(path)]):
-        done = subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
-                              capture_output=True, text=True, timeout=120)
+        done = _cli_process(argv)
         assert done.returncode == 0, done.stderr
         assert done.stdout == _run_captured(argv)[1]
     assert path.read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert len(path.read_bytes().splitlines()) == 1 + 10 * 30 * 30
 
 
-def test_a_closed_stdout_pipe_exits_2_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_closed_stdout_pipe_exits_2_without_a_traceback(unbuffered, tmp_path):
     """A reader that stops after a few bytes of a 100k-point frontier CSV leaves an I/O error: exit 2, and one
-    ``error:`` line on stderr beside runpy's warning."""
-    law = tmp_path / "law.json"
-    law.write_text(json.dumps(LAW))
-    axes = {"--l0-list": [0.5 + i / 100 for i in range(10)], "--r-grid": [i / 200 for i in range(100)],
-            "--d-grid": [float(i) for i in range(100)]}
-    argv = ["frontier", "--law", str(law), "--format", "csv",
-            *(arg for flag, values in axes.items() for arg in (flag, ",".join(map(repr, values))))]
+    ``error:`` line on stderr beside runpy's warning, whether the failed write is the one that ``run`` reports or,
+    with stdout buffered, also the flush in ``main`` that follows it."""
+    env = dict(_cli_env(), PYTHONUNBUFFERED="1") if unbuffered else _cli_env()
     with open(tmp_path / "stderr.txt", "w+") as stderr:
-        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
+        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *FRONTIER_100K], env=env,
                                  stdout=subprocess.PIPE, stderr=stderr)
         assert child.stdout.read(100).startswith(b"l0,r,d,predicted\r\n")
         child.stdout.close()
         assert child.wait(timeout=60) == 2
         stderr.seek(0)
-        lines = stderr.read().splitlines()
-    others = [line for line in lines if "RuntimeWarning: 'compresslaw.cli' found in sys.modules" not in line]
-    assert others == ["error: [Errno 32] Broken pipe"], lines
+        text = stderr.read()
+    assert _without_runpy_warning(text) == ["error: [Errno 32] Broken pipe"], text
 
 
 def test_each_skipped_row_is_one_warning_line(tmp_path):
@@ -1103,13 +1182,10 @@ def test_each_skipped_row_is_one_warning_line(tmp_path):
     path = tmp_path / "records.csv"
     path.write_text("model_id,metric,l0,r,d,l\n" + "\n".join(rows) + "\n")
     argv = ["fit", "--lenient", "--input", str(path)]
-    done = subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(), capture_output=True,
-                          text=True, timeout=120)
+    done = _cli_process(argv)
     assert done.returncode == 0, done.stderr
-    lines = done.stderr.splitlines()
-    others = [line for line in lines if "RuntimeWarning: 'compresslaw.cli' found in sys.modules" not in line]
-    assert others == ["warning: row 4: field 'l0' is not a number: 'x'",
-                      "warning: row 7: field 'metric' has unknown value 'bogus'",
-                      "warning: row 11: l0 must be > 0, got -1.0"], lines
+    assert _without_runpy_warning(done.stderr) == ["warning: row 4: field 'l0' is not a number: 'x'",
+                                                   "warning: row 7: field 'metric' has unknown value 'bogus'",
+                                                   "warning: row 11: l0 must be > 0, got -1.0"], done.stderr
     with pytest.warns(SkippedRowWarning):
         assert done.stdout == _run_captured(argv)[1]
