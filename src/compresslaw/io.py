@@ -19,6 +19,9 @@ block that is not plain ``csv.reader`` reads the rest.  In a long block, each
 distinct text of ``l0``, ``r`` and ``d`` is parsed once, and the observed
 ``l`` one by one; "long" is the one floor
 :data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
+A chunk's numbers are tested in bulk against the ``bounds`` of the record's
+validators in :mod:`compresslaw.laws`, and only a row that fails is parsed
+as a record, whose checks word its error.
 The float columns of the table are read-only memoryviews of float64 arrays,
 which numpy takes back without a copy, so a read table does not pickle.
 Bulk output is written from a table's columns by the table writer of
@@ -36,6 +39,7 @@ message, and no exception outlives the ``except`` block that caught it.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -85,39 +89,31 @@ class SkippedRowWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
-def _parse_record(row: dict, row_number: int) -> ExperimentRecord:
-    raw_metric = row.get("metric")
+def _parse_record(fields: Sequence, row_number: int) -> ExperimentRecord:
+    """The record of a row's ``fields`` in ``RECORD_COLUMNS`` order, or the error of its first bad field."""
+    model_id, raw_metric, *texts = fields
     try:
         metric = MetricKind(str(raw_metric).strip().lower())
     except ValueError:
-        message = f"row {row_number}: field 'metric' has unknown value {_quote.repr(raw_metric)}"
-        raise DataFormatError(message) from None
-
-    def number(field: str) -> float:
-        raw = row.get(field)
+        raise DataFormatError(f"row {row_number}: field 'metric' has unknown value {_quote.repr(raw_metric)}") from None
+    numbers = []
+    for field, raw in zip(RECORD_COLUMNS[2:], texts):
         try:
-            return float(raw)
+            numbers.append(float(raw))
         except (TypeError, ValueError):
             raise DataFormatError(f"row {row_number}: field '{field}' is not a number: {_quote.repr(raw)}") from None
-
     try:
-        return ExperimentRecord(
-            model_id=str(row.get("model_id") or ""),
-            metric=metric,
-            l0=number("l0"),
-            r=number("r"),
-            d=number("d"),
-            l=number("l"),
-        )
+        return ExperimentRecord(str(model_id or ""), metric, *numbers)
     except DomainError as exc:
         raise DataFormatError(f"row {row_number}: {exc}") from exc
 
 
-# Rows read or written per chunk: memory holds at most this many rows of text at once.
+# Rows csv.reader reads per chunk: memory holds at most this many rows of text at once.
 _CHUNK_ROWS = 8192
 # Characters of body text read per block: memory holds about one block of text at a time.
 _BLOCK_CHARS = 1 << 16
 _METRICS = {kind.value: kind for kind in MetricKind}
+_FLOAT_BOUNDS = [ExperimentRecord._checks[name].bounds for name in RECORD_COLUMNS[2:]]  # of l0, r, d and l
 
 
 def _parse_floats(texts: Sequence) -> np.ndarray:
@@ -151,17 +147,15 @@ def _parse_chunk(columns: Sequence[Sequence], short: list[int], first_row: int, 
     not a number or out of domain); :func:`_parse_record` decides on them and words the error."""
     model_id, raw_metric, *grid, observed = columns
     metric = list(map(_METRICS.get, raw_metric))
-    l0, r, d = map(_parse_grid_column, grid)
-    l = _parse_floats(observed)
-    valid = (0.0 < l0) & (l0 < math.inf) & (0.0 <= r) & (r < 1.0) & (0.0 <= d) & (d < math.inf)
-    valid &= (0.0 < l) & (l < math.inf)
+    l0, r, d, l = floats = [*map(_parse_grid_column, grid), _parse_floats(observed)]
+    valid = functools.reduce(operator.and_, [(low <= v) & (v < high) for v, (low, high) in zip(floats, _FLOAT_BOUNDS)])
     if None in metric:  # an unknown metric; the membership test is cheap, an object array per chunk is not
         valid &= np.array([m is not None for m in metric])
     valid[short] = False
     errors, model_id = [], list(model_id)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            record = _parse_record(dict(zip(RECORD_COLUMNS, (column[i] for column in columns))), first_row + i)
+            record = _parse_record([column[i] for column in columns], first_row + i)
         except DataFormatError as exc:
             if strict:
                 raise

@@ -19,12 +19,12 @@ term once and sums each grid point's terms in :func:`evaluate`'s order.
 its ``exp`` as ``_grid_table``'s table, so predictions and the regression
 agree bit for bit in their transforms.
 
-The four ``require_*`` validators are each one range ``[low, high)`` of ``_require_between``, the one place a domain
-and its message are written: a nan or infinite value must be finite, and any other out of range gets its validator's
-message.  Beside them are the private checks a value type names for its fields: ``_require_instance`` (the field's
-type), ``_require_count`` (an ``int >= 0``, not a ``bool``), ``_require_that`` (a test of a float that is no range,
-such as a statistic that may be nan) and ``_require_sequence`` (a tuple of floats, or of checked items, never text,
-bytes, a set or a mapping), on which the grid-axis check is built.
+The four ``require_*`` validators are each one range ``[low, high)`` of ``_require_between``, which it keeps as its
+``bounds``: the one place a domain and its message are written.  A nan or infinite value must be finite, and any
+other out of range gets its validator's message.  Beside them are the private checks a value type names for its
+fields: ``_require_instance`` (the field's type), ``_require_count`` (an ``int >= 0``, not a ``bool``),
+``_require_that`` (a test of a float that is no range, such as a statistic that may be nan) and ``_require_sequence``
+(a tuple of floats, or of checked items, never text, bytes, a set or a mapping), on which the grid-axis check is built.
 
 Fields are checked once, when a value is built, and a float field stores the float its ``require_*`` validator
 returns.  A public function that takes a law and plain numbers checks them, the law's kind first, then runs an
@@ -119,8 +119,8 @@ def _float_error(name: str, value, error: Exception) -> DomainError:
 
 
 def _require_between(low: float, high: float, what: str, export: str, doc: str):
-    """The validator ``export``, documented by ``doc``: the check that a float field lies in ``[low, high)``, stored
-    as the float.  A nan or infinite value must be finite, and any other out of range must ``what``."""
+    """The validator ``export``, documented by ``doc``: the check that a float field lies in its ``bounds``, ``[low,
+    high)``, stored as the float.  A nan or infinite value must be finite, and any other out of range must ``what``."""
 
     def check(name: str, value: float) -> float:
         try:
@@ -132,6 +132,7 @@ def _require_between(low: float, high: float, what: str, export: str, doc: str):
         return value
 
     check.__name__, check.__qualname__, check.__doc__ = export, export, doc  # it pickles, and reprs, as its export
+    check.bounds = (low, high)  # read by the CSV reader's bulk test of a chunk
     return check
 
 

@@ -220,25 +220,27 @@ def min_rft_size(query: RecoveryQuery) -> float:
     """Minimum RFT dataset size meeting the threshold, or ``math.inf``.
 
     Closed form: ``max(0, 1/phi(r) - epsilon)`` when ``phi(r) > 0``, else
-    infinity (unrecoverable).  The returned value is the least float at or
-    above that closed form that :func:`recoverable` accepts despite
-    floating-point rounding at the boundary: a few ulps above it, or more
-    when a tiny ``gamma`` makes the check coarse.  Callers round up to their
-    own unit granularity.
+    infinity (unrecoverable).  The returned value is the least float that
+    :func:`recoverable` accepts, found from that closed form despite
+    floating-point rounding at the boundary: within a few ulps of it, or
+    farther when a tiny ``gamma`` makes the check coarse.  Callers round up
+    to their own unit granularity.
     """
     law, sigma, r = _require_query("query", query).law, query.sigma, query.r
     phi = _recovery_margin(law.beta, law.gamma, sigma, r)
     if phi <= 0.0:
         return math.inf
-    d = 1.0 / phi - law.epsilon
-    if d <= 0.0:
-        return 0.0
-    # Acceptance grows with d: double a step above d until a float is accepted, then bisect back to the least one.
-    low, high, step = d, d, math.ulp(d)
-    while not _recoverable(law, sigma, r, high):
-        if high == sys.float_info.max:
-            raise DomainError("could not resolve the recovery boundary numerically")
-        low, high, step = high, min(d + step, sys.float_info.max), 2.0 * step
+    d = max(1.0 / phi - law.epsilon, 0.0)
+    # Acceptance grows with d: step from d, doubling, down while accepted or up while not, then bisect to the least.
+    low, high, step, top = d, d, math.ulp(d), sys.float_info.max
+    if _recoverable(law, sigma, r, d):
+        while high > 0.0 and _recoverable(law, sigma, r, low := max(d - step, 0.0)):
+            high, step = low, 2.0 * step
+    else:
+        while not _recoverable(law, sigma, r, high := min(d + step, top)):
+            if high == top:
+                raise DomainError("could not resolve the recovery boundary numerically")
+            low, step = high, 2.0 * step
     while low < (middle := low + (high - low) / 2.0) < high:
         low, high = (low, middle) if _recoverable(law, sigma, r, middle) else (middle, high)
     return high

@@ -28,7 +28,8 @@ Records are checked once, when they are built, and only code that checked them b
 checked again.  So :func:`build_design` checks only what the records do not: one metric kind, runtime records for
 the runtime form, enough rows, and a finite design, which is one test of the sum of ``X`` and ``y``, since every
 entry is a log.  It writes the features into one C-contiguous array (the bits of ``X @ b`` depend on the layout) and
-``y`` with ``math.log`` row by row.
+``y`` with ``math.log`` row by row.  Such a design passes every check of :func:`ols_fit`, which checks its arguments
+and then runs the unchecked core ``_solve``: :func:`fit_law` runs the core alone.
 """
 
 from __future__ import annotations
@@ -139,7 +140,8 @@ def build_design(
     return x, y
 
 
-def _name_collinear_columns(x: np.ndarray, names: Sequence[str]) -> str:
+def _name_collinear_columns(x: np.ndarray, form: DesignForm | None) -> str:
+    names = [_COLUMNS[c][0] for c in _FORM_COEFFICIENTS[form]] if form else [f"x{j}" for j in range(x.shape[1])]
     norms = np.sqrt((x * x).sum(axis=0))
     dead = [names[j] for j in np.nonzero(norms < 1e-12)[0]]
     if dead:
@@ -154,17 +156,8 @@ def _name_collinear_columns(x: np.ndarray, names: Sequence[str]) -> str:
 def _solve(
     x: np.ndarray, y: np.ndarray, form: DesignForm | None
 ) -> tuple[np.ndarray, FitStatistics, np.ndarray]:
-    """:func:`ols_fit` on float arrays, also returning the residuals ``y - X b``."""
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-        raise DomainError(f"incompatible shapes X{x.shape}, y{y.shape}")
+    """:func:`ols_fit`'s unchecked core, on arrays that passed its checks, also returning the residuals ``y - X b``."""
     n, p = x.shape
-    if n <= p:
-        raise DomainError(f"need more rows than columns, got {n} x {p}")
-    names = ([_COLUMNS[name][0] for name in _FORM_COEFFICIENTS[form]] if form is not None
-             else [f"x{j}" for j in range(p)])
-    if len(names) != p:
-        raise DomainError(f"the {form.value} form has {len(names)} columns, X has {p}")
-
     try:
         u, s, vt = np.linalg.svd(x, full_matrices=False)
         condition = s[0].item() / s[-1].item() if s[-1] else math.inf
@@ -172,14 +165,14 @@ def _solve(
         condition = math.nan
     if not condition <= CONDITION_NUMBER_LIMIT:
         raise SingularDesignError(f"design is rank deficient or ill conditioned (cond = {condition:.3g}); "
-                                  + _name_collinear_columns(x, names))
+                                  + _name_collinear_columns(x, form))
     coef = vt.T @ ((u.T @ y) / s)
 
     residuals = y - x @ coef
     # fsum is correctly rounded, so the sums do not depend on how a threaded BLAS splits a dot product.
     ssr = math.fsum((residuals * residuals).tolist())
     # Only a form that fits log c has an intercept; it centers R^2 and is not a model degree of freedom.
-    intercepts = names.count("intercept")
+    intercepts = _FORM_COEFFICIENTS.get(form, ()).count("log_c")
     mean = float(y.mean()) if intercepts else 0.0
     centered = y - mean if intercepts else y
     tss = math.fsum((centered * centered).tolist())
@@ -227,20 +220,27 @@ def ols_fit(
         The coefficient vector and a :class:`FitStatistics`.
 
     Raises:
-        DomainError: A form that is neither ``None`` nor a
-            :class:`DesignForm`, a design with no columns, a non-finite entry
-            in ``x`` or ``y``, or shapes that do not fit.
+        DomainError: Checked here, then the unchecked core runs: a form
+            that is neither ``None`` nor a :class:`DesignForm`, no columns, a
+            non-finite entry in ``x`` or ``y``, shapes that do not fit, no
+            more rows than columns, or not the form's number of columns.
         SingularDesignError: Rank deficiency (condition number above
             ``CONDITION_NUMBER_LIMIT``) or an SVD that does not converge;
             the message names the offending columns.
     """
     _optional(_require_form)("form", form)
-    # A design built by build_design is finite and has columns, so fit solves it without these checks.
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.ndim == 2 and not x.shape[1]:
         raise DomainError("the design has no columns")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError("design entries must be finite")
+    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
+        raise DomainError(f"incompatible shapes X{x.shape}, y{y.shape}")
+    n, p = x.shape
+    if n <= p:
+        raise DomainError(f"need more rows than columns, got {n} x {p}")
+    if form is not None and (width := len(_FORM_COEFFICIENTS[form])) != p:
+        raise DomainError(f"the {form.value} form has {width} columns, X has {p}")
     coef, stats, _ = _solve(x, y, form)
     return coef, stats
 

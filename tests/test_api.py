@@ -111,6 +111,17 @@ def test_each_public_float_check_takes_its_range_to_the_last_float(check):
             FLOAT_CHECKS[check]("x", bad)
 
 
+@pytest.mark.parametrize("check", PUBLIC_FLOAT_CHECKS)
+def test_each_public_float_check_keeps_the_range_it_takes_as_its_bounds(check):
+    # The CSV reader tests a chunk's columns against these bounds in bulk, so they must be exactly the range.
+    low, high = FLOAT_CHECKS[check].bounds
+    top = math.nextafter(high, -math.inf)
+    assert FLOAT_CHECKS[check]("x", low) == low and FLOAT_CHECKS[check]("x", top) == top
+    for bad in (math.nextafter(low, -math.inf), high):
+        with pytest.raises(DomainError, match="^x must "):
+            FLOAT_CHECKS[check]("x", bad)
+
+
 def test_an_int_too_large_for_a_float_is_a_domain_error_wherever_it_is_given():
     with pytest.raises(DomainError, match="^l0 must be within the float range, got 1000"):
         evaluate(ACCURACY, 10**400, 0.5, 0.0)

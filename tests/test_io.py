@@ -184,7 +184,7 @@ def oracle_read(text, strict, stream=stdio.StringIO):
         try:
             for row_number, row in enumerate(reader, start=row_number + 1):
                 try:
-                    records.append(lawio._parse_record(row, row_number))
+                    records.append(lawio._parse_record([row.get(c) for c in RECORD_COLUMNS], row_number))
                 except DataFormatError as exc:
                     if strict:
                         return None, [str(exc)]

@@ -164,8 +164,7 @@ class TestTinyGamma:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(metric=st.sampled_from([MetricKind.LOSS, MetricKind.ACCURACY]), beta=st.floats(0.05, 3.0),
            log_gamma=st.floats(-14.0, -6.0), r=st.floats(0.0, 0.99), ulps=st.integers(1, 200))
-    def test_min_rft_size_is_the_least_accepted_float_at_or_above_the_closed_form(self, metric, beta, log_gamma, r,
-                                                                                  ulps):
+    def test_min_rft_size_is_the_least_accepted_float(self, metric, beta, log_gamma, r, ulps):
         # sigma a few ulps past the ratio term alone puts the boundary where the RFT term is a few ulps
         sign = 1.0 if metric is MetricKind.LOSS else -1.0
         beta, gamma = sign * beta, sign * 10.0**log_gamma
@@ -176,9 +175,7 @@ class TestTinyGamma:
         if d_min == math.inf:
             return
         assert recoverable(law, sigma, r, d_min)
-        closed_form = 1.0 / recovery_margin(beta, gamma, sigma, r) - law.epsilon
-        if d_min > max(closed_form, 0.0):
-            assert not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
+        assert d_min == 0.0 or not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
 
 
 class TestRecoverable:
