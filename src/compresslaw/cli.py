@@ -265,11 +265,11 @@ def main() -> None:
     """Run the command in ``sys.argv`` with the collector off, flush stdout and stderr, and end the process with the
     command's code."""
     gc.disable()
+    # No source line read through linecache; os._exit ends the process, so the old hook needs no restoring.
+    warnings.showwarning = _show_warning
     code = 0
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _show_warning  # no source line read through linecache
-            code = run()
+        code = run()
         sys.stdout.flush()
     except BrokenPipeError as exc:
         # The reader closed stdout; os._exit drops what is still buffered for it.  After a nonzero code, run has

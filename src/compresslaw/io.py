@@ -12,10 +12,10 @@ import the row joiner when they run, so reading records loads no frontier.
   no unit suffixes).  It is read into, and written from, a
   :class:`~compresslaw.laws.Table` of records.
 
-Bulk input is read into columns: a block of plain lines (no quote, NUL or
-stray line-end character, the header's number of fields) is cut with
-``str.split`` into the fields ``csv.reader`` would return, and from the first
-block that is not plain ``csv.reader`` reads the rest.  In a long block, each
+Bulk input is read into columns, a block of whole lines at a time: a block
+of plain lines (no quote, NUL or stray line-end character, the header's
+number of fields) is cut with ``str.split`` into the fields ``csv.reader``
+would return, and ``csv.reader`` reads any other block.  In a long block, each
 distinct text of ``l0``, ``r`` and ``d`` is parsed once, and the observed
 ``l`` one by one; "long" is the one floor
 :data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
@@ -108,8 +108,6 @@ def _parse_record(fields: Sequence, row_number: int) -> ExperimentRecord:
         raise DataFormatError(f"row {row_number}: {exc}") from exc
 
 
-# Rows csv.reader reads per chunk: memory holds at most this many rows of text at once.
-_CHUNK_ROWS = 8192
 # Characters of body text read per block: memory holds about one block of text at a time.
 _BLOCK_CHARS = 1 << 16
 _METRICS = {kind.value: kind for kind in MetricKind}
@@ -196,39 +194,32 @@ def _body_chunks(fh, width: int, positions: Sequence[int]) -> Iterator[tuple[lis
     sequence per position; the indexes of the ``short`` rows, which have ``None`` for the fields they lack;
     and the message of the ``csv.Error`` that ended the chunk, if one did.
 
-    The text is read in blocks of whole lines, and a block of plain lines is split in bulk.  From the first
-    block that is not, ``csv.reader`` reads the rest ``_CHUNK_ROWS`` rows at a time.  It is handed the lines
-    as the stream splits them, each of which it reads as one line.
+    The text is read in blocks of whole lines, and each block is one chunk, or one more per ``csv.Error``.
+    A block of plain lines is split in bulk; ``csv.reader`` reads any other, handed the lines as the stream
+    splits them, and reads past the block only to close a quoted field still open at its end.
     """
-    lines = fh.readlines(_BLOCK_CHARS)
-    while lines:
-        columns = _split_plain(lines, width, positions)
-        if columns is None:
-            break
-        yield columns, [], None
-        lines = fh.readlines(_BLOCK_CHARS)
-    else:
-        return
-    reader = csv.reader(itertools.chain(lines, fh))
     fields_of, last = operator.itemgetter(*positions), max(positions)
-    while True:
-        # Rows become tuples of their fields at once: holding the csv
-        # module's row lists would keep the garbage collector busy.
-        rows, short, error = [], [], None
-        try:
-            for row in reader:
-                if len(row) > last:
-                    rows.append(fields_of(row))
-                elif row:
-                    short.append(len(rows))
-                    rows.append(tuple(row[j] if j < len(row) else None for j in positions))
-                if len(rows) == _CHUNK_ROWS:
-                    break
-        except csv.Error as exc:
-            error = str(exc)  # the reader resumes at the next line, so a bad line costs one row
-        yield list(zip(*rows)) or [()] * len(positions), short, error
-        if len(rows) < _CHUNK_ROWS and error is None:
-            return
+    while lines := fh.readlines(_BLOCK_CHARS):
+        if (columns := _split_plain(lines, width, positions)) is not None:
+            yield columns, [], None
+            continue
+        reader = csv.reader(itertools.chain(lines, fh))
+        while reader.line_num < len(lines):
+            # Rows become tuples of their fields at once: holding the csv
+            # module's row lists would keep the garbage collector busy.
+            rows, short, error = [], [], None
+            try:
+                for row in reader:
+                    if len(row) > last:
+                        rows.append(fields_of(row))
+                    elif row:
+                        short.append(len(rows))
+                        rows.append(tuple(row[j] if j < len(row) else None for j in positions))
+                    if reader.line_num >= len(lines):
+                        break
+            except csv.Error as exc:
+                error = str(exc)  # the reader resumes at the next line, so a bad line costs one row
+            yield list(zip(*rows)) or [()] * len(positions), short, error
 
 
 def read_records(source, *, strict: bool = True) -> Table:

@@ -217,20 +217,16 @@ def _recoverable(law: CompressionLaw, sigma: float, r: float, d: float) -> bool:
 
 
 def min_rft_size(query: RecoveryQuery) -> float:
-    """Minimum RFT dataset size meeting the threshold, or ``math.inf``.
+    """Minimum RFT dataset size meeting the threshold, or ``math.inf`` when :func:`recoverable` accepts no float.
 
-    Closed form: ``max(0, 1/phi(r) - epsilon)`` when ``phi(r) > 0``, else
-    infinity (unrecoverable).  The returned value is the least float that
-    :func:`recoverable` accepts, found from that closed form despite
-    floating-point rounding at the boundary: within a few ulps of it, or
-    farther when a tiny ``gamma`` makes the check coarse.  Callers round up
-    to their own unit granularity.
+    The least float that :func:`recoverable` accepts, searched from the closed form ``max(0, 1/phi(r) - epsilon)``
+    despite floating-point rounding at the boundary: within a few ulps of it, or farther when a tiny ``gamma`` makes
+    the check coarse.  Where rounding puts ``phi(r)`` at or below 0, the search starts from the largest float.
+    Callers round up to their own unit granularity.
     """
     law, sigma, r = _require_query("query", query).law, query.sigma, query.r
     phi = _recovery_margin(law.beta, law.gamma, sigma, r)
-    if phi <= 0.0:
-        return math.inf
-    d = max(1.0 / phi - law.epsilon, 0.0)
+    d = max(1.0 / phi - law.epsilon, 0.0) if phi > 0.0 else sys.float_info.max
     # Acceptance grows with d: step from d, doubling, down while accepted or up while not, then bisect to the least.
     low, high, step, top = d, d, math.ulp(d), sys.float_info.max
     if _recoverable(law, sigma, r, d):
@@ -239,7 +235,7 @@ def min_rft_size(query: RecoveryQuery) -> float:
     else:
         while not _recoverable(law, sigma, r, high := min(d + step, top)):
             if high == top:
-                raise DomainError("could not resolve the recovery boundary numerically")
+                return math.inf
             low, step = high, 2.0 * step
     while low < (middle := low + (high - low) / 2.0) < high:
         low, high = (low, middle) if _recoverable(law, sigma, r, middle) else (middle, high)

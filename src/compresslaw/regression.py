@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .laws import (
+    _FLOAT_ERRORS,
     _FORM_COEFFICIENTS,
     CompressionLaw,
     DesignForm,
@@ -53,6 +54,7 @@ from .laws import (
     SignViolation,
     Table,
     _optional,
+    _quote,
     _require_form,
     check_feasibility,
     log_feature_columns,
@@ -221,15 +223,16 @@ def ols_fit(
 
     Raises:
         DomainError: Checked here, then the unchecked core runs: a form
-            that is neither ``None`` nor a :class:`DesignForm`, no columns, a
-            non-finite entry in ``x`` or ``y``, shapes that do not fit, no
-            more rows than columns, or not the form's number of columns.
+            that is neither ``None`` nor a :class:`DesignForm`, an ``x`` or
+            ``y`` that is not an array of numbers, no columns, a non-finite
+            entry in ``x`` or ``y``, shapes that do not fit, no more rows
+            than columns, or not the form's number of columns.
         SingularDesignError: Rank deficiency (condition number above
             ``CONDITION_NUMBER_LIMIT``) or an SVD that does not converge;
             the message names the offending columns.
     """
     _optional(_require_form)("form", form)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = _float_array("x", x), _float_array("y", y)
     if x.ndim == 2 and not x.shape[1]:
         raise DomainError("the design has no columns")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -243,6 +246,14 @@ def ols_fit(
         raise DomainError(f"the {form.value} form has {width} columns, X has {p}")
     coef, stats, _ = _solve(x, y, form)
     return coef, stats
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float array, or :class:`DomainError` if numpy cannot make one of it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except _FLOAT_ERRORS:
+        raise DomainError(f"{name} must be an array of numbers, got {_quote.repr(value)}") from None
 
 
 def _fit(

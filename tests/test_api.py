@@ -196,6 +196,14 @@ BAD_ARGUMENTS = {
     "fit_law form": (lambda: fit_law(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "build_fit_report form": (lambda: build_fit_report(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "ols_fit form": (lambda: ols_fit([[1.0], [2.0]], [1.0, 2.0], "full"), "form must be a DesignForm, got 'full'"),
+    "ols_fit x text": (lambda: ols_fit("x", [1, 2, 3]), "x must be an array of numbers, got 'x'"),
+    "ols_fit x with text": (lambda: ols_fit([[1, "a"], [2, 3], [4, 5]], [1, 2, 3]),
+                            "x must be an array of numbers, got [[1, 'a'], [2, 3], [4, 5]]"),
+    "ols_fit x ragged": (lambda: ols_fit([[1, 2], [3]], [1, 2, 3]), "x must be an array of numbers, got [[1, 2], [3]]"),
+    "ols_fit x complex": (lambda: ols_fit([[1j], [2], [3]], [1, 2, 3]),
+                          "x must be an array of numbers, got [[1j], [2], [3]]"),
+    "ols_fit y with text": (lambda: ols_fit([[1], [2], [3]], [1, 2, "a"]),
+                            "y must be an array of numbers, got [1, 2, 'a']"),
     "plan int": (lambda: plan(5, REQUEST), "candidates must be a sequence of CandidateModels, got 5"),
     "plan list of int": (lambda: plan([1], REQUEST), "candidate must be a CandidateModel, got 1"),
     "plan request None": (lambda: plan([CANDIDATE], None), "request must be a PlanRequest, got None"),

@@ -269,9 +269,8 @@ class TestReadRecordsMatchesPerRowReader:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(text=record_csvs(), stream=st.sampled_from(list(STREAMS.values())))
     def test_generated_csvs_across_small_chunks(self, text, stream):
-        # 4-row chunks and 64-character blocks put chunk and block boundaries among bad rows, blank lines
-        # and csv errors
-        with mock.patch.object(lawio, "_CHUNK_ROWS", 4), mock.patch.object(lawio, "_BLOCK_CHARS", 64):
+        # 64-character blocks put block boundaries among bad rows, blank lines and csv errors
+        with mock.patch.object(lawio, "_BLOCK_CHARS", 64):
             assert_reads_like_oracle(text, stream)
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -293,23 +292,70 @@ class TestReadRecordsMatchesPerRowReader:
     def test_edge_cases(self, text):
         assert_reads_like_oracle(text)
 
-    def test_bad_rows_on_both_sides_of_a_chunk_boundary(self):
-        rows = ["m,loss,2.0,0.5,10,6.9\n"] * (2 * lawio._CHUNK_ROWS + 10)
-        for i in (0, lawio._CHUNK_ROWS - 1, lawio._CHUNK_ROWS, lawio._CHUNK_ROWS + 1, 2 * lawio._CHUNK_ROWS):
-            rows[i] = "m,loss,2.0,1.5,10,6.9\n"
-        rows[lawio._CHUNK_ROWS + 3] = "m, LOSS ,2.0,0.5,nan,6.9\n"
-        rows[5] = "\n"
+    def test_bad_rows_on_both_sides_of_a_block_boundary(self):
+        rows = ["m,loss,2.0,0.5,10,6.9\n"] * (3 * lawio._BLOCK_CHARS // 22)  # three blocks of 22-character rows
+        rows[5] = "\n"  # csv.reader reads the first block
+        rows[7] = "m, LOSS ,2.0,0.5,nan,6.9\n"
+        first, second = block_starts("".join(rows))[:2]
+        rows[second + 2] = '"m",loss,2.0,0.5,10,6.9\n'  # and the third
+        for i in (0, first - 1, first, first + 1, second - 1, second, second + 1):
+            rows[i] = "m,loss,2.0,1.5,10,6.9\n"  # as long as the row it replaces: the blocks stay as they are
+        assert block_starts("".join(rows))[:2] == [first, second]
         assert_reads_like_oracle(CSV_HEADER + "".join(rows))
 
-    def test_lenient_skips_an_over_limit_field_halfway_through_a_chunk(self):
-        rows = [f"m{i},loss,2.0,0.5,{i},6.9\n" for i in range(lawio._CHUNK_ROWS + 10)]
-        half = lawio._CHUNK_ROWS // 2
+    def test_lenient_skips_an_over_limit_field_at_the_end_of_a_block(self):
+        # A line over the limit is longer than a block, so it ends the block that holds it.
+        rows = [f"m{i},loss,2.0,0.5,{i},6.9\n" for i in range(2 * lawio._BLOCK_CHARS // 24)]
+        half = len(rows) // 4
         rows[half] = f"{OVER_LIMIT},loss,2.0,0.5,0,6.9\n"
         text = CSV_HEADER + "".join(rows)
+        assert block_starts("".join(rows))[0] == half + 1
         records, messages = read_like_oracle(text, strict=False)
         assert messages == [f"row {half + 2}: field larger than field limit ({csv.field_size_limit()})"]
         assert [rec.model_id for rec in records] == [f"m{i}" for i in range(len(rows)) if i != half]
         assert_reads_like_oracle(text)
+
+    def test_lenient_skips_an_over_limit_field_halfway_through_a_block(self):
+        # Under a lowered limit the bad line is short, and csv.reader resumes after it within the block.
+        rows = [f"m{i},loss,2.0,0.5,{i},6.9\n" for i in range(2 * lawio._BLOCK_CHARS // 24)]
+        half = block_starts("".join(rows))[0] // 2
+        rows[half] = "x" * 101 + ",loss,2.0,0.5,0,6.9\n"
+        text = CSV_HEADER + "".join(rows)
+        limit = csv.field_size_limit(100)
+        try:
+            fh = stdio.StringIO(text)
+            fh.readline()
+            chunks = list(lawio._body_chunks(fh, len(RECORD_COLUMNS), range(len(RECORD_COLUMNS))))
+            first = block_starts("".join(rows))[0]
+            assert [(len(columns[0]), error) for columns, _, error in chunks[:2]] == [
+                (half, "field larger than field limit (100)"), (first - half - 1, None)]
+            records, messages = read_like_oracle(text, strict=False)
+            assert messages == [f"row {half + 2}: field larger than field limit (100)"]
+            assert [rec.model_id for rec in records] == [f"m{i}" for i in range(len(rows)) if i != half]
+            assert_reads_like_oracle(text)
+        finally:
+            csv.field_size_limit(limit)
+
+    def test_a_quoted_row_leaves_later_blocks_to_the_bulk_split(self):
+        rows = [PLAIN_ROW] * (3 * lawio._BLOCK_CHARS // len(PLAIN_ROW))
+        rows[2] = '"m",loss,2.0,0.5,10,6.9\r\n'
+        rows[-3] = BAD_ROW
+        text = CSV_HEADER + "".join(rows)
+        with mock.patch.object(lawio, "_split_plain", side_effect=lawio._split_plain) as spy:
+            with pytest.warns(SkippedRowWarning):
+                read_records(stdio.StringIO(text), strict=False)
+        plain = [lawio._split_plain(*call.args) is not None for call in spy.call_args_list]
+        assert len(plain) >= 3 and plain == [False] + [True] * (len(plain) - 1)
+        assert_reads_like_oracle(text)
+
+
+def block_starts(body):
+    """The indexes of the lines of ``body`` that start its blocks after the first, as read_records reads a body
+    with no quoted line end."""
+    stream, starts = stdio.StringIO(body), [0]
+    while lines := stream.readlines(lawio._BLOCK_CHARS):
+        starts.append(starts[-1] + len(lines))
+    return starts[1:-1]
 
 
 PLAIN_ROW = "m,loss,2.0,0.5,10,6.9\r\n"
@@ -335,8 +381,8 @@ BLOCK_CASES = {
 
 
 class TestBlockBoundaries:
-    """Blocks of 64 characters, a few lines each: a block of plain lines is split in bulk, and the rest of the
-    input goes through csv.reader from the first block that is not plain, for each kind of text stream."""
+    """Blocks of 64 characters, a few lines each: a block of plain lines is split in bulk, and csv.reader reads
+    any other, past its end only to close a quoted field, for each kind of text stream."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self):
@@ -557,9 +603,10 @@ class TestUndecodableInput:
             assert str(caught.value) == f"{context}: not utf-8 text: invalid start byte"
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
-    @pytest.mark.parametrize("row", [0, 1, 3 * lawio._CHUNK_ROWS], ids=["header", "first row", "later block"])
+    # Rows of 22 bytes: row 2 * _BLOCK_CHARS // 22 is past the first of three blocks.
+    @pytest.mark.parametrize("row", [0, 1, 2 * lawio._BLOCK_CHARS // 22], ids=["header", "first row", "later block"])
     def test_records(self, tmp_path, strict, row):
-        lines = [CSV_HEADER.encode()] + [b"m,loss,2.0,0.5,10,6.9\n"] * (3 * lawio._CHUNK_ROWS + 5)
+        lines = [CSV_HEADER.encode()] + [b"m,loss,2.0,0.5,10,6.9\n"] * (3 * lawio._BLOCK_CHARS // 22)
         lines[row] = lines[row][:1] + UNDECODABLE + lines[row][1:]
         path = tmp_path / "records.csv"
         path.write_bytes(b"".join(lines))

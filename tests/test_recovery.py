@@ -5,6 +5,7 @@ the direct product evaluation itself.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -176,6 +177,35 @@ class TestTinyGamma:
             return
         assert recoverable(law, sigma, r, d_min)
         assert d_min == 0.0 or not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
+
+
+class TestMarginRoundedToZero:
+    """``sigma`` within a few ulps of ``(1+r)**beta`` can round ``phi(r)`` to 0 or below while :func:`recoverable`
+    still accepts a huge ``d``: the size is then searched from the largest float."""
+
+    def test_a_boundary_past_a_margin_of_zero_is_found(self):
+        law = CompressionLaw(1.0, -1.041427262949753, -0.6347404519166445, MetricKind.ACCURACY)
+        r = 0.5431711791475088
+        sigma = math.exp(law.beta * math.log1p(r))
+        assert recovery_margin(law.beta, law.gamma, sigma, r) <= 0.0
+        d_min = min_rft_size(RecoveryQuery(law, sigma, r))
+        assert d_min == 7622978300610082.0
+        assert recoverable(law, sigma, r, d_min)
+        assert not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(metric=st.sampled_from([MetricKind.LOSS, MetricKind.ACCURACY]), beta=st.floats(0.05, 3.0),
+           gamma=st.floats(0.05, 3.0), r=st.floats(0.01, 0.99), ulps=st.integers(-4, 4))
+    def test_inf_only_when_the_largest_float_is_refused(self, metric, beta, gamma, r, ulps):
+        sign = 1.0 if metric is MetricKind.LOSS else -1.0
+        law = CompressionLaw(1.0, sign * beta, sign * gamma, metric)
+        base = math.exp(law.beta * math.log1p(r))
+        sigma = base + ulps * math.ulp(base)
+        d_min = min_rft_size(RecoveryQuery(law, sigma, r))
+        assert (d_min == math.inf) == (not recoverable(law, sigma, r, sys.float_info.max))
+        if d_min != math.inf:
+            assert recoverable(law, sigma, r, d_min)
+            assert d_min == 0.0 or not recoverable(law, sigma, r, math.nextafter(d_min, 0.0))
 
 
 class TestRecoverable:
