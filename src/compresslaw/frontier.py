@@ -4,10 +4,9 @@
 returns the table of ``laws``' one grid predictor, which ``generate`` shares: the three axes with their runs and the
 predictions, not a ``list``.  Every table is written through one spread-and-chunk path, which
 :func:`compresslaw.io.write_records` shares: a column's texts are made once per value it holds (a float's
-``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer writes the
-leading label columns that hold one label once, into the text every row starts with, and joins each row's other
-fields with ``","`` and a chunk's rows with ``"\r\n"``.  The bytes are what ``csv.writer`` (``\r\n`` line ends)
-and ``json.dumps`` write.  The module imports no numpy.
+``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer joins each
+row's fields with ``","`` and a chunk's rows with ``"\r\n"``.  The bytes are what ``csv.writer`` (``\r\n`` line
+ends) and ``json.dumps`` write.  The module imports no numpy.
 """
 
 from __future__ import annotations
@@ -67,10 +66,10 @@ def _texts(values: Sequence) -> Iterable[str]:
     return map(quoted.__getitem__, values)
 
 
-def _chunks(table: Table, start: int = 0) -> Iterator[list[list[str]]]:
-    """The field texts of the table's columns from ``start`` on, ``_CHUNK_ROWS`` rows at a time, one list per
-    column.  Each text is made once per value of its column and spread to the rows."""
-    columns = [table._spread(k, _texts(table.columns[k])) for k in range(start, len(table.columns))]
+def _chunks(table: Table) -> Iterator[list[list[str]]]:
+    """The field texts of the table's columns, ``_CHUNK_ROWS`` rows at a time, one list per column.  Each text is
+    made once per value of its column and spread to the rows."""
+    columns = [table._spread(k, _texts(values)) for k, values in enumerate(table.columns)]
     while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
         yield chunk
 
@@ -86,18 +85,11 @@ def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str
 
 
 def _write_csv(dest, header: Sequence[str], table: Table) -> None:
-    """The one CSV writer: ``header``, then each row of ``table``.  The leading label columns that hold one
-    label (``synth``'s model id and metric) are written once into ``head``, the text every row starts with."""
-    labels = 0
-    # tuple.count compares by identity first, so a column of one object costs no Python call per row.
-    while len(table) and not isinstance((values := table.columns[labels])[0], float) \
-            and values.count(values[0]) == len(values):
-        labels += 1
-    head = "".join(next(_texts(values[:1])) + "," for values in table.columns[:labels])
+    """The one CSV writer: ``header``, then each row of ``table``."""
     with _open_for_write(dest) as fh:
         fh.write(",".join(map(_quote, header)) + "\r\n")
-        for columns in _chunks(table, labels):
-            fh.write(head + ("\r\n" + head).join(map(",".join, zip(*columns))) + "\r\n")
+        for columns in _chunks(table):
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _points_table(points: Iterable[FrontierPoint]) -> Table:

@@ -15,10 +15,9 @@ import the row joiner when they run, so reading records loads no frontier.
 Bulk input is read into columns, a block of whole lines at a time: a block
 of plain lines (no quote, NUL or stray line-end character, the header's
 number of fields) is cut with ``str.split`` into the fields ``csv.reader``
-would return, and ``csv.reader`` reads any other block.  In a long block, each
+would return, and ``csv.reader`` reads any other block.  In each block, each
 distinct text of ``l0``, ``r`` and ``d`` is parsed once, and the observed
-``l`` one by one; "long" is the one floor
-:data:`compresslaw.regression._DISTINCT_MIN_ROWS` that the design uses too.
+``l`` one by one.
 A chunk's numbers are tested in bulk against the ``bounds`` of the record's
 validators in :mod:`compresslaw.laws`, and only a row that fails is parsed
 as a record, whose checks word its error.
@@ -27,9 +26,8 @@ which numpy takes back without a copy, so a read table does not pickle.
 Bulk output is written from a table's columns by the table writer of
 :mod:`compresslaw.frontier`, byte for byte what ``csv.writer`` (``\r\n``
 line ends) writes for the same rows: each value a column holds is formatted
-once (a grid axis value once, however many rows repeat it), and a leading
-label column that holds one label (``synth``'s model id and metric) is
-quoted once into the text every row starts with.  Every reader raises
+once (a grid axis value once, however many rows repeat it), and each
+distinct label is quoted once.  Every reader raises
 :class:`~compresslaw.errors.DataFormatError`, and nothing else, on any
 malformed input, bytes that are not UTF-8 included.  A failed read leaves
 no reference cycle for the garbage collector: a bad row is kept as its
@@ -49,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import documents, regression
+from . import documents
 from .documents import *  # noqa: F403  (documents.__all__, re-exported; FitReport is used here)
 from .documents import _open_for_read
 from .errors import DataFormatError, DomainError
@@ -130,9 +128,7 @@ def _float_or_nan(text) -> float:
 
 
 def _parse_grid_column(texts: Sequence) -> np.ndarray:
-    """:func:`_parse_floats` of a grid column, whose values repeat: once per distinct text if it is long."""
-    if len(texts) < regression._DISTINCT_MIN_ROWS:
-        return _parse_floats(texts)
+    """:func:`_parse_floats` of a grid column, whose values repeat: once per distinct text."""
     distinct = list(dict.fromkeys(texts))
     values = dict(zip(distinct, _parse_floats(distinct).tolist()))
     return np.fromiter(map(values.__getitem__, texts), float, len(texts))

@@ -74,8 +74,8 @@ CONDITION_NUMBER_LIMIT = 1e8
 _COLUMNS = {"alpha": ("log_l0", 0), "beta": ("log_ratio", 1), "gamma": ("log_data", 2), "log_c": ("intercept", None)}
 
 
-# The one dedup floor, shared with the CSV reader: shorter columns are mapped value by value.  Over repeated
-# values, np.unique or a dict of texts pays from ~128 rows; a 64k-character CSV block holds ~750 rows.
+# Shorter columns are mapped value by value: on a short column, such as a 45-row fit's, np.unique's sort and gather
+# cost more than the log transforms they save.
 _DISTINCT_MIN_ROWS = 256
 
 
@@ -186,9 +186,9 @@ def _solve(
     else:
         r_squared = 1.0 if ssr <= zero else 0.0
     adj = 1.0 - (1.0 - r_squared) * (n - intercepts) / (n - p)
-    dof_model = p - intercepts
-    if r_squared < 1.0 and dof_model > 0:
-        f_stat = (r_squared / dof_model) / ((1.0 - r_squared) / (n - p))
+    # A design has a column besides its intercept, so p - intercepts is at least 1.
+    if r_squared < 1.0:
+        f_stat = (r_squared / (p - intercepts)) / ((1.0 - r_squared) / (n - p))
     else:
         f_stat = math.inf
     stats = FitStatistics(
@@ -249,11 +249,14 @@ def ols_fit(
 
 
 def _float_array(name: str, value) -> np.ndarray:
-    """``value`` as a float array, or :class:`DomainError` if numpy cannot make one of it."""
+    """``value`` as a float array, or :class:`DomainError` if numpy cannot make one of it.  A 0-d array is one
+    number, not an array (``None`` converts to a 0-d nan)."""
     try:
-        return np.asarray(value, dtype=float)
+        if (array := np.asarray(value, dtype=float)).ndim:
+            return array
     except _FLOAT_ERRORS:
-        raise DomainError(f"{name} must be an array of numbers, got {_quote.repr(value)}") from None
+        pass
+    raise DomainError(f"{name} must be an array of numbers, got {_quote.repr(value)}")
 
 
 def _fit(

@@ -204,6 +204,8 @@ BAD_ARGUMENTS = {
                           "x must be an array of numbers, got [[1j], [2], [3]]"),
     "ols_fit y with text": (lambda: ols_fit([[1], [2], [3]], [1, 2, "a"]),
                             "y must be an array of numbers, got [1, 2, 'a']"),
+    "ols_fit x None": (lambda: ols_fit(None, [1, 2, 3]), "x must be an array of numbers, got None"),
+    "ols_fit y None": (lambda: ols_fit([[1], [2], [3]], None), "y must be an array of numbers, got None"),
     "plan int": (lambda: plan(5, REQUEST), "candidates must be a sequence of CandidateModels, got 5"),
     "plan list of int": (lambda: plan([1], REQUEST), "candidate must be a CandidateModel, got 1"),
     "plan request None": (lambda: plan([CANDIDATE], None), "request must be a PlanRequest, got None"),

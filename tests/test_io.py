@@ -276,9 +276,18 @@ class TestReadRecordsMatchesPerRowReader:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(text=record_csvs())
     def test_generated_csvs_with_every_grid_column_deduplicated(self, text):
-        # a floor of 1 parses l0, r and d once per distinct text in every block and chunk, bad texts included
-        with mock.patch.object(lawio, "_BLOCK_CHARS", 64), mock.patch.object(regression, "_DISTINCT_MIN_ROWS", 1):
+        # l0, r and d are parsed once per distinct text in every block and chunk, bad texts included
+        with mock.patch.object(lawio, "_BLOCK_CHARS", 64):
             assert_reads_like_oracle(text)
+
+    def test_a_short_block_parses_each_distinct_grid_text_once(self):
+        axes = (["1.5", "2.5", "3.5"], ["0.0", "0.25", "0.5", "0.75", "0.9"], ["0", "10", "100"])
+        rows = [f"m,loss,{l0},{r},{d},{i + 1}\n" for i, (l0, r, d) in enumerate(itertools.product(*axes))]
+        with mock.patch.object(lawio, "_parse_floats", side_effect=lawio._parse_floats) as spy:
+            records = read_records(records_csv(rows))
+        assert [list(call.args[0]) for call in spy.call_args_list] == [*axes, [str(i + 1) for i in range(45)]]
+        grid = enumerate(itertools.product(*axes))
+        assert records == [ExperimentRecord("m", MetricKind.LOSS, *map(float, point), i + 1.0) for i, point in grid]
 
     @pytest.mark.parametrize(
         "text",
@@ -535,7 +544,7 @@ class TestWritersMatchReference:
 
     @pytest.mark.parametrize("case", sorted(TEXT_COLUMNS))
     def test_records_csv_with_constant_leading_columns(self, case):
-        """A leading text column of one value is written as row text: the bytes stay ``csv.writer``'s."""
+        """A text column of one value is quoted once and spread to the rows: the bytes stay ``csv.writer``'s."""
         model_id, metric = self.TEXT_COLUMNS[case]
         floats = [[1.5 + i % 2, i % 3 / 4, float(i // 4), 0.1 + i / 7] for i in range(len(model_id))]
         records = [ExperimentRecord(m, k, *values) for m, k, values in zip(model_id, metric, floats)]

@@ -204,6 +204,10 @@ class TestPredictSpeedup:
     def test_zero_at_no_compression(self):
         assert predict_speedup(RuntimeLaw(1.0, -0.67), 0.0) == 0.0
 
+    def test_a_small_ratio_keeps_its_relative_accuracy(self):
+        # 1 - (1 + r)**beta is about -beta * r; 1 - exp(...) would keep only ~4 of its digits at r = 1e-12
+        assert predict_speedup(RuntimeLaw(1.0, -0.67), 1e-12) == pytest.approx(0.67e-12, rel=1e-11, abs=0.0)
+
     def test_nonnegative_beta_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="nonnegative"):
             assert predict_speedup(RuntimeLaw(1.0, 0.3), 0.5) == 0.0

@@ -89,6 +89,14 @@ class TestClassifyRegime:
         regime, _ = classify_regime(-1.18, 2.0**-1.18, MetricKind.ACCURACY)
         assert regime is Regime.CONDITIONALLY_RECOVERABLE
 
+    def test_the_loss_boundary_sigma_is_conditional(self):
+        assert classify_regime(1.0, 2.0, MetricKind.LOSS) == (Regime.CONDITIONALLY_RECOVERABLE, 2.0)
+
+    @pytest.mark.parametrize("metric, sigma", [(MetricKind.ACCURACY, 0.5), (MetricKind.LOSS, 1.5)])
+    def test_a_zero_beta_is_rejected(self, metric, sigma):
+        with pytest.raises(DomainError, match=f"{metric.value} analysis needs beta . 0, got 0.0"):
+            classify_regime(0.0, sigma, metric)
+
     @pytest.mark.parametrize("sigma", [0.0, 1.0, 1.5, -0.1])
     def test_sigma_interval_accuracy(self, sigma):
         with pytest.raises(DomainError):
@@ -217,6 +225,10 @@ class TestRecoverable:
 
     def test_tiny_threshold_always_true(self):
         assert recoverable(LLAMA8B, 1e-9, 0.9, 0.0)
+
+    def test_a_loss_ratio_equal_to_sigma_is_recoverable(self):
+        # (1 + 0)**1 * (1 + 1/(1 + 1))**1 is exactly 1.5
+        assert recoverable(CompressionLaw(1.0, 1.0, 1.0, MetricKind.LOSS), 1.5, 0.0, 1.0)
 
     @pytest.mark.parametrize("metric, expected", [(MetricKind.LOSS, False), (MetricKind.ACCURACY, True)])
     def test_an_overflowing_ratio_compares_as_infinity(self, metric, expected):

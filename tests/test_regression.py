@@ -245,6 +245,34 @@ class TestOlsFit:
         assert coef == pytest.approx(reference, abs=1e-8)
         assert 0.0 <= stats.r_squared <= 1.0
 
+    def test_a_response_orthogonal_to_the_design_has_r_squared_0(self):
+        # Rounding can put the raw 1 - SSR/TSS of such a fit just below 0 (in ~1 of 10 of these designs).
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            x = rng.normal(size=(6, 2))
+            y = np.linalg.qr(x, mode="complete")[0][:, 2:] @ rng.normal(size=4)
+            _, stats = ols_fit(x, y)
+            assert 0.0 <= stats.r_squared < 1e-12
+
+    def test_a_spread_within_rounding_of_a_runtime_response_is_0(self):
+        """A centred sum of squares below ``(n * p * eps)**2 * sum(y**2)`` is rounding: nothing is left to explain,
+        and the exact fit has R^2 1.  This one is about half that threshold, and above ``(n * eps)**2 * sum(y**2)``."""
+        x = np.column_stack([np.ones(5), np.log1p(np.linspace(0.05, 0.95, 5))])
+        y = np.array([1.5] * 4 + [1.5 + 27 * math.ulp(1.5)])
+        tss, sum_y2 = float(((y - y.mean()) ** 2).sum()), float((y * y).sum())
+        assert (5 * math.ulp(1.0)) ** 2 * sum_y2 < tss < (5 * 2 * math.ulp(1.0)) ** 2 * sum_y2 / 1.5
+        _, stats = ols_fit(x, y, DesignForm.RUNTIME)
+        assert (stats.r_squared, stats.f_statistic) == (1.0, math.inf)
+
+    def test_a_small_real_spread_of_a_runtime_response_is_fitted(self):
+        """R^2 of a runtime response ``c + 1e-9 * v`` is that of ``c + v``: a real spread is not rounding, however
+        small against ``c``."""
+        x = np.column_stack([np.ones(5), np.log1p(np.linspace(0.05, 0.95, 5))])
+        v = np.array([0.1, 0.5, 0.2, 0.9, 0.7])
+        spread = ols_fit(x, 4.6 + v, DesignForm.RUNTIME)[1].r_squared
+        assert 0.01 < spread < 0.99
+        assert ols_fit(x, 4.6 + 1e-9 * v, DesignForm.RUNTIME)[1].r_squared == pytest.approx(spread, rel=1e-5)
+
     def test_singular_design_names_columns(self):
         x = np.column_stack([np.arange(1.0, 7.0), 2.0 * np.arange(1.0, 7.0)])
         with pytest.raises(SingularDesignError, match="x0.*x1|collinear"):
