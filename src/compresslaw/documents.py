@@ -128,6 +128,9 @@ def _parse_document(text: str, context: str, *, versioned: bool = True) -> dict:
     return doc
 
 
+_require_json = _require_instance((str, bytes, bytearray), "str, bytes or bytearray")  # what json.loads takes
+
+
 def _dump_document(doc: dict) -> str:
     return json.dumps({"schema_version": SCHEMA_VERSION, **doc}, indent=2) + "\n"
 
@@ -338,7 +341,7 @@ def report_to_json(report: FitReport) -> str:
 
 
 def report_from_json(text: str) -> FitReport:
-    return _decode(_REPORT, _parse_document(text, "fit report"), "fit report")
+    return _decode(_REPORT, _parse_document(_require_json("text", text), "fit report"), "fit report")
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +444,8 @@ def registry_to_json(registry: LawRegistry) -> str:
 
 
 def registry_from_json(text: str) -> LawRegistry:
-    entries = _decode(_REGISTRY, _parse_document(text, "law registry"), "law registry")["entries"]
+    doc = _parse_document(_require_json("text", text), "law registry")
+    entries = _decode(_REGISTRY, doc, "law registry")["entries"]
     return LawRegistry(_decode(_ENTRY, obj, f"entry {i}") for i, obj in enumerate(entries))
 
 
@@ -494,6 +498,7 @@ def candidates_from_registry(
     order).
     """
     from .planner import CandidateModel
+    registry, metric = _require_registry("registry", registry), _require_metric("metric", metric)
     runtime_by_model: dict[str, RuntimeLaw] = {}
     for entry in registry:
         if isinstance(entry.law, RuntimeLaw):

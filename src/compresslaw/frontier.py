@@ -2,18 +2,18 @@
 
 :func:`emit_frontier_grid` checks each axis with the ``laws`` check that ``SyntheticConfig`` declares for it and
 returns the table of ``laws``' one grid predictor, which ``generate`` shares: the three axes with their runs and the
-predictions, not a ``list``.  Every table is written through one spread-and-chunk path, which
+predictions, not a ``list``.  Every table is written by one row writer, which
 :func:`compresslaw.io.write_records` shares: a column's texts are made once per value it holds (a float's
-``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time.  The CSV writer joins each
-row's fields with ``","`` and a chunk's rows with ``"\r\n"``.  The bytes are what ``csv.writer`` (``\r\n`` line
-ends) and ``json.dumps`` write.  The module imports no numpy.
+``repr``; a label quoted once) and spread to the rows, ``_CHUNK_ROWS`` rows at a time, and each row is its fields
+interleaved with a layout, the CSV's ``","`` and ``"\r\n"`` or the JSON document's keys.  The bytes are what
+``csv.writer`` (``\r\n`` line ends) and ``json.dumps`` write.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from io import StringIO
 from itertools import islice, repeat
 from operator import attrgetter
@@ -66,30 +66,27 @@ def _texts(values: Sequence) -> Iterable[str]:
     return map(quoted.__getitem__, values)
 
 
-def _chunks(table: Table) -> Iterator[list[list[str]]]:
-    """The field texts of the table's columns, ``_CHUNK_ROWS`` rows at a time, one list per column.  Each text is
-    made once per value of its column and spread to the rows."""
-    columns = [table._spread(k, _texts(values)) for k, values in enumerate(table.columns)]
-    while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
-        yield chunk
-
-
-def _text_chunks(chunks: Iterable[Sequence[Sequence[str]]], layout: Sequence[str]) -> Iterator[str]:
-    """Each chunk (its columns of field texts) as JSON rows: ``layout[k]`` before field ``k``, ``layout[-1]``
-    after."""
-    for columns in chunks:
-        parts = [repeat(layout[0])]
-        for fields, literal in zip(columns, layout[1:]):
-            parts += (fields, repeat(literal))
-        yield "".join(map("".join, zip(*parts)))
+def _write_rows(dest, table: Table, head: str, layout: Sequence[str], tail: str = "", skip: int = 0) -> None:
+    """The one row writer: ``head``, each row of ``table`` as ``layout[0]``, field 0, ``layout[1]``, ...,
+    ``layout[-1]``, then ``tail``.  Each field text is made once per value of its column and spread to the rows,
+    ``_CHUNK_ROWS`` rows at a time.  The first row drops its first ``skip`` characters."""
+    with _open_for_write(dest) as fh:
+        fh.write(head)
+        columns = [table._spread(k, _texts(values)) for k, values in enumerate(table.columns)]
+        while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
+            parts = [repeat(layout[0])]
+            for fields, literal in zip(chunk, layout[1:]):
+                parts += (fields, repeat(literal))
+            fh.write("".join(map("".join, zip(*parts)))[skip:])
+            skip = 0
+        fh.write(tail)
 
 
 def _write_csv(dest, header: Sequence[str], table: Table) -> None:
-    """The one CSV writer: ``header``, then each row of ``table``."""
-    with _open_for_write(dest) as fh:
-        fh.write(",".join(map(_quote, header)) + "\r\n")
-        for columns in _chunks(table):
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+    """The CSV of ``table`` under ``header``: the row writer's layout puts ``","`` between fields and ``"\r\n"``
+    after the last."""
+    layout = ("", *[","] * (len(header) - 1), "\r\n")
+    _write_rows(dest, table, ",".join(map(_quote, header)) + "\r\n", layout)
 
 
 def _points_table(points: Iterable[FrontierPoint]) -> Table:
@@ -107,12 +104,7 @@ def write_frontier(points: Iterable[FrontierPoint], dest) -> None:
 def _write_frontier_json(points: Iterable[FrontierPoint], dest) -> None:
     """The ``frontier`` JSON document, byte for byte as ``json.dumps`` writes it with a dict per point.  Its
     values are finite, which json writes with ``float.__repr__``, so the rows are spliced in from the columns."""
-    chunks = _chunks(_points_table(points))
     head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "frontier", "rows": []})
     # Every row starts with the ", " that separates it from the one before; the first row drops it.
     layout = (', {"l0": ', ', "r": ', ', "d": ', ', "predicted": ', "}")
-    with _open_for_write(dest) as fh:
-        fh.write(head[: -len("]}")])
-        for i, text in enumerate(_text_chunks(chunks, layout)):
-            fh.write(text[len(", ") :] if i == 0 else text)
-        fh.write("]}\n")
+    _write_rows(dest, _points_table(points), head[: -len("]}")], layout, "]}\n", skip=len(", "))

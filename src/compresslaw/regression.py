@@ -91,6 +91,15 @@ def _map_distinct(transform, *columns: Sequence[float]) -> list:
     return [np.array(result)[inverse] for result, (_, inverse) in zip(results, distinct)]
 
 
+def _record_table(records) -> Table:
+    """``records`` as a table, read by :meth:`Table.of`, whose ``TypeError`` or ``AttributeError`` on anything
+    but records is a :class:`DomainError` that names them."""
+    try:
+        return Table.of(ExperimentRecord, records)
+    except (TypeError, AttributeError):
+        raise DomainError(f"records must be a sequence of ExperimentRecords, got {_quote.repr(records)}") from None
+
+
 def build_design(
     records: Sequence[ExperimentRecord],
     epsilon: float = 1.0,
@@ -111,16 +120,17 @@ def build_design(
         log(1+r), log(1 + 1/(d+epsilon))]``; RUNTIME is ``[1, log(1+r)]``.
 
     Raises:
-        DomainError: A form that is not a :class:`DesignForm`, mixed metric
-            kinds, the runtime form on loss or accuracy records, too few
-            records (need at least p + 1), or a non-finite transform.
+        DomainError: Records that are not a sequence of records, a form
+            that is not a :class:`DesignForm`, mixed metric kinds, the
+            runtime form on loss or accuracy records, too few records (need
+            at least p + 1), or a non-finite transform.
     """
     epsilon, form = require_positive("epsilon", epsilon), _require_form("form", form)
+    table = _record_table(records)
     coefficients = _FORM_COEFFICIENTS[form]
-    n, p = len(records), len(coefficients)
+    n, p = len(table), len(coefficients)
     if n < p + 1:
         raise DomainError(f"need at least {p + 1} records for the {form.value} form, got {n}")
-    table = Table.of(ExperimentRecord, records)
     # Each value of a column is in some row.  tuple.count compares by identity first; hashing an enum member runs
     # Python code.
     metric = table.columns[1]
@@ -182,7 +192,7 @@ def _solve(
     # terms, and in each centred entry of a constant y: a sum of squares below (n * p * eps)**2 * sum(y**2) is 0.
     zero = (n * p * math.ulp(1.0)) ** 2 * (tss + n * mean * mean)
     if tss > zero:
-        r_squared = min(max(1.0 - ssr / tss, 0.0), 1.0)
+        r_squared = max(1.0 - ssr / tss, 0.0)
     else:
         r_squared = 1.0 if ssr <= zero else 0.0
     adj = 1.0 - (1.0 - r_squared) * (n - intercepts) / (n - p)
@@ -267,7 +277,7 @@ def _fit(
     An exponent the form does not fit is pinned to 0, and its sign is exempt
     from the violations.
     """
-    table = Table.of(ExperimentRecord, records)
+    table = _record_table(records)
     x, y = build_design(table, epsilon=epsilon, form=form)
     coef, stats, residuals = _solve(x, y, form)
     fitted = dict(zip(_FORM_COEFFICIENTS[form], coef.tolist()))

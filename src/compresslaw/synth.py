@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import DomainError, SingularDesignError
 from .laws import CompressionLaw, ExperimentRecord, Table, _grid_log_predictions, _grid_table, _require_axis
-from .laws import _require_count, _require_law, _require_text, _value_type, log_feature_columns, require_nonnegative
+from .laws import _require_count, _require_instance, _require_law, _require_text, _value_type, log_feature_columns
+from .laws import require_nonnegative
 from .regression import CONDITION_NUMBER_LIMIT
 
 __all__ = ["SyntheticConfig", "generate"]
@@ -60,6 +61,9 @@ class SyntheticConfig:
             raise DomainError("need at least 3 distinct values across the r and d grids for a full-rank design")
 
 
+_require_config = _require_instance(SyntheticConfig, "a SyntheticConfig")
+
+
 def _grid_condition(features: tuple) -> float:
     """``cond`` of the meshed ``N x 3`` design of a grid whose axes have these features, from the axes alone.
     Centred, the design's columns are orthogonal to each other and to the ones vector, so its singular values are
@@ -80,9 +84,10 @@ def generate(config: SyntheticConfig) -> Table:
         SingularDesignError: When the grid cannot support a full-rank
             three-column design (e.g. constant ``l0 = 1`` with a constant
             ``d`` axis).
-        DomainError: When a value overflows or underflows the finite positive range, checked before the rank.
+        DomainError: A ``config`` that is not a :class:`SyntheticConfig`, or a value that overflows or underflows
+            the finite positive range, checked before the rank.
     """
-    law, axes = config.truth, (config.l0_values, config.r_values, config.d_values)
+    law, axes = _require_config("config", config).truth, (config.l0_values, config.r_values, config.d_values)
     log_l = _grid_log_predictions(law, axes)
     if config.noise_std > 0:
         noise = np.random.default_rng(config.seed).normal(0.0, config.noise_std, size=len(log_l))

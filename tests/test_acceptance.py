@@ -19,15 +19,8 @@ import numpy as np
 import pytest
 
 from compresslaw.cli import run
-from compresslaw.documents import save_law
-from compresslaw.io import (
-    builtin_registry,
-    read_records,
-    report_from_json,
-    report_to_json,
-    build_fit_report,
-    write_records,
-)
+from compresslaw.documents import builtin_registry, report_from_json, report_to_json, save_law
+from compresslaw.io import build_fit_report, read_records, write_records
 from compresslaw.laws import CompressionLaw, MetricKind, RuntimeLaw, check_feasibility, evaluate
 from compresslaw.planner import predict_speedup
 from compresslaw.recovery import (

@@ -4,7 +4,6 @@ import ast
 import importlib
 import json
 import math
-import os
 import pickle
 import subprocess
 import sys
@@ -13,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from child_env import child_env
 from compresslaw import laws
-from compresslaw.documents import LawRegistry, law_to_dict, registry_to_json, report_to_json
+from compresslaw.documents import LawRegistry, candidates_from_registry, law_to_dict, registry_from_json
+from compresslaw.documents import registry_to_json, report_from_json, report_to_json
 from compresslaw.errors import DomainError
 from compresslaw.frontier import emit_frontier_grid
 from compresslaw.io import build_fit_report
@@ -24,7 +25,7 @@ from compresslaw.recovery import (
     RecoveryQuery, analyze, classify_regime, critical_ratio, min_rft_size, recoverable, recovery_margin
 )
 from compresslaw.regression import ExperimentRecord, build_design, fit_law, ols_fit
-from compresslaw.synth import SyntheticConfig
+from compresslaw.synth import SyntheticConfig, generate
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID_AXES = ("l0_values", "r_values", "d_values")
@@ -195,6 +196,18 @@ BAD_ARGUMENTS = {
     "build_design form": (lambda: build_design(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "fit_law form": (lambda: fit_law(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
     "build_fit_report form": (lambda: build_fit_report(RECORDS, form="full"), "form must be a DesignForm, got 'full'"),
+    "build_design int": (lambda: build_design(5), "records must be a sequence of ExperimentRecords, got 5"),
+    "fit_law list of int": (lambda: fit_law([1, 2, 3, 4]),
+                            "records must be a sequence of ExperimentRecords, got [1, 2, 3, 4]"),
+    "build_fit_report None": (lambda: build_fit_report(None),
+                              "records must be a sequence of ExperimentRecords, got None"),
+    "generate law": (lambda: generate(ACCURACY), f"config must be a SyntheticConfig, got {ACCURACY!r}"),
+    "candidates_from_registry None": (lambda: candidates_from_registry(None, MetricKind.ACCURACY),
+                                      "registry must be a LawRegistry, got None"),
+    "candidates_from_registry metric": (lambda: candidates_from_registry(LawRegistry(), "accuracy"),
+                                        "metric must be a MetricKind, got 'accuracy'"),
+    "report_from_json int": (lambda: report_from_json(5), "text must be str, bytes or bytearray, got 5"),
+    "registry_from_json None": (lambda: registry_from_json(None), "text must be str, bytes or bytearray, got None"),
     "ols_fit form": (lambda: ols_fit([[1.0], [2.0]], [1.0, 2.0], "full"), "form must be a DesignForm, got 'full'"),
     "ols_fit x text": (lambda: ols_fit("x", [1, 2, 3]), "x must be an array of numbers, got 'x'"),
     "ols_fit x with text": (lambda: ols_fit([[1, "a"], [2, 3], [4, 5]], [1, 2, 3]),
@@ -280,9 +293,7 @@ def test_moved_names_are_the_same_objects():
 
 def _python(*args):
     """``python *args`` with the source tree importable, its output captured as text."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=child_env(), capture_output=True, text=True, timeout=60)
 
 
 def test_importing_the_package_loads_no_numpy():

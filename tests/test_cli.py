@@ -19,14 +19,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from child_env import child_env
 from compresslaw.cli import build_parser, run
-from compresslaw.documents import load_law, report_to_json
+from compresslaw.documents import LawRegistry, RegistryEntry, builtin_registry, load_law, load_registry
+from compresslaw.documents import registry_to_json, report_to_json, save_law
 from compresslaw.errors import CompressLawError
-from compresslaw.frontier import _CHUNK_ROWS
-from compresslaw.io import SkippedRowWarning, builtin_registry, load_registry, registry_to_json, save_law, write_records
-from compresslaw.io import build_fit_report, emit_frontier_grid
+from compresslaw.frontier import _CHUNK_ROWS, emit_frontier_grid
+from compresslaw.io import SkippedRowWarning, build_fit_report, write_records
 from compresslaw.laws import SCHEMA_VERSION, CompressionLaw, FeasibilityWarning, MetricKind, RuntimeLaw, evaluate
-from compresslaw.io import LawRegistry, RegistryEntry
 from compresslaw.recovery import RecoveryQuery, analyze
 from compresslaw.regression import fit_law
 from compresslaw.synth import SyntheticConfig, generate
@@ -703,17 +703,9 @@ def test_a_law_of_the_wrong_kind_is_told_every_kind_a_law_flag_reads(tmp_path):
     assert all(f"'{kind}'" in message for kind in ("compression", "runtime", "fit_report", "law_registry")), message
 
 
-def _cli_env():
-    # Without PYTHONUNBUFFERED a child's stdout to a pipe is block-buffered, as a user's is, so a test sees a
-    # missing flush.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    return env
-
-
 def _cli_process(argv) -> subprocess.CompletedProcess:
     """``python -m compresslaw.cli *argv``, finished, with its stdout and stderr as text."""
-    return subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(), capture_output=True,
+    return subprocess.run([sys.executable, "-m", "compresslaw.cli", *argv], env=child_env(), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -751,7 +743,7 @@ def _run_importtime(argv, tmp_path, python=sys.executable):
     paths["report"].write_text(report_to_json(build_fit_report(generate(config))))
     argv = [arg.format(**paths) for arg in argv]
     done = subprocess.run([python, "-X", "importtime", "-m", "compresslaw.cli", *argv],
-                          env=_cli_env(), capture_output=True, timeout=60)
+                          env=child_env(), capture_output=True, timeout=60)
     lines = done.stderr.decode().splitlines()
     imports = [line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")]
     return done, imports[1:], argv  # the first line is the column header
@@ -812,7 +804,7 @@ def python310():
     for candidate in [shutil.which("python3.10"), *map(str, sorted(versions.glob("3.10*/bin/python")))]:
         if candidate is None:
             continue
-        probe = subprocess.run([candidate, "-c", "import sys; print(sys.version_info[:2])"],
+        probe = subprocess.run([candidate, "-c", "import sys; print(sys.version_info[:2])"], env=child_env(),
                                capture_output=True, text=True, timeout=60)
         if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
             return candidate
@@ -837,7 +829,7 @@ def test_fit_output_does_not_depend_on_the_blas_thread_count(tmp_path):
     write_records(generate(config)[:20_000], path)
     stdout = []
     for threads in ("1", "2"):
-        env = dict(_cli_env(), OPENBLAS_NUM_THREADS=threads)
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=threads)
         done = subprocess.run([sys.executable, "-m", "compresslaw.cli", "fit", "--input", str(path)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
@@ -1073,7 +1065,7 @@ def _read_slowly(argv, tmp_path) -> tuple[int, bytes, str]:
     that the process still has output to write when its command returns; returns the exit code, every byte read
     and stderr."""
     with open(tmp_path / "stderr.txt", "w+") as stderr:
-        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *argv], env=_cli_env(),
+        child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *argv], env=child_env(),
                                  stdout=subprocess.PIPE, stderr=stderr)
         chunks = []
         while chunk := os.read(child.stdout.fileno(), 16384):
@@ -1130,7 +1122,7 @@ def test_no_atexit_callback_waits_for_the_exit_main_skips():
         "from compresslaw.cli import main\n"
         "main()\n"
     )
-    done = subprocess.run([sys.executable, "-c", script, *MAIN_EXITS[0]], env=_cli_env(), capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script, *MAIN_EXITS[0]], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     before, after = map(int, done.stderr.split())
@@ -1161,7 +1153,7 @@ def test_a_closed_stdout_pipe_exits_2_without_a_traceback(unbuffered, tmp_path):
     """A reader that stops after a few bytes of a 100k-point frontier CSV leaves an I/O error: exit 2, and one
     ``error:`` line on stderr beside runpy's warning, whether the failed write is the one that ``run`` reports or,
     with stdout buffered, also the flush in ``main`` that follows it."""
-    env = dict(_cli_env(), PYTHONUNBUFFERED="1") if unbuffered else _cli_env()
+    env = dict(child_env(), PYTHONUNBUFFERED="1") if unbuffered else child_env()
     with open(tmp_path / "stderr.txt", "w+") as stderr:
         child = subprocess.Popen([sys.executable, "-m", "compresslaw.cli", *FRONTIER_100K], env=env,
                                  stdout=subprocess.PIPE, stderr=stderr)

@@ -19,29 +19,25 @@ from hypothesis import assume, given, settings, strategies as st
 
 from compresslaw import documents, frontier, io as lawio, regression
 from compresslaw.errors import DataFormatError, DomainError, SingularDesignError
-from compresslaw.io import (
+from compresslaw.documents import (
+    FitReport,
     LawRegistry,
     RegistryEntry,
-    build_fit_report,
     builtin_registry,
     candidates_from_registry,
-    emit_frontier_grid,
     law_from_dict,
     law_to_dict,
     load_law,
-    read_records,
     registry_from_json,
     registry_to_json,
     report_from_json,
     report_to_json,
     save_law,
-    write_frontier,
-    write_records,
-    RECORD_COLUMNS,
-    SkippedRowWarning,
 )
+from compresslaw.frontier import FrontierPoint, emit_frontier_grid, write_frontier
+from compresslaw.io import RECORD_COLUMNS, SkippedRowWarning, build_fit_report, read_records, write_records
 from compresslaw.laws import _FORM_COEFFICIENTS, CompressionLaw, MetricKind, RuntimeLaw, Table, check_feasibility
-from compresslaw.laws import evaluate
+from compresslaw.laws import SCHEMA_VERSION, evaluate
 from compresslaw.regression import DesignForm, ExperimentRecord, FitStatistics
 from compresslaw.synth import SyntheticConfig, generate
 
@@ -277,8 +273,31 @@ class TestReadRecordsMatchesPerRowReader:
     @given(text=record_csvs())
     def test_generated_csvs_with_every_grid_column_deduplicated(self, text):
         # l0, r and d are parsed once per distinct text in every block and chunk, bad texts included
-        with mock.patch.object(lawio, "_BLOCK_CHARS", 64):
+        with mock.patch.object(lawio, "_BLOCK_CHARS", 64), \
+                mock.patch.object(lawio, "_parse_chunk", side_effect=lawio._parse_chunk) as chunks, \
+                mock.patch.object(lawio, "_parse_floats", side_effect=lawio._parse_floats) as parsed:
             assert_reads_like_oracle(text)
+        texts = [call.args[0] for call in parsed.call_args_list]
+        assert len(texts) == 4 * len(chunks.call_args_list)  # l0, r, d, then l
+        for i, call in enumerate(chunks.call_args_list):
+            *grid, observed = call.args[0][2:]
+            for column, distinct in zip(grid, texts[4 * i : 4 * i + 3]):
+                assert len(distinct) == len(set(distinct)) and set(distinct) == set(column)
+            assert list(texts[4 * i + 3]) == list(observed)
+
+    def test_a_line_feed_inside_a_row_of_a_cr_stream_is_csv_s_error(self):
+        # A stream that ends lines at "\r" alone hands over a row holding "\n", which only csv.reader may read.
+        rows = ["m,loss,2.0,0.5,10,6.9"] * 6
+        rows[3] = "m\nx,loss,2.0,0.5,10,6.9"
+        text = "\r".join([CSV_HEADER.rstrip("\n"), *rows, ""])
+
+        def cr_stream(text):
+            return stdio.TextIOWrapper(stdio.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="\r")
+
+        assert read_like_oracle(text, True, cr_stream)[1][0].startswith("row 5: new-line character seen in unquoted")
+        records, messages = read_like_oracle(text, False, cr_stream)
+        assert [rec.model_id for rec in records] == ["m"] * 5 and len(messages) == 1
+        assert_reads_like_oracle(text, cr_stream)
 
     def test_a_short_block_parses_each_distinct_grid_text_once(self):
         axes = (["1.5", "2.5", "3.5"], ["0.0", "0.25", "0.5", "0.75", "0.9"], ["0", "10", "100"])
@@ -503,9 +522,9 @@ class TestWritersMatchReference:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), n=ROW_COUNTS)
     def test_frontier_csv_and_json(self, data, n):
-        points = [lawio.FrontierPoint(*p) for p in zip(*(data.draw(columns_of(n, FINITE)) for _ in range(4)))]
-        assert written(write_frontier, points) == csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
-        doc = {"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier", "rows": [p._asdict() for p in points]}
+        points = [FrontierPoint(*p) for p in zip(*(data.draw(columns_of(n, FINITE)) for _ in range(4)))]
+        assert written(write_frontier, points) == csv_reference(FrontierPoint._fields, [map(repr, p) for p in points])
+        doc = {"schema_version": SCHEMA_VERSION, "kind": "frontier", "rows": [p._asdict() for p in points]}
         assert written(frontier._write_frontier_json, points) == json.dumps(doc) + "\n"
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -516,14 +535,14 @@ class TestWritersMatchReference:
                               residual_std=0.1, condition_number=1.0)
         law = CompressionLaw(0.5, 1.0, 1.0, MetricKind.LOSS, stats=stats)
         doc = {
-            "schema_version": lawio.SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "kind": "fit_report",
             "law": law_to_dict(law),
             "stats": law_to_dict(law)["stats"],
             "warnings": notes,
             "residuals": [v if math.isfinite(v) else repr(v) for v in residuals],
         }
-        report = lawio.FitReport(law, stats, tuple(notes), residuals)
+        report = FitReport(law, stats, tuple(notes), residuals)
         assert report_to_json(report) == json.dumps(doc, indent=2) + "\n"
 
     LOSS, ACCURACY, RUNTIME = MetricKind.LOSS, MetricKind.ACCURACY, MetricKind.RUNTIME
@@ -752,7 +771,7 @@ class TestFitReport:
     def test_non_finite_values_round_trip_as_their_strings(self):
         stats = FitStatistics(5, 3, 0.5, math.nan, math.inf, math.nan, 2.0)
         law = CompressionLaw(0.5, 1.0, 1.0, MetricKind.LOSS, stats=stats)
-        text = report_to_json(lawio.FitReport(law, stats, (), (0.1, math.nan, -math.inf, math.inf, -0.0)))
+        text = report_to_json(FitReport(law, stats, (), (0.1, math.nan, -math.inf, math.inf, -0.0)))
         doc = json.loads(text)
         assert [doc["stats"][k] for k in ("adj_r_squared", "f_statistic", "residual_std")] == ["nan", "inf", "nan"]
         assert doc["residuals"][1:4] == ["nan", "-inf", "inf"]
@@ -797,7 +816,7 @@ class TestFitReport:
             report_from_json(json.dumps(doc))
         other = FitStatistics(**{**vars(report.stats), "n": 7})
         with pytest.raises(DomainError, match="statistics disagree"):
-            lawio.FitReport(report.law, other, (), report.residuals[:7])
+            FitReport(report.law, other, (), report.residuals[:7])
 
     @pytest.mark.parametrize("kind, shown", [
         ("law_registry", "'law_registry'"), ("compression", "'compression'"), (["fit_report"], "['fit_report']"),
@@ -1072,7 +1091,7 @@ class TestFrontier:
 
     def test_is_a_read_only_sequence_of_points(self, tmp_path):
         points = emit_frontier_grid(EXTRINSIC, [0.5, 0.7], [0.1, 0.2], [0.0, 5.0])
-        as_list = [lawio.FrontierPoint(*p) for p in points]
+        as_list = [FrontierPoint(*p) for p in points]
         assert len(points) == 8 and points == as_list and as_list == points
         assert points[-1] == as_list[-1] and type(points[0].predicted) is float
         assert points[2:5] == as_list[2:5] and points != as_list[::-1] and points != as_list[:7]
@@ -1095,9 +1114,9 @@ class TestFrontier:
         and ``d`` axes and a repeated ``l0``, in 7-row chunks, against ``csv.writer`` and ``json.dumps`` over
         ``itertools.product`` and ``evaluate``; the same points as a list are written the same."""
         l0, r, d = draw_signed_zero_grid(data)
-        points = [lawio.FrontierPoint(*p, evaluate(law, *p)) for p in itertools.product(l0, r, d)]
-        csv_text = csv_reference(lawio.FrontierPoint._fields, [map(repr, p) for p in points])
-        json_text = json.dumps({"schema_version": lawio.SCHEMA_VERSION, "kind": "frontier",
+        points = [FrontierPoint(*p, evaluate(law, *p)) for p in itertools.product(l0, r, d)]
+        csv_text = csv_reference(FrontierPoint._fields, [map(repr, p) for p in points])
+        json_text = json.dumps({"schema_version": SCHEMA_VERSION, "kind": "frontier",
                                 "rows": [p._asdict() for p in points]}) + "\n"
         with mock.patch.object(frontier, "_CHUNK_ROWS", 7):
             for table in (emit_frontier_grid(law, l0, r, d), points):

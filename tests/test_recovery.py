@@ -147,6 +147,15 @@ class TestMinRftSize:
         assert recoverable(LLAMA8B, 0.8, 0.19, d_min)
         assert not recoverable(LLAMA8B, 0.8, 0.19, d_min - 0.01)
 
+    def test_a_boundary_near_the_largest_float_is_found(self):
+        # A huge gamma puts the least accepted size near 1e308, where the sum of the bisection's ends overflows.
+        law = CompressionLaw(1.0, 1.0, 3e292, MetricKind.LOSS)
+        sigma = math.nextafter(1.0, 2.0)
+        d_min = min_rft_size(RecoveryQuery(law, sigma, 0.0))
+        assert 1e307 < d_min < math.inf
+        assert recoverable(law, sigma, 0.0, d_min)
+        assert not recoverable(law, sigma, 0.0, math.nextafter(d_min, 0.0))
+
     def test_loss_variant(self):
         law = CompressionLaw(0.63, 1.72, 1.16, MetricKind.LOSS)
         query = RecoveryQuery(law, sigma=1.5, r=0.1)

@@ -1,17 +1,16 @@
 """The study scripts under ``scripts/`` run as the README shows them, against the package in ``src/``."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from child_env import child_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=child_env(), capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
