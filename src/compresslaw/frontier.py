@@ -67,26 +67,26 @@ def _texts(values: Sequence) -> Iterable[str]:
 
 
 def _write_rows(dest, table: Table, head: str, layout: Sequence[str], tail: str = "", skip: int = 0) -> None:
-    """The one row writer: ``head``, each row of ``table`` as ``layout[0]``, field 0, ``layout[1]``, ...,
-    ``layout[-1]``, then ``tail``.  Each field text is made once per value of its column and spread to the rows,
-    ``_CHUNK_ROWS`` rows at a time.  The first row drops its first ``skip`` characters."""
+    """The one row writer: ``head``, each row of ``table`` as ``layout[0]``, field 0, ``layout[1]``, ... ``layout[-1]``,
+    then ``tail``.  A field text is made once per value of its column and spread to the rows, ``_CHUNK_ROWS`` at a
+    time; a chunk's rows are joined by ``layout[-1] + layout[0]``.  The first row drops its first ``skip`` chars."""
     with _open_for_write(dest) as fh:
         fh.write(head)
         columns = [table._spread(k, _texts(values)) for k, values in enumerate(table.columns)]
         while (chunk := [list(islice(fields, _CHUNK_ROWS)) for fields in columns])[0]:
-            parts = [repeat(layout[0])]
-            for fields, literal in zip(chunk, layout[1:]):
-                parts += (fields, repeat(literal))
-            fh.write("".join(map("".join, zip(*parts)))[skip:])
+            parts = chunk[:1]
+            for fields, literal in zip(chunk[1:], layout[1:-1]):
+                parts += (repeat(literal), fields)
+            fh.write(layout[0][skip:])
+            fh.write((layout[-1] + layout[0]).join(map("".join, zip(*parts))))
+            fh.write(layout[-1])
             skip = 0
         fh.write(tail)
 
 
 def _write_csv(dest, header: Sequence[str], table: Table) -> None:
-    """The CSV of ``table`` under ``header``: the row writer's layout puts ``","`` between fields and ``"\r\n"``
-    after the last."""
-    layout = ("", *[","] * (len(header) - 1), "\r\n")
-    _write_rows(dest, table, ",".join(map(_quote, header)) + "\r\n", layout)
+    """The CSV of ``table`` under ``header``: its layout puts ``","`` between fields and ``"\r\n"`` after the last."""
+    _write_rows(dest, table, ",".join(map(_quote, header)) + "\r\n", ("", *[","] * (len(header) - 1), "\r\n"))
 
 
 def _points_table(points: Iterable[FrontierPoint]) -> Table:
